@@ -6,13 +6,13 @@ a closed-form QP, and a 2D simulator for agents avoiding moving
 obstacles.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .barrier import (
     AffineConstraint,
     BarrierConfig,
     FeasibilityDiagnostics,
     InfeasibleConstraintError,
     ProbeResult,
+    barrier_constraint,
     barrier_value,
     constraint,
     control_set_probe,
@@ -36,6 +36,7 @@ from .field import (
     cost_gradients,
     cost_mean,
     cost_sigma,
+    evaluate,
     inclusiveness_audit,
     level_set,
     perceived_risk,
@@ -57,6 +58,7 @@ from .risk import (
     cvar_value,
     decision_weights,
     er_value,
+    moment_risk,
     parse_spec,
     partials,
     prob_weight,

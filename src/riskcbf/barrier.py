@@ -1,11 +1,11 @@
 """Perceived-risk barrier functions and the closed-form safety filter.
 
-The barrier is h(xi) = eta2(rho - R(xi)) with eta2 fixed to the
-identity, so h > 0 exactly on the perceived-safe set. Keeping
-hdot >= -eta1(h) with the linear eta1(s) = gain * s renders the safe
-set forward invariant; with relative dynamics xi_dot = f_y - f - G u
-the condition is a single affine constraint in u, and the minimally
-invasive control is the exact halfspace projection of the nominal one.
+The barrier is h(xi) = rho - R(xi), so h > 0 exactly on the
+perceived-safe set. Keeping hdot >= -eta1(h) with the linear
+eta1(s) = gain * s renders the safe set forward invariant; with
+relative dynamics xi_dot = f_y - f - G u the condition is a single
+affine constraint in u, and the minimally invasive control is the exact
+halfspace projection of the nominal one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import CostFieldParams, perceived_risk, risk_gradient
+from .field import CostFieldParams, evaluate, perceived_risk
 from .risk import RiskSpec, spec_label
 
 
@@ -27,19 +27,16 @@ class InfeasibleConstraintError(RuntimeError):
 @dataclass(frozen=True)
 class BarrierConfig:
     """Risk tolerance rho and the gain of the linear class-K function
-    eta1; eta2 is fixed to the identity (see module docstring)."""
+    eta1."""
 
     rho: float
     eta1_gain: float = 1.0
-    eta2: str = "identity"
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.eta1_gain <= 0:
             raise ValueError("eta1_gain must be positive")
-        if self.eta2 != "identity":
-            raise ValueError("only the identity eta2 is supported")
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,37 @@ def barrier_value(
     return config.rho - perceived_risk(spec, params, xi)
 
 
+def _barrier_terms(spec, params, config, x, y) -> tuple[float, np.ndarray]:
+    """h and dR/dxi at xi = y - x from one risk evaluation."""
+    xi = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    risk, g = evaluate(spec, params, xi)
+    return config.rho - float(risk), g
+
+
+def barrier_constraint(
+    spec: RiskSpec,
+    params: CostFieldParams,
+    config: BarrierConfig,
+    x,
+    y,
+    f,
+    G,
+    f_y,
+) -> tuple[float, AffineConstraint]:
+    """Barrier value h(y - x) and the affine constraint a . u >= b
+    equivalent to hdot >= -eta1(h), from one risk evaluation.
+
+    With xi = y - x and g the risk-field gradient, hdot = -g . xi_dot =
+    -g . (f_y - f - G u), so a = G^T g and b = g . (f_y - f) - eta1(h).
+    """
+    h, g = _barrier_terms(spec, params, config, x, y)
+    G = np.asarray(G, dtype=float)
+    a = G.T @ g
+    b = float(g @ (np.asarray(f_y, dtype=float) - np.asarray(f, dtype=float)))
+    b -= config.eta1_gain * h
+    return h, AffineConstraint(a, b)
+
+
 def constraint(
     spec: RiskSpec,
     params: CostFieldParams,
@@ -77,21 +105,9 @@ def constraint(
     G,
     f_y,
 ) -> AffineConstraint:
-    """Affine constraint a . u >= b equivalent to hdot >= -eta1(h).
-
-    With xi = y - x and g the risk-field gradient, hdot = -g . xi_dot =
-    -g . (f_y - f - G u), so a = G^T g and b = g . (f_y - f) - eta1(h).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi = y - x
-    g = risk_gradient(spec, params, xi)
-    h = barrier_value(spec, params, config, xi)
-    G = np.asarray(G, dtype=float)
-    a = G.T @ g
-    b = float(g @ (np.asarray(f_y, dtype=float) - np.asarray(f, dtype=float)))
-    b -= config.eta1_gain * h
-    return AffineConstraint(a, b)
+    """Affine constraint a . u >= b equivalent to hdot >= -eta1(h); see
+    barrier_constraint."""
+    return barrier_constraint(spec, params, config, x, y, f, G, f_y)[1]
 
 
 def qp_filter(k_nominal, con: AffineConstraint) -> np.ndarray:
@@ -154,11 +170,7 @@ def feasibility_margin(
     and to the analogous ratios with the sigma-weighted gradient norms
     for CVaR and CPT, since dR/dxi = d_mu * c_mu' + d_sigma * c_sigma'.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xi = y - x
-    g = risk_gradient(spec, params, xi)
-    h = barrier_value(spec, params, config, xi)
+    h, g = _barrier_terms(spec, params, config, x, y)
     eta1_h = config.eta1_gain * h
     xi_dot = np.asarray(f_y, dtype=float) - (
         np.asarray(f, dtype=float) + np.asarray(G, dtype=float) @ np.asarray(u, dtype=float)

@@ -11,17 +11,21 @@ places each outcome at the lower edge of its bin, and bin masses are
 Gaussian CDF differences re-normalized by Z = cdf(3) - cdf(-3). The top
 bin closes at the upper truncation bound so the masses sum to one
 exactly; for a symmetric grid the mass vector is symmetric about c_mu.
+The lattice (outcome coefficients and masses) depends only on M and is
+shared by the lottery and the field layers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
-
 _PROB_SUM_TOL = 1e-12
+_INV_SQRT_2PI = 0.3989422804014326779
+_INV_SQRT_2 = 0.7071067811865475244
 
 
 @dataclass(frozen=True)
@@ -65,29 +69,59 @@ class DiscreteCost:
 
 def std_normal_pdf(z: float) -> float:
     """Standard normal density (1/sqrt(2*pi)) * exp(-z**2/2)."""
-    return float(_kernels.norm_pdf(float(z)))
+    z = float(z)
+    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF, computed as 0.5*erfc(-z/sqrt(2)).
 
-    The complementary error function is a Cody-style rational minimax
-    approximation (see _kernels.erfc); absolute accuracy is at machine
-    precision, well under the 1e-7 requirement.
+    ``math.erfc`` keeps full relative accuracy in both tails, so the
+    absolute error is at machine precision, well under the 1e-7
+    requirement.
     """
-    return float(_kernels.norm_cdf(float(z)))
+    return 0.5 * math.erfc(-float(z) * _INV_SQRT_2)
 
 
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p in (0, 1).
 
-    Safeguarded Newton iteration on std_normal_cdf; the result z
-    satisfies |std_normal_cdf(z) - p| <= 1e-9.
+    ``statistics.NormalDist.inv_cdf`` (Wichura's AS241 rational
+    approximations, relative error about 1e-16); the result z satisfies
+    |std_normal_cdf(z) - p| <= 1e-9.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile requires p in (0, 1), got {p!r}")
-    return float(_kernels.norm_quantile(p))
+    # imported here: statistics pulls in decimal and fractions, about
+    # 5 ms of interpreter start-up that only CVaR specs need
+    from statistics import NormalDist
+
+    return NormalDist().inv_cdf(p)
+
+
+@lru_cache(maxsize=256)
+def lattice_coeffs(m: int) -> np.ndarray:
+    """Ascending outcome grid in sigma units: -3 + 6*(j-1)/m for j=1..m.
+
+    Each outcome sits at the lower edge of its probability bin; the top
+    bin closes at the upper truncation bound +3. The array is cached
+    and read-only.
+    """
+    g = -3.0 + 6.0 * np.arange(m) / m
+    g.setflags(write=False)
+    return g
+
+
+@lru_cache(maxsize=256)
+def lattice_masses(m: int) -> np.ndarray:
+    """Bin masses of the 3-sigma truncated standard normal split into m
+    equal-width bins: CDF differences re-normalized by
+    Z = cdf(3) - cdf(-3). The array is cached and read-only."""
+    cdf = np.array([std_normal_cdf(z) for z in -3.0 + 6.0 * np.arange(m + 1) / m])
+    probs = np.diff(cdf) / (cdf[-1] - cdf[0])
+    probs.setflags(write=False)
+    return probs
 
 
 def discretize_truncated_gaussian(
@@ -110,9 +144,8 @@ def discretize_truncated_gaussian(
         raise ValueError("m must be at least 2")
     if c_sigma == 0.0:
         return DiscreteCost(np.full(m, c_mu), np.full(m, 1.0 / m))
-    outcomes = c_mu + c_sigma * _kernels.trunc_gauss_grid_coeffs(m)
-    probs = _kernels.trunc_gauss_bin_probs(m)
+    outcomes = c_mu + c_sigma * lattice_coeffs(m)
     clamped = bool(outcomes[0] < 0.0)
     if clamped:
         outcomes = np.maximum(outcomes, 0.0)
-    return DiscreteCost(outcomes, probs, clamped=clamped)
+    return DiscreteCost(outcomes, lattice_masses(m), clamped=clamped)

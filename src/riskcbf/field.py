@@ -17,18 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .risk import (
-    CPT,
-    CVaR,
-    ExpectedRisk,
-    RiskSpec,
-    cpt_pi_weights,
-    cvar_gaussian_closed_form,
-    partials,
-    spec_label,
-)
-from .risk import _cvar_sigma_gain, _grid_coeffs
+from .distributions import lattice_coeffs
+from .risk import RiskSpec, moment_risk, spec_label
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,65 +121,67 @@ class FieldGrid:
             fh.write("\n")
 
 
+def _moments(params: CostFieldParams, r2):
+    """Cost mean k1 * exp(-k2 * r2) and deviation
+    c_mu(r_bar) * exp(-r2 / 2) / (2*pi) at squared distance r2."""
+    mu = params.k1 * np.exp(-params.k2 * r2)
+    sigma = params.sigma_peak / TWO_PI * np.exp(-0.5 * r2)
+    return mu, sigma
+
+
+def _r2(xi: np.ndarray):
+    return np.sum(xi * xi, axis=-1)
+
+
 def cost_mean(params: CostFieldParams, xi) -> float | np.ndarray:
     """Mean cost k1 * exp(-k2 * |xi|^2); peaks at the source."""
-    xi = np.asarray(xi, dtype=float)
-    r2 = np.sum(xi * xi, axis=-1)
-    out = params.k1 * np.exp(-params.k2 * r2)
+    out = _moments(params, _r2(np.asarray(xi, dtype=float)))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def cost_sigma(params: CostFieldParams, xi) -> float | np.ndarray:
     """Cost standard deviation c_mu(r_bar) * exp(-|xi|^2 / 2) / (2*pi)."""
-    xi = np.asarray(xi, dtype=float)
-    r2 = np.sum(xi * xi, axis=-1)
-    out = params.sigma_peak / TWO_PI * np.exp(-0.5 * r2)
+    out = _moments(params, _r2(np.asarray(xi, dtype=float)))[1]
     return float(out) if out.ndim == 0 else out
 
 
 def cost_gradients(params: CostFieldParams, xi) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the mean and deviation fields with respect to xi."""
     xi = np.asarray(xi, dtype=float)
-    grad_mu = -2.0 * params.k2 * xi * cost_mean(params, xi)
-    grad_sigma = -xi * cost_sigma(params, xi)
-    return grad_mu, grad_sigma
+    return _moment_gradients(params, xi, *_moments(params, _r2(xi)))
+
+
+def _moment_gradients(params, xi, mu, sigma):
+    # d c_mu/dxi = -2 k2 xi c_mu and d c_sigma/dxi = -xi c_sigma
+    return -2.0 * params.k2 * xi * mu[..., None], -xi * sigma[..., None]
+
+
+def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
+    """Perceived risk R and its gradient dR/dxi at relative positions xi.
+
+    xi has shape (..., 2): one point, a batch or a grid. R has shape
+    xi.shape[:-1] and dR/dxi the shape of xi; the gradient chains the
+    (c_mu, c_sigma) partials of :func:`riskcbf.risk.moment_risk` through
+    the cost-field gradients. grad=False returns (R, None) and computes
+    no partials, so clamped CPT cells keep a value.
+    """
+    xi = np.asarray(xi, dtype=float)
+    mu, sigma = _moments(params, _r2(xi))
+    value, d_mu, d_sigma = moment_risk(spec, mu, sigma, params.m, grad=grad)
+    if not grad:
+        return value, None
+    grad_mu, grad_sigma = _moment_gradients(params, xi, mu, sigma)
+    return value, d_mu[..., None] * grad_mu + d_sigma[..., None] * grad_sigma
 
 
 def perceived_risk(spec: RiskSpec, params: CostFieldParams, xi) -> float:
-    """Risk value of the discretized cost at xi under the given model.
-
-    ER and CVaR use their closed forms; CPT evaluates the fixed-weight
-    closed form, which matches the discretize-then-value pipeline to
-    1e-9.
-    """
-    mu = cost_mean(params, xi)
-    if isinstance(spec, ExpectedRisk):
-        return float(mu)
-    sigma = cost_sigma(params, xi)
-    if isinstance(spec, CVaR):
-        return cvar_gaussian_closed_form(mu, sigma, spec.q, spec.convention)
-    if isinstance(spec, CPT):
-        return float(
-            _kernels.cpt_mu_sigma_value(
-                float(mu),
-                float(sigma),
-                _grid_coeffs(params.m),
-                cpt_pi_weights(params.m, spec.alpha, spec.beta),
-                spec.gamma,
-                spec.lam,
-            )
-        )
-    raise TypeError(f"unknown risk spec {spec!r}")
+    """Risk value of the discretized cost at one relative position xi."""
+    return float(evaluate(spec, params, xi, grad=False)[0])
 
 
 def risk_gradient(spec: RiskSpec, params: CostFieldParams, xi) -> np.ndarray:
-    """Gradient of the perceived-risk field: chain rule through the
-    (c_mu, c_sigma) partials and the cost-field gradients."""
-    mu = cost_mean(params, xi)
-    sigma = cost_sigma(params, xi)
-    grad_mu, grad_sigma = cost_gradients(params, xi)
-    p = partials(spec, mu, sigma, params.m)
-    return p.d_mu * grad_mu + p.d_sigma * grad_sigma
+    """Gradient of the perceived-risk field at xi (see evaluate)."""
+    return evaluate(spec, params, xi)[1]
 
 
 def rasterize(
@@ -206,27 +198,7 @@ def rasterize(
     sequential row-major loop.
     """
     mu, sigma, grid = _cost_grids(params, source, bounds, resolution)
-    if isinstance(spec, ExpectedRisk):
-        values = mu
-    elif isinstance(spec, CVaR):
-        if spec.q == 0.0:
-            values = mu
-        elif spec.q == 1.0:
-            values = mu + 3.0 * sigma
-        else:
-            values = mu + _cvar_sigma_gain(spec.q, spec.convention) * sigma
-    elif isinstance(spec, CPT):
-        flat = _kernels.cpt_grid(
-            mu.reshape(-1),
-            sigma.reshape(-1),
-            _grid_coeffs(params.m),
-            cpt_pi_weights(params.m, spec.alpha, spec.beta),
-            spec.gamma,
-            spec.lam,
-        )
-        values = flat.reshape(mu.shape)
-    else:
-        raise TypeError(f"unknown risk spec {spec!r}")
+    values, _, _ = moment_risk(spec, mu, sigma, params.m, grad=False)
     return FieldGrid(*grid, values=values)
 
 
@@ -239,9 +211,7 @@ def _cost_grids(params, source, bounds, resolution):
     ys = ymin + (np.arange(ny) + 0.5) * ((ymax - ymin) / ny)
     dx = source[0] - xs[:, None]
     dy = source[1] - ys[None, :]
-    r2 = dx * dx + dy * dy
-    mu = params.k1 * np.exp(-params.k2 * r2)
-    sigma = params.sigma_peak / TWO_PI * np.exp(-0.5 * r2)
+    mu, sigma = _moments(params, dx * dx + dy * dy)
     return mu, sigma, (xmin, xmax, ymin, ymax, nx, ny)
 
 
@@ -250,7 +220,7 @@ def discretized_cost_range(
 ) -> tuple[float, float]:
     """(min, max) over the grid of the discretized cost outcomes."""
     mu, sigma, _ = _cost_grids(params, source, bounds, resolution)
-    g = _grid_coeffs(params.m)
+    g = lattice_coeffs(params.m)
     low = np.maximum(mu + g[0] * sigma, 0.0)
     high = mu + g[-1] * sigma
     return float(low.min()), float(high.max())

@@ -6,10 +6,18 @@ theory (CPT, parameters alpha, beta, gamma, lambda). CPT ranks outcomes
 ascending and weights them through the probability weighting function
 w(p) = exp(-beta * (-log p)**alpha) applied to upper-tail sums, so high
 costs are distorted through the tail of w.
+
+Two layers share the models. The lottery layer (``risk_value`` and the
+per-model ``*_value`` functions) evaluates an explicit DiscreteCost.
+The moment layer (``moment_risk``) evaluates the truncated-Gaussian
+cost straight from its mean and deviation, for arrays of any shape, and
+also returns the partials the barrier needs; every field, grid and
+barrier computation goes through it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,8 +25,13 @@ from typing import Union
 
 import numpy as np
 
-from . import _kernels
-from .distributions import DiscreteCost
+from .distributions import (
+    DiscreteCost,
+    lattice_coeffs,
+    lattice_masses,
+    std_normal_pdf,
+    std_normal_quantile,
+)
 
 CVAR_CONVENTIONS = ("paper", "rockafellar")
 
@@ -100,7 +113,15 @@ def prob_weight(p: float, alpha: float, beta: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    return float(_kernels.prob_weight_scalar(float(p), float(alpha), float(beta)))
+    return _prob_weight(float(p), float(alpha), float(beta))
+
+
+def _prob_weight(p: float, alpha: float, beta: float) -> float:
+    if p <= 0.0:
+        return 0.0
+    if p >= 1.0:
+        return 1.0
+    return math.exp(-beta * (-math.log(p)) ** alpha)
 
 
 def decision_weights(probabilities, alpha: float, beta: float) -> np.ndarray:
@@ -110,8 +131,10 @@ def decision_weights(probabilities, alpha: float, beta: float) -> np.ndarray:
     is w(S_i) - w(S_{i+1}), anchored by the empty tail S_{M+1} = 0.
     At alpha = beta = 1 the weights reduce to the raw probabilities.
     """
-    probs = np.asarray(probabilities, dtype=float)
-    return _kernels.decision_weights_kernel(probs, float(alpha), float(beta))
+    alpha, beta = float(alpha), float(beta)
+    tails = np.cumsum(np.asarray(probabilities, dtype=float)[::-1])[::-1]
+    w = np.array([_prob_weight(float(s), alpha, beta) for s in tails])
+    return w - np.append(w[1:], 0.0)
 
 
 def er_value(cost: DiscreteCost) -> float:
@@ -151,28 +174,19 @@ def cvar_gaussian_closed_form(
     the expectation c_mu; q = 1 falls back to the 3-sigma truncation
     bound c_mu + 3*c_sigma.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"CVaR q must lie in [0, 1], got {q!r}")
-    if convention not in CVAR_CONVENTIONS:
-        raise ValueError(f"unknown CVaR convention {convention!r}")
-    if q == 0.0:
-        return float(c_mu)
-    if q == 1.0:
-        return float(c_mu + 3.0 * c_sigma)
-    return float(c_mu + c_sigma * _cvar_sigma_gain(q, convention))
-
-
-def _cvar_sigma_gain(q: float, convention: str) -> float:
-    z = _kernels.norm_quantile(float(q))
-    denom = q if convention == "paper" else 1.0 - q
-    return float(_kernels.norm_pdf(z) / denom)
+    return float(moment_risk(CVaR(q, convention), c_mu, c_sigma, grad=False)[0])
 
 
 @lru_cache(maxsize=256)
-def _grid_coeffs(m: int) -> np.ndarray:
-    g = _kernels.trunc_gauss_grid_coeffs(m)
-    g.setflags(write=False)
-    return g
+def _cvar_gain(spec: CVaR) -> float:
+    """Sigma gain k(q) of the Gaussian CVaR closed form (see
+    cvar_gaussian_closed_form); computed once per spec."""
+    if spec.q == 0.0:
+        return 0.0
+    if spec.q == 1.0:
+        return 3.0
+    denom = spec.q if spec.convention == "paper" else 1.0 - spec.q
+    return std_normal_pdf(std_normal_quantile(spec.q)) / denom
 
 
 @lru_cache(maxsize=256)
@@ -182,25 +196,15 @@ def cpt_pi_weights(m: int, alpha: float, beta: float) -> np.ndarray:
     The bin masses depend only on M, so the weights are constant across
     every (c_mu, c_sigma) cell and can be shared by field evaluation.
     """
-    pi = _kernels.decision_weights_kernel(
-        _kernels.trunc_gauss_bin_probs(m), float(alpha), float(beta)
-    )
+    pi = decision_weights(lattice_masses(m), alpha, beta)
     pi.setflags(write=False)
     return pi
 
 
 def cpt_value(cost: DiscreteCost, theta: CPT) -> float:
     """CPT value: sum of v(c_i) * Pi_i over the ascending outcomes."""
-    return float(
-        _kernels.cpt_lottery_kernel(
-            cost.outcomes,
-            cost.probabilities,
-            theta.alpha,
-            theta.beta,
-            theta.gamma,
-            theta.lam,
-        )
-    )
+    weights = decision_weights(cost.probabilities, theta.alpha, theta.beta)
+    return theta.lam * float(cost.outcomes ** theta.gamma @ weights)
 
 
 def cpt_closed_form(c_mu: float, c_sigma: float, theta: CPT, m: int = 10) -> float:
@@ -209,54 +213,65 @@ def cpt_closed_form(c_mu: float, c_sigma: float, theta: CPT, m: int = 10) -> flo
     Equals cpt_value on the discretized lottery to within 1e-9; grid
     points below zero are clamped like the discretizer does.
     """
-    return float(
-        _kernels.cpt_mu_sigma_value(
-            float(c_mu),
-            float(c_sigma),
-            _grid_coeffs(m),
-            cpt_pi_weights(m, theta.alpha, theta.beta),
-            theta.gamma,
-            theta.lam,
-        )
-    )
+    return float(moment_risk(theta, c_mu, c_sigma, m, grad=False)[0])
+
+
+def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
+    """Risk value of the truncated-Gaussian cost and its partials.
+
+    c_mu and c_sigma are arrays (or scalars) of one shape; returns
+    (value, d/dc_mu, d/dc_sigma), each of that shape. ER is c_mu with
+    partials (1, 0). CVaR is the Gaussian closed form c_mu + k(q)*c_sigma
+    with partials (1, k(q)), k(0) = 0 (the ER limit) and k(1) = 3 (the
+    truncation bound fallback). CPT is lam * sum_i Pi_i * c_i**gamma over
+    the lattice outcomes c_i = c_mu + c_sigma*g_i at the fixed decision
+    weights Pi, negative outcomes clamped to zero like the discretizer;
+    its partials differentiate that sum at fixed weights and raise
+    SingularPartialError unless every outcome is positive (the gamma-1
+    exponent is singular at zero).
+
+    With grad=False both partials are None and no partial is
+    computed, so clamped CPT cells still get a value; grid callers use
+    this route.
+    """
+    mu = np.asarray(c_mu, dtype=float)
+    sigma = np.asarray(c_sigma, dtype=float)
+    if isinstance(spec, (ExpectedRisk, CVaR)):
+        k = 0.0 if isinstance(spec, ExpectedRisk) else _cvar_gain(spec)
+        value = mu + k * sigma  # bit-equal to c_mu at k = 0 (c_sigma is finite)
+        if not grad:
+            return value, None, None
+        return value, np.ones(value.shape), np.full(value.shape, k)
+    if not isinstance(spec, CPT):
+        raise TypeError(f"unknown risk spec {spec!r}")
+    g = lattice_coeffs(m)
+    pi = cpt_pi_weights(m, spec.alpha, spec.beta)
+    # (N, m) outcome lattice, clamped and powered in place so a grid
+    # allocates no further N*m temporaries
+    c = mu.reshape(-1, 1) + sigma.reshape(-1, 1) * g
+    d_mu = d_sigma = None
+    if grad:
+        if np.any(c[:, 0] <= 0.0):
+            raise SingularPartialError(
+                "CPT partials need strictly positive grid values "
+                f"(min c_mu - 3*c_sigma = {float(c[:, 0].min())!r})"
+            )
+        t = c ** (spec.gamma - 1.0)
+        scale = spec.lam * spec.gamma
+        d_mu = (scale * (t @ pi)).reshape(mu.shape)
+        d_sigma = (scale * (t @ (g * pi))).reshape(mu.shape)
+    np.maximum(c, 0.0, out=c)
+    c **= spec.gamma
+    value = (spec.lam * (c @ pi)).reshape(mu.shape)
+    return value, d_mu, d_sigma
 
 
 def partials(
     spec: RiskSpec, c_mu: float, c_sigma: float, m: int = 10
 ) -> RiskPartials:
-    """Sensitivity of the risk value to (c_mu, c_sigma).
-
-    ER is (1, 0) exactly. CVaR is (1, k(q)) from the Gaussian closed
-    form, with k(0) = 0 (the ER limit) and k(1) = 3 (the truncation
-    bound fallback). CPT differentiates the closed form at fixed
-    decision weights; it requires every grid value to be positive.
-    """
-    c_mu = float(c_mu)
-    c_sigma = float(c_sigma)
-    if isinstance(spec, ExpectedRisk):
-        return RiskPartials(1.0, 0.0)
-    if isinstance(spec, CVaR):
-        if spec.q == 0.0:
-            return RiskPartials(1.0, 0.0)
-        if spec.q == 1.0:
-            return RiskPartials(1.0, 3.0)
-        return RiskPartials(1.0, _cvar_sigma_gain(spec.q, spec.convention))
-    if isinstance(spec, CPT):
-        if c_mu - 3.0 * c_sigma <= 0.0:
-            raise SingularPartialError(
-                "CPT partials need strictly positive grid values "
-                f"(c_mu={c_mu!r}, c_sigma={c_sigma!r})"
-            )
-        d_mu, d_sigma = _kernels.cpt_mu_sigma_partials(
-            c_mu,
-            c_sigma,
-            _grid_coeffs(m),
-            cpt_pi_weights(m, spec.alpha, spec.beta),
-            spec.gamma,
-            spec.lam,
-        )
-        return RiskPartials(float(d_mu), float(d_sigma))
-    raise TypeError(f"unknown risk spec {spec!r}")
+    """Sensitivity of the risk value to (c_mu, c_sigma); see moment_risk."""
+    _, d_mu, d_sigma = moment_risk(spec, float(c_mu), float(c_sigma), m)
+    return RiskPartials(float(d_mu), float(d_sigma))
 
 
 def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:

@@ -20,8 +20,7 @@ import numpy as np
 from .barrier import (
     BarrierConfig,
     InfeasibleConstraintError,
-    barrier_value,
-    constraint,
+    barrier_constraint,
     min_compose,
     qp_filter,
 )
@@ -318,22 +317,18 @@ def run(scenario: Scenario) -> SimLog:
             h_values = []
             cons = []
             for obs in obstacles:
-                xi = obs.position - point
-                h_values.append(
-                    barrier_value(scenario.risk, scenario.field, scenario.barrier, xi)
+                h, con = barrier_constraint(
+                    scenario.risk,
+                    scenario.field,
+                    scenario.barrier,
+                    point,
+                    obs.position,
+                    f,
+                    G,
+                    obstacle_velocity(obs),
                 )
-                cons.append(
-                    constraint(
-                        scenario.risk,
-                        scenario.field,
-                        scenario.barrier,
-                        point,
-                        obs.position,
-                        f,
-                        G,
-                        obstacle_velocity(obs),
-                    )
-                )
+                h_values.append(h)
+                cons.append(con)
             h_min, active_con, active_idx = min_compose(h_values, cons)
             if k == 0 and h_min <= 0:
                 raise ValueError(

@@ -315,8 +315,6 @@ def test_barrier_config_validation():
         BarrierConfig(rho=-1.0)
     with pytest.raises(ValueError):
         BarrierConfig(rho=1.0, eta1_gain=0.0)
-    with pytest.raises(ValueError):
-        BarrierConfig(rho=1.0, eta2="quadratic")
 
 
 def test_far_field_states_feasible_for_all_models():

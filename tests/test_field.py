@@ -11,6 +11,7 @@ from riskcbf.field import (
     cost_mean,
     cost_sigma,
     discretized_cost_range,
+    evaluate,
     inclusiveness_audit,
     level_set,
     perceived_risk,
@@ -20,6 +21,7 @@ from riskcbf.field import (
     safe_mask,
     versatility_audit,
 )
+from riskcbf.barrier import BarrierConfig, constraint
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, SingularPartialError
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
@@ -154,6 +156,36 @@ def test_risk_gradient_propagates_singular_partials():
     assert cost_mean(params, [1.0, 0.0]) < 3.0 * cost_sigma(params, [1.0, 0.0])
     with pytest.raises(SingularPartialError):
         risk_gradient(CPT(1.0, 1.0, 0.5, 1.0), params, [1.0, 0.0])
+
+
+def test_evaluate_batch_and_grid_match_pointwise():
+    rng = np.random.default_rng(11)
+    batch = rng.uniform(-6.0, 6.0, (7, 2))
+    grid = rng.uniform(-6.0, 6.0, (4, 3, 2))
+    specs = [ExpectedRisk(), CVaR(0.0), CVaR(0.3), CVaR(1.0), CPT(0.74, 1.0, 0.88, 2.25)]
+    for spec in specs:
+        for xi in (batch, grid):
+            value, grad = evaluate(spec, PARAMS, xi)
+            assert value.shape == xi.shape[:-1] and grad.shape == xi.shape
+            for idx in np.ndindex(*xi.shape[:-1]):
+                v, g = evaluate(spec, PARAMS, xi[idx])
+                assert value[idx] == pytest.approx(float(v), rel=1e-14)
+                assert np.allclose(grad[idx], g, rtol=1e-14, atol=0.0)
+            assert np.array_equal(evaluate(spec, PARAMS, xi, grad=False)[0], value)
+
+
+def test_cpt_singular_cells_raise_in_constraint_but_rasterize():
+    params = CostFieldParams(1.0, 2.0, 0.0)
+    spec = CPT(0.74, 1.0, 0.88, 2.25)
+    cfg = BarrierConfig(rho=0.5)
+    zero = np.zeros(2)
+    with pytest.raises(SingularPartialError):
+        constraint(spec, params, cfg, zero, [1.0, 0.0], zero, np.eye(2), zero)
+    grid = rasterize(spec, params, (0.0, 0.0), (-2.0, 2.0, -2.0, 2.0), (21, 21))
+    assert np.isfinite(grid.values).all()
+    corner = -np.array([grid.x_centers()[0], grid.y_centers()[0]])
+    assert cost_mean(params, corner) < 3.0 * cost_sigma(params, corner)  # clamped cell
+    assert grid.values[0, 0] == pytest.approx(perceived_risk(spec, params, corner), rel=1e-14)
 
 
 # --- rasterization -------------------------------------------------------------

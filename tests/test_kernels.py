@@ -1,79 +1,15 @@
-import math
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
-from scipy.stats import norm
 
-from riskcbf import _kernels as K
-
-
-def test_erfc_matches_math_library():
-    zs = np.concatenate(
-        [np.linspace(-8, 8, 3001), [-0.46875, 0.46875, -4.0, 4.0, 0.0, 26.0, -26.0]]
-    )
-    worst = max(abs(K.erfc(float(z)) - math.erfc(z)) for z in zs)
-    assert worst <= 5e-16
-
-
-def test_norm_cdf_matches_scipy():
-    zs = np.linspace(-8, 8, 801)
-    worst = max(abs(K.norm_cdf(float(z)) - norm.cdf(z)) for z in zs)
-    assert worst <= 1e-13
+from riskcbf.distributions import lattice_coeffs, lattice_masses
 
 
 def test_grid_probs_sum_and_symmetry():
     for m in (2, 5, 10, 33):
-        probs = K.trunc_gauss_bin_probs(m)
+        probs = lattice_masses(m)
         assert abs(probs.sum() - 1.0) <= 1e-14
         assert np.allclose(probs, probs[::-1], atol=1e-15)
 
 
 def test_grid_coeffs_span_truncation():
-    g = K.trunc_gauss_grid_coeffs(6)
+    g = lattice_coeffs(6)
     assert np.allclose(g, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def test_cpt_grid_paths_agree():
-    if not K.NUMBA_ENABLED:
-        pytest.skip("numba disabled; single path only")
-    rng = np.random.default_rng(0)
-    mu = rng.uniform(0.5, 200.0, 500)
-    sigma = rng.uniform(0.0, 60.0, 500)
-    g = K.trunc_gauss_grid_coeffs(10)
-    pi = K.decision_weights_kernel(K.trunc_gauss_bin_probs(10), 0.74, 1.0)
-    fast = K.cpt_grid_numba(mu, sigma, g, pi, 0.88, 2.25)
-    ref = K.cpt_grid_numpy(mu, sigma, g, pi, 0.88, 2.25)
-    assert np.allclose(fast, ref, rtol=1e-13, atol=1e-13)
-
-
-def test_disable_flag_selects_numpy_fallback():
-    code = (
-        "import riskcbf._kernels as K; import numpy as np; "
-        "assert not K.NUMBA_ENABLED; "
-        "assert K.cpt_grid is K.cpt_grid_numpy; "
-        "g = K.trunc_gauss_grid_coeffs(10); "
-        "pi = K.decision_weights_kernel(K.trunc_gauss_bin_probs(10), 0.74, 1.0); "
-        "v = K.cpt_grid(np.array([50.0]), np.array([5.0]), g, pi, 0.88, 2.25); "
-        "print(repr(float(v[0])))"
-    )
-    env = dict(os.environ, RISKCBF_DISABLE_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    fallback_value = float(proc.stdout.strip())
-    g = K.trunc_gauss_grid_coeffs(10)
-    pi = K.decision_weights_kernel(K.trunc_gauss_bin_probs(10), 0.74, 1.0)
-    here = float(K.cpt_grid(np.array([50.0]), np.array([5.0]), g, pi, 0.88, 2.25)[0])
-    assert fallback_value == pytest.approx(here, rel=1e-13)
-
-
-def test_scalar_kernels_consistent_with_grid():
-    g = K.trunc_gauss_grid_coeffs(10)
-    pi = K.decision_weights_kernel(K.trunc_gauss_bin_probs(10), 1.0, 1.0)
-    scalar = K.cpt_mu_sigma_value(42.0, 6.0, g, pi, 0.9, 1.5)
-    grid = K.cpt_grid(np.array([42.0]), np.array([6.0]), g, pi, 0.9, 1.5)
-    assert scalar == pytest.approx(float(grid[0]), rel=1e-14)

@@ -249,7 +249,7 @@ def test_partials_cvar():
 def test_partials_cpt_linear_utility_closed_form():
     # at gamma = 1 the partials collapse to lambda-weighted moment sums
     from riskcbf.risk import cpt_pi_weights
-    from riskcbf._kernels import trunc_gauss_grid_coeffs
+    from riskcbf.distributions import lattice_coeffs as trunc_gauss_grid_coeffs
 
     lam, m = 2.5, 12
     pi = cpt_pi_weights(m, 1.0, 1.0)
