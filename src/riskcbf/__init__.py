@@ -67,14 +67,12 @@ from .risk import (
     utility,
 )
 from .sim import (
-    ComparisonRow,
     ObstacleModel,
     Scenario,
     SimLog,
     SimStep,
     SingleIntegrator,
     Unicycle,
-    compare_models,
     default_obstacle_speed,
     multi_obstacle_scenario,
     nominal_control,

@@ -31,13 +31,7 @@ from .field import (
     _cost_grids,
 )
 from .risk import ExpectedRisk, spec_label
-from .sim import (
-    compare_models,
-    comparison_to_csv,
-    nominal_control,
-    obstacle_velocity,
-    run,
-)
+from .sim import comparison_to_csv, nominal_control, obstacle_velocity, run
 
 
 def _select_specs(specs, selector: str | None):
@@ -89,7 +83,15 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     bounds, resolution, source = cfg.grid_geometry()
     c_min, c_max = discretized_cost_range(params, source, bounds, resolution)
     cvar_family, cpt_family = cfg.audit_families(c_min, c_max, barrier.rho)
-    er_family = [ExpectedRisk()]
+
+    def safe_sets(family):
+        # one mask per distinct spec; the three families share no spec
+        return {
+            spec: safe_mask(rasterize(spec, params, source, bounds, resolution), barrier.rho)
+            for spec in dict.fromkeys(family)
+        }
+
+    er, cvar, cpt = safe_sets([ExpectedRisk()]), safe_sets(cvar_family), safe_sets(cpt_family)
 
     mu, _, _ = _cost_grids(params, source, bounds, resolution)
     levels = cfg.levels()
@@ -101,14 +103,14 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
         "rho": barrier.rho,
         "cost_range": [c_min, c_max],
         "inclusiveness": {
-            "cpt_vs_cvar": inclusiveness_audit(cpt_family, cvar_family, *args).to_dict(),
-            "cpt_vs_er": inclusiveness_audit(cpt_family, er_family, *args).to_dict(),
-            "cvar_vs_er": inclusiveness_audit(cvar_family, er_family, *args).to_dict(),
+            "cpt_vs_cvar": inclusiveness_audit(cpt, cvar, *args).to_dict(),
+            "cpt_vs_er": inclusiveness_audit(cpt, er, *args).to_dict(),
+            "cvar_vs_er": inclusiveness_audit(cvar, er, *args).to_dict(),
         },
         "versatility": {
-            "er": versatility_audit(er_family, *args, levels).to_dict(),
-            "cvar": versatility_audit(cvar_family, *args, levels).to_dict(),
-            "cpt": versatility_audit(cpt_family, *args, levels).to_dict(),
+            "er": versatility_audit(er, *args, levels).to_dict(),
+            "cvar": versatility_audit(cvar, *args, levels).to_dict(),
+            "cpt": versatility_audit(cpt, *args, levels).to_dict(),
         },
     }
     path = out / "audit.json"
@@ -136,9 +138,8 @@ def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
             f"simulate: {log.label}: reached={log.reached_goal} "
             f"min_h={log.min_h:.4g} deviation={log.total_deviation:.4g}{flag}"
         )
-    if len(specs) > 1:
-        rows = compare_models(cfg.scenario(specs[0]), specs)
-        comparison_to_csv(rows, out / "summary.csv")
+    if len(logs) > 1:
+        comparison_to_csv(logs, out / "summary.csv")
         print(f"simulate: summary written to {out / 'summary.csv'}")
     return 0
 

@@ -108,6 +108,7 @@ class Config:
             value = float(entry.value)
         except ValueError:
             raise self._fail(entry.line, f"{section}.{key} must be a number, got {entry.value!r}")
+        self._check_finite(entry, section, key, [value])
         if positive and value <= 0:
             raise self._fail(entry.line, f"{section}.{key} must be > 0, got {value!r}")
         if minimum is not None and value < minimum:
@@ -134,18 +135,35 @@ class Config:
         if len(parts) != 2:
             raise self._fail(entry.line, f"{section}.{key} must be two comma-separated numbers")
         try:
-            return np.array([float(parts[0]), float(parts[1])])
+            values = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise self._fail(entry.line, f"{section}.{key} must be numeric, got {entry.value!r}")
+        self._check_finite(entry, section, key, values)
+        return np.array(values)
 
     def _float_list(self, section, key, default=None) -> list[float]:
         entry = self._entry(section, key, default)
         if entry is None:
             raise self._fail(None, f"missing key {key!r} in section [{section}]")
         try:
-            return [float(tok) for tok in entry.value.split(",") if tok.strip()]
+            values = [float(tok) for tok in entry.value.split(",") if tok.strip()]
         except ValueError:
             raise self._fail(entry.line, f"{section}.{key} must be a comma-separated number list")
+        self._check_finite(entry, section, key, values)
+        return values
+
+    def _check_finite(self, entry, section, key, values) -> None:
+        if not all(math.isfinite(v) for v in values):
+            raise self._fail(entry.line, f"{section}.{key} must be finite, got {entry.value!r}")
+
+    def _audit_list(self, key, default, build) -> list:
+        """Each number of an [audit] list passed through build; a value
+        the risk spec rejects is an error on that list's line."""
+        values = self._float_list("audit", key, default)
+        try:
+            return [build(v) for v in values]
+        except ValueError as exc:
+            raise self._fail(self._entry("audit", key, default).line, f"audit.{key}: {exc}") from exc
 
     def _bool(self, section, key, default="false") -> bool:
         entry = self._entry(section, key, default)
@@ -222,12 +240,19 @@ class Config:
         the analytic extremes lambda = rho/c_min and gamma = log(rho)/
         log(c_max) when include_extremes is set."""
         convention = self.cvar_convention()
-        qs = self._float_list("audit", "cvar_q", default="0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999")
-        cvar_family = [CVaR(q, convention=convention) for q in qs]
+        cvar_family = self._audit_list(
+            "cvar_q", "0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999",
+            lambda q: CVaR(q, convention=convention),
+        )
         alpha = self._float("audit", "cpt_alpha", default="0.74", positive=True)
         beta = self._float("audit", "cpt_beta", default="1.0", positive=True)
-        gammas = self._float_list("audit", "cpt_gammas", default="0.785, 0.79, 0.8, 0.85, 0.9, 1.0")
-        lams = self._float_list("audit", "cpt_lambdas", default="1.5, 2.0, 2.5, 3.0, 3.5")
+        # CPT itself checks each gamma and lambda
+        gammas = self._audit_list(
+            "cpt_gammas", "0.785, 0.79, 0.8, 0.85, 0.9, 1.0", lambda g: CPT(alpha, beta, g, 1.0).gamma
+        )
+        lams = self._audit_list(
+            "cpt_lambdas", "1.5, 2.0, 2.5, 3.0, 3.5", lambda l: CPT(alpha, beta, 1.0, l).lam
+        )
         cpt_family = [CPT(alpha, beta, g, l) for g in gammas for l in lams]
         if self._bool("audit", "include_extremes", default="true"):
             if c_min > 0:

@@ -402,16 +402,8 @@ class InclusivenessReport:
         }
 
 
-def _total_sets(family, params, source, bounds, resolution, rho):
-    total_safe = None
-    total_risky = None
-    for spec in family:
-        grid = rasterize(spec, params, source, bounds, resolution)
-        safe = safe_mask(grid, rho)
-        total_safe = safe if total_safe is None else (total_safe | safe)
-        risky = ~safe
-        total_risky = risky if total_risky is None else (total_risky | risky)
-    return total_safe, total_risky
+# witness cells listed per subset relation in an InclusivenessReport
+MAX_WITNESSES = 8
 
 
 def inclusiveness_audit(
@@ -422,19 +414,22 @@ def inclusiveness_audit(
     bounds,
     resolution,
     rho: float,
-    max_witnesses: int = 8,
 ) -> InclusivenessReport:
     """Decide whether family1 is (strictly) more inclusive than family2.
 
-    Total safe and risky sets are unions of the per-member sets; the
-    verdict is "strictly more inclusive" when both containments are
-    strict, "more inclusive" when both hold and at least one is strict,
-    "equivalent" when the total sets coincide, else "incomparable".
+    Each family maps its member specs to their boolean safe masks at
+    rho (``safe_mask(rasterize(spec, params, source, bounds,
+    resolution), rho)``); params, source, bounds and resolution only
+    describe that grid in the report's scope. Total safe and risky sets
+    are unions of the per-member sets; the verdict is "strictly more
+    inclusive" when both containments are strict, "more inclusive" when
+    both hold and at least one is strict, "equivalent" when the total
+    sets coincide, else "incomparable".
     """
     if not family1 or not family2:
         raise ValueError("both families must be non-empty")
-    safe1, risky1 = _total_sets(family1, params, source, bounds, resolution, rho)
-    safe2, risky2 = _total_sets(family2, params, source, bounds, resolution, rho)
+    safe1, safe2 = (np.any(list(f.values()), axis=0) for f in (family1, family2))
+    risky1, risky2 = (~np.all(list(f.values()), axis=0) for f in (family1, family2))
 
     safe_viol = safe2 & ~safe1
     risky_viol = risky2 & ~risky1
@@ -456,7 +451,7 @@ def inclusiveness_audit(
         verdict = "incomparable"
 
     def cells(mask):
-        idx = np.argwhere(mask)[:max_witnesses]
+        idx = np.argwhere(mask)[:MAX_WITNESSES]
         return tuple((int(i), int(j)) for i, j in idx)
 
     return InclusivenessReport(
@@ -516,25 +511,24 @@ def versatility_audit(
     c_levels,
 ) -> VersatilityReport:
     """Report the interval of mean-cost levels whose sublevel sets some
-    family member certifies as safe at tolerance rho."""
+    family member certifies as safe at tolerance rho.
+
+    family maps member specs to their safe masks at rho on the grid of
+    params, source, bounds and resolution, as in inclusiveness_audit.
+    """
     if not family:
         raise ValueError("family must be non-empty")
     levels = sorted(float(c) for c in c_levels)
-    mu, _, grid = _cost_grids(params, source, bounds, resolution)
-    member_safe = [
-        safe_mask(rasterize(spec, params, source, bounds, resolution), rho)
-        for spec in family
-    ]
-    labels = [spec_label(spec) for spec in family]
+    mu, _, _ = _cost_grids(params, source, bounds, resolution)
 
     achieved = []
     achieved_by: list[str | None] = []
     for level in levels:
         sub = mu <= level
         winner = None
-        for label, safe in zip(labels, member_safe):
+        for spec, safe in family.items():
             if not (sub & ~safe).any():
-                winner = label
+                winner = spec_label(spec)
                 break
         achieved.append(winner is not None)
         achieved_by.append(winner)

@@ -385,41 +385,8 @@ def run(scenario: Scenario) -> SimLog:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    label: str
-    reached_goal: bool
-    goal_time: Optional[float]
-    min_h: float
-    total_deviation: float
-    max_delta: float
-    feasibility_violations: int
-    steps: int
-
-
-def compare_models(scenario: Scenario, specs) -> list[ComparisonRow]:
-    """Run each risk spec on the shared scenario and tabulate summaries."""
-    if len(specs) < 2:
-        raise ValueError("compare_models needs at least two specs")
-    rows = []
-    for spec in specs:
-        log = run(replace(scenario, risk=spec))
-        rows.append(
-            ComparisonRow(
-                label=log.label,
-                reached_goal=log.reached_goal,
-                goal_time=log.goal_time,
-                min_h=log.min_h,
-                total_deviation=log.total_deviation,
-                max_delta=log.max_delta,
-                feasibility_violations=log.feasibility_violations,
-                steps=log.steps,
-            )
-        )
-    return rows
-
-
-def comparison_to_csv(rows, path) -> None:
+def comparison_to_csv(logs, path) -> None:
+    """Write the summary table: one row per run, the fields of summary_dict."""
     cols = [
         "label",
         "reached_goal",
@@ -432,18 +399,18 @@ def comparison_to_csv(rows, path) -> None:
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in rows:
+        for log in logs:
             fh.write(
                 ",".join(
                     [
-                        row.label,
-                        "1" if row.reached_goal else "0",
-                        "" if row.goal_time is None else f"{row.goal_time:.17g}",
-                        f"{row.min_h:.17g}",
-                        f"{row.total_deviation:.17g}",
-                        f"{row.max_delta:.17g}",
-                        str(row.feasibility_violations),
-                        str(row.steps),
+                        log.label,
+                        "1" if log.reached_goal else "0",
+                        "" if log.goal_time is None else f"{log.goal_time:.17g}",
+                        f"{log.min_h:.17g}",
+                        f"{log.total_deviation:.17g}",
+                        f"{log.max_delta:.17g}",
+                        str(log.feasibility_violations),
+                        str(log.steps),
                     ]
                 )
                 + "\n"

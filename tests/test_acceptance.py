@@ -30,7 +30,7 @@ from riskcbf.risk import (
     partials,
 )
 from riskcbf.barrier import AffineConstraint, qp_filter
-from riskcbf.sim import compare_models, run, single_obstacle_scenario, multi_obstacle_scenario
+from riskcbf.sim import run, single_obstacle_scenario, multi_obstacle_scenario
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -229,11 +229,15 @@ def test_criterion_09_inclusiveness_audit():
     cpt_family.append(CPT(1.0, 1.0, 1.0, max(1.0, rho / c_min)))
     cpt_family.append(CPT(1.0, 1.0, min(1.0, math.log(rho) / math.log(c_max)), 1.0))
     er_family = [ExpectedRisk()]
+    cpt_safe, cvar_safe, er_safe = (
+        {s: safe_mask(rasterize(s, PARAMS, SOURCE, BOUNDS, RES), rho) for s in family}
+        for family in (cpt_family, cvar_family, er_family)
+    )
 
     args = (PARAMS, SOURCE, BOUNDS, RES, rho)
-    cpt_cvar = inclusiveness_audit(cpt_family, cvar_family, *args)
-    cpt_er = inclusiveness_audit(cpt_family, er_family, *args)
-    cvar_er = inclusiveness_audit(cvar_family, er_family, *args)
+    cpt_cvar = inclusiveness_audit(cpt_safe, cvar_safe, *args)
+    cpt_er = inclusiveness_audit(cpt_safe, er_safe, *args)
+    cvar_er = inclusiveness_audit(cvar_safe, er_safe, *args)
     violations = (
         cpt_cvar.safe_violations
         + cpt_cvar.risky_violations
@@ -262,7 +266,7 @@ def test_criterion_10_deviation_ordering():
         + CVAR_SWEEP
         + [CPT(1.0, 1.0, 1.0, 1.0), CPT(1.05, 1.0, 0.98, 1.1), CPT(0.74, 1.0, 0.88, 1.5)]
     )
-    rows = compare_models(single_obstacle_scenario(ExpectedRisk()), specs)
+    rows = [run(single_obstacle_scenario(spec)) for spec in specs]
     er_max = next(r.max_delta for r in rows if r.label == "er")
     cvar_max = [r.max_delta for r in rows if r.label.startswith("cvar")]
     cpt_rows = [r for r in rows if r.label.startswith("cpt")]

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskcbf.cli
+import riskcbf.field
 from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
 from riskcbf.field import FieldGrid
@@ -184,6 +187,20 @@ def test_cli_simulate_single_spec(tmp_path):
     assert payload["summary"]["min_h"] >= 0.0
 
 
+def _summary_row(summary):
+    """A sim JSON summary as its summary.csv row would print it."""
+    return [
+        summary["label"],
+        "1" if summary["reached_goal"] else "0",
+        "" if summary["goal_time"] is None else f"{summary['goal_time']:.17g}",
+        f"{math.inf if summary['min_h'] is None else summary['min_h']:.17g}",
+        f"{summary['total_deviation']:.17g}",
+        f"{summary['max_delta']:.17g}",
+        str(summary["feasibility_violations"]),
+        str(summary["steps"]),
+    ]
+
+
 def test_cli_simulate_summary_table(tmp_path):
     out = tmp_path / "sweep"
     code = main(
@@ -195,19 +212,40 @@ def test_cli_simulate_summary_table(tmp_path):
             "cvar",
             "--out",
             str(out),
+            "--format",
+            "both",
         ]
     )
     assert code == 0
     lines = (out / "summary.csv").read_text().strip().splitlines()
     assert len(lines) == 7  # header + six cvar specs
+    rows = [line.split(",") for line in lines[1:]]
+    assert sorted(p.name for p in out.glob("sim_*.json")) == sorted(
+        f"sim_{row[0]}.json" for row in rows
+    )
+    for row in rows:
+        summary = json.loads((out / f"sim_{row[0]}.json").read_text())["summary"]
+        assert row == _summary_row(summary)
 
 
-def test_cli_audit(tmp_path):
+def test_cli_audit(tmp_path, monkeypatch):
+    calls = []
+    rasterize = riskcbf.cli.rasterize
+
+    def counting_rasterize(spec, *args):
+        calls.append(spec)
+        return rasterize(spec, *args)
+
+    for module in (riskcbf.cli, riskcbf.field):
+        monkeypatch.setattr(module, "rasterize", counting_rasterize)
     out = tmp_path / "audit"
     code = main(
         ["audit", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out)]
     )
     assert code == 0
+    # one mask per distinct spec: 7 CVaR, 30 CPT grid + 2 extremes, ER
+    assert len(calls) == 40
+    assert len(set(calls)) == 40
     report = json.loads((out / "audit.json").read_text())
     assert report["inclusiveness"]["cpt_vs_cvar"]["verdict"] == "strictly more inclusive"
     assert report["inclusiveness"]["cpt_vs_er"]["verdict"] == "strictly more inclusive"
@@ -248,6 +286,28 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = write_cfg(tmp_path, "[field]\nk1 = -5\nk2 = 0.01\nr_bar = 0.5\n")
     code = main(["field", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name, command, old, new, line",
+    [
+        ("field_default.cfg", "field", "k1 = 200.0", "k1 = nan", 6),
+        ("field_default.cfg", "field", "rho = auto", "rho = nan", 16),
+        ("field_default.cfg", "field", "source = 10.0, 10.0", "source = nan, 10.0", 26),
+        ("single_obstacle.cfg", "simulate", "dt = 0.02", "dt = nan", 36),
+        ("field_default.cfg", "audit", "levels = 30,", "levels = inf,", 27),
+        ("field_default.cfg", "audit", "cvar_q = 0.0,", "cvar_q = 1.5,", 30),
+        ("field_default.cfg", "audit", "cpt_gammas = 0.785,", "cpt_gammas = 1.5,", 31),
+        ("field_default.cfg", "audit", "cpt_lambdas = 1.5,", "cpt_lambdas = 0.5,", 32),
+    ],
+)
+def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, new, line):
+    text = (CONFIGS / name).read_text()
+    assert text.count(old) == 1
+    cfg = write_cfg(tmp_path, text.replace(old, new))
+    code = main([command, "--config", str(cfg), "--spec", "er", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f":{line}:" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exit_code(tmp_path):

@@ -304,8 +304,16 @@ def cpt_family(rho):
     return fam
 
 
+def safe_sets(family, rho):
+    """The audits' input: each member spec's safe mask on the audit grid."""
+    return {
+        spec: safe_mask(rasterize(spec, PARAMS, SOURCE, BOUNDS, AUDIT_RES), rho)
+        for spec in family
+    }
+
+
 def test_inclusiveness_self_comparison():
-    fam = cvar_family()
+    fam = safe_sets(cvar_family(), 150.0)
     report = inclusiveness_audit(fam, fam, PARAMS, SOURCE, BOUNDS, AUDIT_RES, 150.0)
     assert report.safe_subset and report.risky_subset
     assert report.safe_witnesses == 0 and report.risky_witnesses == 0
@@ -314,8 +322,8 @@ def test_inclusiveness_self_comparison():
 
 def test_inclusiveness_cpt_beats_cvar_and_er():
     rho = PARAMS.sigma_peak
-    cpt = cpt_family(rho)
-    for other in (cvar_family(), [ExpectedRisk()]):
+    cpt = safe_sets(cpt_family(rho), rho)
+    for other in (safe_sets(cvar_family(), rho), safe_sets([ExpectedRisk()], rho)):
         report = inclusiveness_audit(cpt, other, PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho)
         assert report.verdict == "strictly more inclusive"
         assert report.safe_violations == 0 and report.risky_violations == 0
@@ -324,7 +332,13 @@ def test_inclusiveness_cpt_beats_cvar_and_er():
 def test_inclusiveness_cvar_beats_er():
     rho = PARAMS.sigma_peak
     report = inclusiveness_audit(
-        cvar_family(), [ExpectedRisk()], PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho
+        safe_sets(cvar_family(), rho),
+        safe_sets([ExpectedRisk()], rho),
+        PARAMS,
+        SOURCE,
+        BOUNDS,
+        AUDIT_RES,
+        rho,
     )
     assert report.verdict in ("more inclusive", "strictly more inclusive")
     assert report.safe_violations == 0 and report.risky_violations == 0
@@ -333,7 +347,9 @@ def test_inclusiveness_cvar_beats_er():
 def test_versatility_er_single_threshold():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0]
-    report = versatility_audit([ExpectedRisk()], PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels)
+    report = versatility_audit(
+        safe_sets([ExpectedRisk()], rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels
+    )
     assert list(report.achieved) == [lvl <= rho for lvl in levels]
     assert report.interval == (30.0, 90.0)
 
@@ -341,7 +357,9 @@ def test_versatility_er_single_threshold():
 def test_versatility_cpt_extremes_cover_full_range():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0, 199.0]
-    report = versatility_audit(cpt_family(rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels)
+    report = versatility_audit(
+        safe_sets(cpt_family(rho), rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels
+    )
     assert all(report.achieved)
     assert report.interval == (30.0, 199.0)
 
@@ -350,9 +368,9 @@ def test_versatility_interval_widths_ordered():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0, 199.0]
     args = (PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels)
-    er_report = versatility_audit([ExpectedRisk()], *args)
-    cvar_report = versatility_audit(cvar_family(), *args)
-    cpt_report = versatility_audit(cpt_family(rho), *args)
+    er_report = versatility_audit(safe_sets([ExpectedRisk()], rho), *args)
+    cvar_report = versatility_audit(safe_sets(cvar_family(), rho), *args)
+    cpt_report = versatility_audit(safe_sets(cpt_family(rho), rho), *args)
     er_set = {l for l, a in zip(er_report.levels, er_report.achieved) if a}
     cvar_set = {l for l, a in zip(cvar_report.levels, cvar_report.achieved) if a}
     cpt_set = {l for l, a in zip(cpt_report.levels, cpt_report.achieved) if a}
@@ -362,16 +380,20 @@ def test_versatility_interval_widths_ordered():
 def test_versatility_cvar_capped_by_er_threshold_levels():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0, 199.0]
-    report = versatility_audit(cvar_family(), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels)
+    report = versatility_audit(
+        safe_sets(cvar_family(), rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels
+    )
     achieved = {l for l, a in zip(report.levels, report.achieved) if a}
     assert achieved <= {l for l in levels if l <= rho}
 
 
 def test_audit_requires_nonempty_families():
     with pytest.raises(ValueError):
-        inclusiveness_audit([], cvar_family(), PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0)
+        inclusiveness_audit(
+            {}, safe_sets(cvar_family(), 100.0), PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0
+        )
     with pytest.raises(ValueError):
-        versatility_audit([], PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0, [50.0])
+        versatility_audit({}, PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0, [50.0])
 
 
 # --- exports ----------------------------------------------------------------------

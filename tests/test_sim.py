@@ -10,7 +10,6 @@ from riskcbf.sim import (
     ObstacleModel,
     SingleIntegrator,
     Unicycle,
-    compare_models,
     comparison_to_csv,
     default_obstacle_speed,
     multi_obstacle_scenario,
@@ -227,25 +226,20 @@ def test_single_integrator_scenario_runs():
 # --- comparisons -------------------------------------------------------------------
 
 
-def test_compare_models_duplicate_rows_identical():
-    scenario = single_obstacle_scenario(ExpectedRisk())
-    rows = compare_models(scenario, [CVaR(0.4), CVaR(0.4)])
-    assert rows[0] == rows[1]
-
-
-def test_compare_models_requires_two_specs():
-    with pytest.raises(ValueError):
-        compare_models(single_obstacle_scenario(ExpectedRisk()), [ExpectedRisk()])
+def test_run_deterministic_summary():
+    first, second = (run(single_obstacle_scenario(CVaR(0.4))) for _ in range(2))
+    assert first.summary_dict() == second.summary_dict()
 
 
 def test_cvar_deviation_spread_smaller_than_cpt():
-    scenario = single_obstacle_scenario(ExpectedRisk())
-    cvar_rows = compare_models(scenario, [CVaR(q) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)])
-    cpt_rows = compare_models(
-        scenario,
-        [CPT(0.74, 1.0, 0.88, lam) for lam in (1.5, 2.5, 3.5)]
-        + [CPT(0.74, 1.0, g, 2.25) for g in (0.785, 0.9, 1.0)],
-    )
+    cvar_rows = [
+        run(single_obstacle_scenario(CVaR(q))) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)
+    ]
+    cpt_rows = [
+        run(single_obstacle_scenario(spec))
+        for spec in [CPT(0.74, 1.0, 0.88, lam) for lam in (1.5, 2.5, 3.5)]
+        + [CPT(0.74, 1.0, g, 2.25) for g in (0.785, 0.9, 1.0)]
+    ]
     cvar_devs = [r.total_deviation for r in cvar_rows]
     cpt_devs = [r.total_deviation for r in cpt_rows]
     assert max(cvar_devs) - min(cvar_devs) < max(cpt_devs) - min(cpt_devs)
@@ -283,11 +277,9 @@ def test_simlog_json_schema(tmp_path):
 
 
 def test_comparison_csv(tmp_path):
-    rows = compare_models(
-        single_obstacle_scenario(ExpectedRisk(), t_max=5.0), [CVaR(0.4), ExpectedRisk()]
-    )
+    logs = [run(single_obstacle_scenario(spec, t_max=5.0)) for spec in (CVaR(0.4), ExpectedRisk())]
     path = tmp_path / "summary.csv"
-    comparison_to_csv(rows, path)
+    comparison_to_csv(logs, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("label,reached_goal,goal_time,min_h")
     assert len(lines) == 3
