@@ -260,7 +260,14 @@ class Config:
             if c_max > 1.0 and rho > 1.0:
                 gamma_ext = min(1.0, math.log(rho) / math.log(c_max))
                 cpt_family.append(CPT(1.0, 1.0, gamma_ext, 1.0))
-        return cvar_family, cpt_family
+        # an empty list is an error only where it leaves its family empty
+        if not cvar_family:
+            empty = "cvar_q"
+        elif not cpt_family:  # no gamma x lambda product and no extreme
+            empty = "cpt_gammas" if not gammas else "cpt_lambdas"
+        else:
+            return cvar_family, cpt_family
+        raise self._fail(self._entry("audit", empty).line, f"audit.{empty} is empty and leaves its family empty")
 
     def obstacles(self, agent_start, agent_goal, gain) -> tuple[ObstacleModel, ...]:
         names = sorted(

@@ -95,8 +95,10 @@ class FieldGrid:
                 f"{self.xmin:.17g},{self.xmax:.17g},{self.ymin:.17g},"
                 f"{self.ymax:.17g},{self.nx},{self.ny}\n"
             )
-            for i in range(self.nx):
-                fh.write(",".join(f"{v:.17g}" for v in self.values[i]) + "\n")
+            # '%.17g' % v gives the bytes of f"{v:.17g}" for every float
+            row = ",".join(["%.17g"] * self.ny) + "\n"
+            for values in self.values:
+                fh.write(row % tuple(values.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "FieldGrid":
@@ -290,29 +292,25 @@ def level_set(grid: FieldGrid, rho: float) -> list[np.ndarray]:
             points[key] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
         return key
 
+    # case of every cell at once; only the cells the level crosses
+    # (case neither 0 nor 15) are visited, in row-major order
+    a = (s > 0).astype(np.int8)
+    cases = a[:-1, :-1] | a[1:, :-1] << 1 | a[1:, 1:] << 2 | a[:-1, 1:] << 3
+    crossing = np.nonzero((cases != 0) & (cases != 15))
     segments: list[tuple[tuple, tuple]] = []
-    for i in range(grid.nx - 1):
-        for j in range(grid.ny - 1):
-            case = (
-                (s[i, j] > 0)
-                | (s[i + 1, j] > 0) << 1
-                | (s[i + 1, j + 1] > 0) << 2
-                | (s[i, j + 1] > 0) << 3
-            )
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                center_above = (
-                    s[i, j] + s[i + 1, j] + s[i + 1, j + 1] + s[i, j + 1]
-                ) > 0
-                if (case == 5) == center_above:
-                    pairs = (("AB", "BC"), ("AD", "DC"))
-                else:
-                    pairs = (("AB", "AD"), ("BC", "DC"))
+    for i, j, case in zip(*(idx.tolist() for idx in crossing), cases[crossing].tolist()):
+        if case in (5, 10):
+            center_above = (
+                s[i, j] + s[i + 1, j] + s[i + 1, j + 1] + s[i, j + 1]
+            ) > 0
+            if (case == 5) == center_above:
+                pairs = (("AB", "BC"), ("AD", "DC"))
             else:
-                pairs = _SEG_TABLE[case]
-            for e0, e1 in pairs:
-                segments.append((edge_key(e0, i, j), edge_key(e1, i, j)))
+                pairs = (("AB", "AD"), ("BC", "DC"))
+        else:
+            pairs = _SEG_TABLE[case]
+        for e0, e1 in pairs:
+            segments.append((edge_key(e0, i, j), edge_key(e1, i, j)))
 
     return _chain_segments(segments, points)
 

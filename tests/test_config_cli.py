@@ -310,6 +310,35 @@ def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, n
     assert f":{line}:" in capsys.readouterr().err
 
 
+EXTREMES_OFF = ("include_extremes = true", "include_extremes = false")
+
+
+@pytest.mark.parametrize(
+    "edits, line",
+    [
+        ([("cvar_q = 0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999", "cvar_q = ,")], 30),
+        ([("cpt_gammas = 0.785, 0.79, 0.8, 0.85, 0.9, 1.0", "cpt_gammas = ,"), EXTREMES_OFF], 31),
+        ([("cpt_lambdas = 1.5, 2.0, 2.5, 3.0, 3.5", "cpt_lambdas = ,"), EXTREMES_OFF], 32),
+        # the extremes keep the CPT family non-empty, so the list is valid
+        ([("cpt_gammas = 0.785, 0.79, 0.8, 0.85, 0.9, 1.0", "cpt_gammas = ,")], None),
+    ],
+)
+def test_cli_empty_audit_list_reports_line(tmp_path, capsys, edits, line):
+    text = (CONFIGS / "field_default.cfg").read_text()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text)
+    code = main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    if line is None:
+        assert code == 0
+        report = json.loads((tmp_path / "o" / "audit.json").read_text())
+        assert len(report["inclusiveness"]["cpt_vs_cvar"]["family1"]) == 2
+    else:
+        assert code == 2
+        assert f":{line}:" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     code = main(["field", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 2

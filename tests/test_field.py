@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from riskcbf.field import (
+    _SEG_TABLE,
+    _chain_segments,
     CostFieldParams,
     FieldGrid,
     cost_gradients,
@@ -286,6 +288,112 @@ def test_level_set_empty_outside_range():
     assert level_set(grid, grid.values.min() - 10.0) == []
 
 
+def full_scan_level_set(grid, rho):
+    """Reference marching squares: a Python double loop over every cell."""
+    v = grid.values
+    if rho < v.min() or rho > v.max():
+        return []
+    s = v - rho
+    xs = grid.x_centers()
+    ys = grid.y_centers()
+    points = {}
+
+    def edge_key(name, i, j):
+        if name == "AB":
+            key = ("h", i, j)
+            n0, n1 = (i, j), (i + 1, j)
+        elif name == "DC":
+            key = ("h", i, j + 1)
+            n0, n1 = (i, j + 1), (i + 1, j + 1)
+        elif name == "AD":
+            key = ("v", i, j)
+            n0, n1 = (i, j), (i, j + 1)
+        else:  # BC
+            key = ("v", i + 1, j)
+            n0, n1 = (i + 1, j), (i + 1, j + 1)
+        if key not in points:
+            s0, s1 = s[n0], s[n1]
+            t = s0 / (s0 - s1)
+            x0, y0 = xs[n0[0]], ys[n0[1]]
+            x1, y1 = xs[n1[0]], ys[n1[1]]
+            points[key] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        return key
+
+    segments = []
+    for i in range(grid.nx - 1):
+        for j in range(grid.ny - 1):
+            case = (
+                (s[i, j] > 0)
+                | (s[i + 1, j] > 0) << 1
+                | (s[i + 1, j + 1] > 0) << 2
+                | (s[i, j + 1] > 0) << 3
+            )
+            if case in (0, 15):
+                continue
+            if case in (5, 10):
+                center_above = (
+                    s[i, j] + s[i + 1, j] + s[i + 1, j + 1] + s[i, j + 1]
+                ) > 0
+                if (case == 5) == center_above:
+                    pairs = (("AB", "BC"), ("AD", "DC"))
+                else:
+                    pairs = (("AB", "AD"), ("BC", "DC"))
+            else:
+                pairs = _SEG_TABLE[case]
+            for e0, e1 in pairs:
+                segments.append((edge_key(e0, i, j), edge_key(e1, i, j)))
+    return _chain_segments(segments, points)
+
+
+def assert_same_polylines(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def random_smooth_grid(seed, nx=41, ny=33):
+    """Sum of eight random plane waves; dense enough in saddles at 0."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, nx)[:, None]
+    y = np.linspace(0.0, 1.0, ny)[None, :]
+    values = np.zeros((nx, ny))
+    for _ in range(8):
+        fx, fy = rng.uniform(-40.0, 40.0, 2)
+        values += rng.normal() * np.sin(fx * x + fy * y + rng.uniform(0.0, 2 * math.pi))
+    return FieldGrid(-2.0, 3.0, 1.0, 2.5, nx, ny, values)
+
+
+def test_level_set_matches_full_scan_on_saddle_fields():
+    saddles = set()
+    for seed in range(8):
+        grid = random_smooth_grid(seed)
+        s = grid.values
+        a = (s > 0).astype(int)
+        cases = a[:-1, :-1] | a[1:, :-1] << 1 | a[1:, 1:] << 2 | a[:-1, 1:] << 3
+        center_above = (s[:-1, :-1] + s[1:, :-1] + s[1:, 1:] + s[:-1, 1:]) > 0
+        for case in (5, 10):
+            saddles.update((case, bool(c)) for c in center_above[cases == case])
+        assert_same_polylines(level_set(grid, 0.0), full_scan_level_set(grid, 0.0))
+    # both saddle cases, each with both signs of the center, were resolved
+    assert saddles == {(5, False), (5, True), (10, False), (10, True)}
+
+
+@pytest.mark.parametrize("case", ["values_at_level", "shipped_cpt_grid"])
+def test_level_set_matches_full_scan(case):
+    if case == "values_at_level":
+        # nodes exactly at rho count as below it, in both implementations
+        values = np.random.default_rng(3).integers(0, 3, (23, 17)).astype(float)
+        grid, rho = FieldGrid(0.0, 1.0, 0.0, 1.0, 23, 17, values), 1.0
+        assert (values == rho).any()
+    else:  # the field_default.cfg geometry
+        grid = rasterize(CPT(0.74, 1.0, 0.95, 2.0), PARAMS, SOURCE, BOUNDS, RES)
+        rho = PARAMS.sigma_peak
+    polys = level_set(grid, rho)
+    assert polys
+    assert_same_polylines(polys, full_scan_level_set(grid, rho))
+
+
 # --- audits ---------------------------------------------------------------------
 
 
@@ -407,6 +515,24 @@ def test_grid_csv_round_trip(tmp_path):
     assert (back.nx, back.ny) == (20, 30)
     assert back.xmin == grid.xmin and back.ymax == grid.ymax
     assert np.array_equal(back.values, grid.values)
+
+
+def test_grid_csv_writes_each_value_as_17g(tmp_path):
+    values = np.array(
+        [
+            [-0.0, 5e-324, 1e308, 0.1],
+            [1 / 3, 0.0, 1.0, -3.0],
+            [200.0, 2.0**53, -1e-300, 2.0 / 3],
+        ]
+    )
+    grid = FieldGrid(0.0, 1.5, -1.0, 1.0, 3, 4, values)
+    path = tmp_path / "grid.csv"
+    grid.to_csv(path)
+    rows = path.read_text().splitlines()[2:]
+    assert rows == [",".join(format(v, ".17g") for v in row) for row in values.tolist()]
+    assert rows[0].startswith("-0,4.9406564584124654e-324,")
+    back = FieldGrid.from_csv(path)
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_grid_json_schema(tmp_path):
