@@ -17,7 +17,6 @@ from .barrier import (
     constraint,
     control_set_probe,
     feasibility_margin,
-    min_compose,
     qp_filter,
 )
 from .config import Config, ConfigError, load_config

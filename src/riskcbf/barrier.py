@@ -64,11 +64,11 @@ def barrier_value(
     return config.rho - perceived_risk(spec, params, xi)
 
 
-def _barrier_terms(spec, params, config, x, y) -> tuple[float, np.ndarray]:
+def _barrier_terms(spec, params, config, x, y):
     """h and dR/dxi at xi = y - x from one risk evaluation."""
     xi = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     risk, g = evaluate(spec, params, xi)
-    return config.rho - float(risk), g
+    return config.rho - risk, g
 
 
 def barrier_constraint(
@@ -80,19 +80,23 @@ def barrier_constraint(
     f,
     G,
     f_y,
-) -> tuple[float, AffineConstraint]:
-    """Barrier value h(y - x) and the affine constraint a . u >= b
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Barrier values h(y - x) and the affine constraints a . u >= b
     equivalent to hdot >= -eta1(h), from one risk evaluation.
 
-    With xi = y - x and g the risk-field gradient, hdot = -g . xi_dot =
-    -g . (f_y - f - G u), so a = G^T g and b = g . (f_y - f) - eta1(h).
+    y and f_y hold one obstacle's position and velocity, shape (2,), or
+    K obstacles', shape (K, 2); h and b have shape y.shape[:-1] and a
+    the shape of y. With xi = y - x and g the risk-field gradient,
+    hdot = -g . xi_dot = -g . (f_y - f - G u), so a = G^T g and
+    b = g . (f_y - f) - eta1(h).
     """
     h, g = _barrier_terms(spec, params, config, x, y)
-    G = np.asarray(G, dtype=float)
-    a = G.T @ g
-    b = float(g @ (np.asarray(f_y, dtype=float) - np.asarray(f, dtype=float)))
-    b -= config.eta1_gain * h
-    return h, AffineConstraint(a, b)
+    d = np.asarray(f_y, dtype=float) - np.asarray(f, dtype=float)
+    # stacked matmuls take the BLAS dot and matrix-vector product of a
+    # one-obstacle call, so each row of a batch gets the same bytes
+    a = (np.asarray(G, dtype=float).T @ g[..., None])[..., 0]
+    b = (g[..., None, :] @ d[..., :, None])[..., 0, 0] - config.eta1_gain * h
+    return h, a, b
 
 
 def constraint(
@@ -105,9 +109,10 @@ def constraint(
     G,
     f_y,
 ) -> AffineConstraint:
-    """Affine constraint a . u >= b equivalent to hdot >= -eta1(h); see
-    barrier_constraint."""
-    return barrier_constraint(spec, params, config, x, y, f, G, f_y)[1]
+    """Affine constraint a . u >= b equivalent to hdot >= -eta1(h) for
+    one obstacle; see barrier_constraint."""
+    _, a, b = barrier_constraint(spec, params, config, x, y, f, G, f_y)
+    return AffineConstraint(a, b)
 
 
 def qp_filter(k_nominal, con: AffineConstraint) -> np.ndarray:
@@ -171,6 +176,7 @@ def feasibility_margin(
     for CVaR and CPT, since dR/dxi = d_mu * c_mu' + d_sigma * c_sigma'.
     """
     h, g = _barrier_terms(spec, params, config, x, y)
+    h = float(h)
     eta1_h = config.eta1_gain * h
     xi_dot = np.asarray(f_y, dtype=float) - (
         np.asarray(f, dtype=float) + np.asarray(G, dtype=float) @ np.asarray(u, dtype=float)
@@ -237,19 +243,3 @@ def control_set_probe(
         labels=tuple(spec_label(s) for s in specs), counts=counts, feasible=feasible
     )
 
-
-def min_compose(
-    barrier_values, constraints
-) -> tuple[float, AffineConstraint, int]:
-    """Compose per-obstacle barriers with the min operator.
-
-    Returns the smallest barrier value, the constraint of the argmin
-    (worst-case) obstacle, and its index; ties resolve to the lowest
-    index.
-    """
-    values = list(barrier_values)
-    cons = list(constraints)
-    if not values or len(values) != len(cons):
-        raise ValueError("need matching, non-empty barrier/constraint lists")
-    idx = int(np.argmin(values))
-    return float(values[idx]), cons[idx], idx

@@ -173,9 +173,8 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
         dists = np.linalg.norm(rec.obstacles - point[None, :], axis=1)
         nearest = int(np.argmin(dists))
         y = rec.obstacles[nearest]
-        f_y = obstacle_velocity(
-            dataclasses.replace(scenario.obstacles[nearest], position=y)
-        )
+        obs = scenario.obstacles[nearest]
+        f_y = obstacle_velocity(y, obs.goal, obs.speed)
         margins = {}
         for spec in specs:
             diag = feasibility_margin(spec, params, barrier, point, y, f, G, f_y, u_nom)

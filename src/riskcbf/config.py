@@ -283,7 +283,7 @@ class Config:
                 speed = default_obstacle_speed(start, goal, agent_start, agent_goal, gain)
             else:
                 speed = self._float(name, "speed", minimum=0.0)
-            obstacles.append(ObstacleModel.from_path(start, goal, speed))
+            obstacles.append(ObstacleModel(start, goal, speed))
         return tuple(obstacles)
 
     def scenario(self, spec: RiskSpec) -> Scenario:

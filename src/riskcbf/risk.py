@@ -71,7 +71,7 @@ class CPT:
     """Cumulative prospect theory parameters.
 
     alpha, beta > 0 tune uncertainty perception, gamma in [0, 1] risk
-    sensitivity, lam >= 1 risk aversion.
+    sensitivity, lam >= 1 risk aversion; all finite.
     """
 
     alpha: float
@@ -80,12 +80,13 @@ class CPT:
     lam: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("CPT alpha and beta must be positive")
+        # each check is a range that NaN fails
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ValueError("CPT alpha and beta must be positive and finite")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"CPT gamma must lie in [0, 1], got {self.gamma!r}")
-        if self.lam < 1.0:
-            raise ValueError(f"CPT lambda must be >= 1, got {self.lam!r}")
+        if not 1.0 <= self.lam < math.inf:
+            raise ValueError(f"CPT lambda must be finite and >= 1, got {self.lam!r}")
 
 
 RiskSpec = Union[ExpectedRisk, CVaR, CPT]

@@ -1,8 +1,9 @@
 """Closed-loop simulation of an agent avoiding uncertain moving obstacles.
 
-A proportional controller drives the agent to its goal; every step the
-active (lowest-barrier) obstacle contributes one affine constraint and
-the safety filter minimally modifies the nominal control. Unicycle
+A proportional controller drives the agent to its goal; every step one
+risk evaluation gives every obstacle's barrier and affine constraint,
+and the safety filter minimally modifies the nominal control to meet
+the active (lowest-barrier) obstacle's constraint. Unicycle
 agents are controlled through the projected point a distance l ahead of
 the body, whose dynamics are the single integrator the filter assumes;
 goal arrival is measured at that controlled point.
@@ -12,16 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .barrier import (
+    AffineConstraint,
     BarrierConfig,
     InfeasibleConstraintError,
     barrier_constraint,
-    min_compose,
     qp_filter,
 )
 from .field import CostFieldParams
@@ -94,47 +95,47 @@ AgentModel = Union[SingleIntegrator, Unicycle]
 
 @dataclass(frozen=True)
 class ObstacleModel:
-    """Obstacle moving in a straight line from start to goal at a fixed
-    speed, then resting at the goal."""
+    """Obstacle path: a straight line from start to goal at a fixed
+    speed, then rest at the goal."""
 
-    position: np.ndarray
     start: np.ndarray
     goal: np.ndarray
     speed: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec2(self.position))
         object.__setattr__(self, "start", _vec2(self.start))
         object.__setattr__(self, "goal", _vec2(self.goal))
         if self.speed < 0:
             raise ValueError("speed must be nonnegative")
 
-    @classmethod
-    def from_path(cls, start, goal, speed: float) -> "ObstacleModel":
-        start = _vec2(start)
-        return cls(start.copy(), start, _vec2(goal), float(speed))
+
+def _to_goal(position, goal, speed):
+    """Offsets to the goals, their lengths, and which obstacles move.
+    The stacked matmul is the BLAS dot of a 1-D norm, so a batch moves
+    each obstacle with the bytes it would have alone."""
+    to_goal = np.subtract(goal, position)
+    dist = np.sqrt((to_goal[..., None, :] @ to_goal[..., :, None])[..., 0, 0])
+    return to_goal, dist, np.not_equal(speed, 0.0) & (dist != 0.0)
 
 
-def obstacle_velocity(obs: ObstacleModel) -> np.ndarray:
-    to_goal = obs.goal - obs.position
-    dist = float(np.linalg.norm(to_goal))
-    if obs.speed == 0.0 or dist == 0.0:
-        return np.zeros(2)
-    return obs.speed / dist * to_goal
+def obstacle_velocity(position, goal, speed) -> np.ndarray:
+    """Velocities of obstacles at positions (..., 2) heading for their
+    goals at their speeds (...); zero for an obstacle at rest."""
+    to_goal, dist, moving = _to_goal(position, goal, speed)
+    scale = np.divide(speed, dist, out=np.zeros(np.shape(dist)), where=moving)
+    return np.where(moving[..., None], scale[..., None] * to_goal, 0.0)
 
 
-def step_obstacle(obs: ObstacleModel, dt: float) -> ObstacleModel:
-    """Advance the obstacle toward its goal, clamping on arrival."""
+def step_obstacle(position, goal, speed, dt: float) -> np.ndarray:
+    """Advance obstacles at positions (..., 2) toward their goals at
+    their speeds (...), clamping on arrival; returns new positions."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    to_goal = obs.goal - obs.position
-    dist = float(np.linalg.norm(to_goal))
-    travel = obs.speed * dt
-    if obs.speed == 0.0 or dist == 0.0:
-        return obs
-    if travel >= dist:
-        return replace(obs, position=obs.goal.copy())
-    return replace(obs, position=obs.position + travel / dist * to_goal)
+    to_goal, dist, moving = _to_goal(position, goal, speed)
+    travel = np.multiply(speed, dt)
+    frac = np.divide(travel, dist, out=np.zeros(np.shape(dist)), where=moving)
+    ahead = np.where((travel >= dist)[..., None], goal, position + frac[..., None] * to_goal)
+    return np.where(moving[..., None], ahead, position)
 
 
 def nominal_control(state_point, goal, gain) -> np.ndarray:
@@ -243,18 +244,13 @@ class SimLog:
             "active_obstacle",
             "feasible",
         ]
+        # '%.17g' % v gives the bytes of f"{v:.17g}" for every float
+        row = ",".join(["%.17g"] * (len(cols) - 2)) + ",%d,%d\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
-            for rec in self.records:
-                row = [rec.t, *rec.position, rec.heading, *rec.point]
-                for k in range(n_obs):
-                    row += list(rec.obstacles[k])
-                delta = rec.delta
-                row += [*rec.u_nominal, *rec.u_filtered, *delta, rec.h_min]
-                fields = [f"{v:.17g}" for v in row]
-                fields.append(str(rec.active_index))
-                fields.append("1" if rec.feasible else "0")
-                fh.write(",".join(fields) + "\n")
+            for r in self.records:
+                values = (r.t, *r.position, r.heading, *r.point, *r.obstacles.ravel(), *r.u_nominal)
+                fh.write(row % (*values, *r.u_filtered, *r.delta, r.h_min, r.active_index, r.feasible))
 
     def summary_dict(self) -> dict:
         return {
@@ -299,7 +295,10 @@ def run(scenario: Scenario) -> SimLog:
     flag the run; the loop still terminates on goal arrival or t_max.
     """
     agent = scenario.agent
-    obstacles = list(scenario.obstacles)
+    obstacles = scenario.obstacles
+    positions = np.array([o.start for o in obstacles]).reshape(-1, 2)
+    goals = np.array([o.goal for o in obstacles]).reshape(-1, 2)
+    speeds = np.array([o.speed for o in obstacles])
     f = np.zeros(2)
     G = np.eye(2)
     u_prev = np.zeros(2)
@@ -314,28 +313,24 @@ def run(scenario: Scenario) -> SimLog:
         point = agent.controlled_point()
         u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
         if obstacles:
-            h_values = []
-            cons = []
-            for obs in obstacles:
-                h, con = barrier_constraint(
-                    scenario.risk,
-                    scenario.field,
-                    scenario.barrier,
-                    point,
-                    obs.position,
-                    f,
-                    G,
-                    obstacle_velocity(obs),
-                )
-                h_values.append(h)
-                cons.append(con)
-            h_min, active_con, active_idx = min_compose(h_values, cons)
+            h, a, b = barrier_constraint(
+                scenario.risk,
+                scenario.field,
+                scenario.barrier,
+                point,
+                positions,
+                f,
+                G,
+                obstacle_velocity(positions, goals, speeds),
+            )
+            active_idx = int(np.argmin(h))  # ties go to the lowest index
+            h_min = float(h[active_idx])
             if k == 0 and h_min <= 0:
                 raise ValueError(
                     f"scenario starts perceived unsafe (h_min = {h_min:g})"
                 )
             try:
-                u = qp_filter(u_nom, active_con)
+                u = qp_filter(u_nom, AffineConstraint(a[active_idx], b[active_idx]))
                 feasible = True
             except InfeasibleConstraintError:
                 u = u_prev.copy()
@@ -354,7 +349,7 @@ def run(scenario: Scenario) -> SimLog:
                 position=agent.position.copy(),
                 heading=heading,
                 point=point.copy(),
-                obstacles=np.array([o.position for o in obstacles]).reshape(-1, 2),
+                obstacles=positions,
                 u_nominal=u_nom,
                 u_filtered=u,
                 h_min=h_min,
@@ -369,7 +364,7 @@ def run(scenario: Scenario) -> SimLog:
         if k == n_steps:
             break
         agent = agent.step(u, scenario.dt)
-        obstacles = [step_obstacle(o, scenario.dt) for o in obstacles]
+        positions = step_obstacle(positions, goals, speeds, scenario.dt)
         u_prev = u
 
     deltas = [float(np.linalg.norm(r.delta)) for r in records]
@@ -444,7 +439,7 @@ def single_obstacle_scenario(
         agent=Unicycle(start, _heading_towards(start, goal), 0.2),
         goal=goal,
         nominal_gain=gain,
-        obstacles=(ObstacleModel.from_path(obs_start, obs_goal, speed),),
+        obstacles=(ObstacleModel(obs_start, obs_goal, speed),),
         field=params,
         risk=risk,
         barrier=BarrierConfig(rho=params.sigma_peak, eta1_gain=eta1_gain),
@@ -474,9 +469,7 @@ def multi_obstacle_scenario(
         ((10.0, -10.0), (-10.0, 10.0)),
     ]
     obstacles = tuple(
-        ObstacleModel.from_path(
-            s, g, default_obstacle_speed(s, g, start, goal, gain)
-        )
+        ObstacleModel(s, g, default_obstacle_speed(s, g, start, goal, gain))
         for s, g in paths
     )
     return Scenario(

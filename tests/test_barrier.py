@@ -7,11 +7,11 @@ from riskcbf.barrier import (
     AffineConstraint,
     BarrierConfig,
     InfeasibleConstraintError,
+    barrier_constraint,
     barrier_value,
     constraint,
     control_set_probe,
     feasibility_margin,
-    min_compose,
     qp_filter,
 )
 from riskcbf.field import CostFieldParams, cost_gradients, discretized_cost_range, perceived_risk, risk_gradient
@@ -253,28 +253,37 @@ def test_probe_rejects_empty_samples():
         )
 
 
-# --- min composition ----------------------------------------------------------------
+# --- obstacle batches ----------------------------------------------------------------
 
 
-def test_min_compose_passthrough():
-    con = AffineConstraint(np.array([1.0, 0.0]), 0.5)
-    h, chosen, idx = min_compose([2.0], [con])
-    assert (h, idx) == (2.0, 0)
-    assert chosen is con
-
-
-def test_min_compose_picks_smallest_with_tie_break():
-    cons = [AffineConstraint(np.array([float(i), 1.0]), 0.0) for i in range(3)]
-    h, chosen, idx = min_compose([3.0, 1.0, 1.0], cons)
-    assert (h, idx) == (1.0, 1)
-    assert chosen is cons[1]
-
-
-def test_min_compose_validates_inputs():
-    with pytest.raises(ValueError):
-        min_compose([], [])
-    with pytest.raises(ValueError):
-        min_compose([1.0], [])
+@pytest.mark.parametrize(
+    "spec, rtol",
+    [
+        (ExpectedRisk(), 0.0),
+        (CVaR(0.0), 0.0),
+        (CVaR(0.3), 0.0),
+        (CVaR(1.0), 0.0),
+        (CPT(0.74, 1.0, 0.88, 2.25), 1e-12),
+    ],
+)
+def test_barrier_constraint_batch_matches_single_obstacles(spec, rtol):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 5.0, 2)
+    f = rng.uniform(-1.0, 1.0, 2)
+    y = x + rng.uniform(-4.0, 4.0, (5, 2))
+    f_y = rng.uniform(-2.0, 2.0, (5, 2))
+    G = rng.uniform(-1.0, 1.0, (2, 2))
+    h, a, b = barrier_constraint(spec, PARAMS, CONFIG, x, y, f, G, f_y)
+    assert (h.shape, a.shape, b.shape) == ((5,), (5, 2), (5,))
+    singles = [barrier_constraint(spec, PARAMS, CONFIG, x, y[k], f, G, f_y[k]) for k in range(5)]
+    for got, want in zip((h, a, b), zip(*singles)):
+        np.testing.assert_allclose(got, np.array(want), rtol=rtol, atol=0.0)
+    for k, (h_k, a_k, b_k) in enumerate(singles):
+        assert h_k.shape == () and a_k.shape == (2,) and b_k.shape == ()
+        # constraint is the one-obstacle AffineConstraint view
+        con = constraint(spec, PARAMS, CONFIG, x, y[k], f, G, f_y[k])
+        assert np.array_equal(con.a, a_k) and con.b == b_k
+        np.testing.assert_allclose(a_k, G.T @ risk_gradient(spec, PARAMS, y[k] - x), rtol=1e-12)
 
 
 # --- perturbation ordering -----------------------------------------------------------

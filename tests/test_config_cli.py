@@ -299,6 +299,8 @@ def test_cli_config_error_exit_code(tmp_path):
         ("field_default.cfg", "audit", "cvar_q = 0.0,", "cvar_q = 1.5,", 30),
         ("field_default.cfg", "audit", "cpt_gammas = 0.785,", "cpt_gammas = 1.5,", 31),
         ("field_default.cfg", "audit", "cpt_lambdas = 1.5,", "cpt_lambdas = 0.5,", 32),
+        ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(nan, 1.0, 0.88, 2.0),", 12),
+        ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(0.74, 1.0, 0.88, inf),", 12),
     ],
 )
 def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, new, line):

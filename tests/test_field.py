@@ -571,3 +571,52 @@ def test_cpt_safe_sets_nested_decreasing_in_lambda():
         if previous is not None:
             assert not np.any(current & ~previous)  # current subset of previous
         previous = current
+
+
+# --- one meaning per risk model (ROADMAP item 2) ----------------------------------
+#
+# Field-level properties the lottery layer already has. Each fails with
+# the current closed forms; the fix of ROADMAP item 2 removes the marks.
+
+ITEM_2 = pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 2: the field layer's CVaR and CPT do not yet mean what the lottery layer does",
+)
+# relative positions along one ray, |xi| = 0, 0.1, ..., 4 (0.3 included)
+RAY = np.linspace(0.0, 4.0, 41)[:, None] * np.array([0.6, 0.8])
+CVAR_QS = (0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999, 1.0)
+
+
+def field_values(spec, xi=RAY):
+    return evaluate(spec, PARAMS, xi, grad=False)[0]
+
+
+@ITEM_2
+def test_unit_cpt_field_equals_er_field():
+    # CPT(1, 1, 1, 1) is the risk-neutral expectation (today up to 9.5 below ER)
+    np.testing.assert_allclose(field_values(CPT(1.0, 1.0, 1.0, 1.0)), field_values(ExpectedRisk()), rtol=1e-9)
+
+
+@ITEM_2
+def test_cvar_field_within_truncation_bound():
+    # the cost lottery is truncated at 3 sigma (today CVaR(0.001) is 302.0
+    # at |xi| = 0.3, where mu + 3 sigma is 290.9)
+    bound = cost_mean(PARAMS, RAY) + 3.0 * cost_sigma(PARAMS, RAY)
+    for q in CVAR_QS:
+        assert np.all(field_values(CVaR(q)) <= bound * (1.0 + 1e-12)), q
+
+
+@ITEM_2
+def test_cvar_field_nondecreasing_in_q():
+    # cvar_value averages the worst 1 - q, so it grows with q (today the
+    # field falls from 302.0 to 199.9 between q = 0.001 and 0.999 at |xi| = 0.3)
+    values = np.array([field_values(CVaR(q)) for q in CVAR_QS])
+    assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:])
+
+
+@ITEM_2
+def test_cvar_field_continuous_at_zero():
+    # CVaR(0) is the expectation; a small q stays within 0.1% of it
+    # (today CVaR(0) is 199.8 and CVaR(1e-6) is 350.0 at |xi| = 0.3)
+    er = field_values(CVaR(0.0))
+    np.testing.assert_allclose(field_values(CVaR(1e-6)), er, rtol=1e-3)

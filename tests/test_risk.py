@@ -350,6 +350,11 @@ def test_spec_validation():
         CPT(1.0, 1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         CPT(1.0, 1.0, 0.5, 0.5)
+    # NaN fails every comparison, so each range check must reject it too
+    for bad in (math.nan, math.inf):
+        for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, bad, 1.0), (1.0, 1.0, 0.5, bad)):
+            with pytest.raises(ValueError):
+                CPT(*args)
 
 
 def test_spec_labels_are_filename_safe():

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import riskcbf.barrier
+import riskcbf.field
+import riskcbf.sim
 from riskcbf.risk import CPT, CVaR, ExpectedRisk
 from riskcbf.sim import (
     ObstacleModel,
@@ -79,26 +82,43 @@ def test_transform_requires_positive_offset():
 
 
 def test_static_obstacle():
-    obs = ObstacleModel.from_path([1.0, 1.0], [5.0, 5.0], 0.0)
-    assert np.array_equal(step_obstacle(obs, 0.5).position, obs.position)
-    assert np.allclose(obstacle_velocity(obs), 0.0)
+    position, goal = np.array([1.0, 1.0]), np.array([5.0, 5.0])
+    assert np.array_equal(step_obstacle(position, goal, 0.0, 0.5), position)
+    assert np.allclose(obstacle_velocity(position, goal, 0.0), 0.0)
 
 
 def test_obstacle_reaches_goal_on_schedule():
-    obs = ObstacleModel.from_path([0.0, 0.0], [3.0, 4.0], 2.0)  # 5 units at speed 2
+    position, goal = np.zeros(2), np.array([3.0, 4.0])  # 5 units at speed 2
     dt = 0.01
     steps = int(round(5.0 / 2.0 / dt))
     for _ in range(steps):
-        obs = step_obstacle(obs, dt)
-    assert np.allclose(obs.position, [3.0, 4.0], atol=1e-9)
-    assert np.allclose(obstacle_velocity(obs), 0.0)
+        position = step_obstacle(position, goal, 2.0, dt)
+    assert np.allclose(position, [3.0, 4.0], atol=1e-9)
+    assert np.allclose(obstacle_velocity(position, goal, 2.0), 0.0)
 
 
 def test_obstacle_midpoint_at_half_time():
-    obs = ObstacleModel.from_path([0.0, 0.0], [3.0, 4.0], 2.0)
+    position, goal = np.zeros(2), np.array([3.0, 4.0])
     for _ in range(125):  # 1.25 s of the 2.5 s trip
-        obs = step_obstacle(obs, 0.01)
-    assert np.allclose(obs.position, [1.5, 2.0], atol=1e-9)
+        position = step_obstacle(position, goal, 2.0, 0.01)
+    assert np.allclose(position, [1.5, 2.0], atol=1e-9)
+
+
+def test_obstacle_batch_matches_single_obstacles():
+    # resting (speed 0), arriving within the step, moving, and already at
+    # its goal with a nonzero speed; a 0/0 would warn, and warnings fail
+    position = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, -1.0]])
+    goal = np.array([[-5.0, 5.0], [0.3, 0.4], [3.0, 4.0], [2.0, -1.0]])
+    speed = np.array([0.0, 2.0, 2.0, 1.5])
+    dt = 0.5
+    stepped = step_obstacle(position, goal, speed, dt)
+    velocity = obstacle_velocity(position, goal, speed)
+    np.testing.assert_allclose(stepped, [[1.0, 1.0], [0.3, 0.4], [0.6, 0.8], [2.0, -1.0]], rtol=1e-15)
+    np.testing.assert_allclose(velocity, [[0.0, 0.0], [1.2, 1.6], [1.2, 1.6], [0.0, 0.0]], rtol=1e-15)
+    assert not np.signbit(velocity).any()  # at rest is +0.0, not 0 * (goal - position)
+    for k in range(4):
+        assert np.array_equal(stepped[k], step_obstacle(position[k], goal[k], speed[k], dt))
+        assert np.array_equal(velocity[k], obstacle_velocity(position[k], goal[k], speed[k]))
 
 
 def test_default_obstacle_speed_formula():
@@ -170,7 +190,7 @@ def test_run_rejects_initially_unsafe_start():
     scenario = single_obstacle_scenario(ExpectedRisk())
     bad = dataclasses.replace(
         scenario,
-        obstacles=(ObstacleModel.from_path([5.2, 2.2], [2.0, 3.0], 0.5),),
+        obstacles=(ObstacleModel([5.2, 2.2], [2.0, 3.0], 0.5),),
     )
     with pytest.raises(ValueError):
         run(bad)
@@ -265,6 +285,25 @@ def test_simlog_csv_schema(tmp_path):
     assert first[-1] == "1"
 
 
+def test_simlog_csv_writes_each_value_as_17g(tmp_path):
+    scenario = single_obstacle_scenario(CVaR(0.4), t_max=3.0)
+    # a single integrator logs a NaN heading and no obstacles an inf h_min
+    bare = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]), obstacles=())
+    for log in (run(scenario), run(bare)):
+        path = tmp_path / "log.csv"
+        log.to_csv(path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == log.steps
+        for rec, line in zip(log.records, lines):
+            floats = [
+                rec.t, *rec.position, rec.heading, *rec.point, *rec.obstacles.ravel(),
+                *rec.u_nominal, *rec.u_filtered, *rec.delta, rec.h_min,
+            ]
+            tail = [str(rec.active_index), "1" if rec.feasible else "0"]
+            assert line.split(",") == [format(v, ".17g") for v in floats] + tail
+    assert lines[0].split(",")[3] == "nan" and lines[0].split(",")[-3:] == ["inf", "-1", "1"]
+
+
 def test_simlog_json_schema(tmp_path):
     log = run(single_obstacle_scenario(CVaR(0.4), t_max=5.0))
     path = tmp_path / "log.json"
@@ -311,6 +350,34 @@ def test_multi_scenario_constants():
     assert starts == [(-17.0, 0.0), (0.0, 14.0), (10.0, -10.0)]
     goals = [tuple(o.goal) for o in scenario.obstacles]
     assert goals == [(17.0, 0.0), (0.0, -14.0), (-10.0, 10.0)]
+
+
+def test_identical_obstacles_tie_to_the_lowest_index():
+    scenario = single_obstacle_scenario(CVaR(0.4))
+    alone = run(scenario)
+    twins = run(dataclasses.replace(scenario, obstacles=scenario.obstacles * 2))
+    assert all(rec.active_index == 0 for rec in twins.records)
+    assert [r.h_min for r in twins.records] == [r.h_min for r in alone.records]
+    assert twins.total_deviation == alone.total_deviation > 0.0
+
+
+def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
+    counts = {"evaluate": 0, "qp_filter": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    evaluate = counted("evaluate", riskcbf.field.evaluate)
+    monkeypatch.setattr(riskcbf.field, "evaluate", evaluate)
+    monkeypatch.setattr(riskcbf.barrier, "evaluate", evaluate)
+    monkeypatch.setattr(riskcbf.sim, "qp_filter", counted("qp_filter", riskcbf.sim.qp_filter))
+    log = run(multi_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25), t_max=3.0))
+    assert log.records[0].obstacles.shape == (3, 2)
+    assert counts == {"evaluate": log.steps, "qp_filter": log.steps}
 
 
 def test_multi_obstacle_active_switching_keeps_h_min_continuous():
