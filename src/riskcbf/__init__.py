@@ -48,18 +48,14 @@ from .risk import (
     CPT,
     CVaR,
     ExpectedRisk,
-    RiskPartials,
     RiskSpec,
     SingularPartialError,
-    cpt_closed_form,
     cpt_value,
-    cvar_gaussian_closed_form,
     cvar_value,
     decision_weights,
     er_value,
     moment_risk,
     parse_spec,
-    partials,
     prob_weight,
     risk_value,
     spec_label,

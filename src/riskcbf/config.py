@@ -17,7 +17,7 @@ import numpy as np
 
 from .barrier import BarrierConfig
 from .field import CostFieldParams
-from .risk import CPT, CVaR, RiskSpec, parse_spec
+from .risk import CPT, CVaR, RiskSpec, parse_spec, spec_label
 from .sim import (
     ObstacleModel,
     Scenario,
@@ -40,7 +40,7 @@ class ConfigError(Exception):
 
 _SCHEMA = {
     "field": {"k1", "k2", "r_bar", "m"},
-    "risk": {"specs", "cvar_convention"},
+    "risk": {"specs"},
     "barrier": {"rho", "eta1_gain"},
     "grid": {"xmin", "xmax", "ymin", "ymax", "nx", "ny", "source", "levels"},
     "audit": {
@@ -77,9 +77,6 @@ class Config:
 
     def _fail(self, line, message) -> "ConfigError":
         return ConfigError(self.path, line, message)
-
-    def has_section(self, name: str) -> bool:
-        return name in self._sections
 
     def _require_section(self, name: str) -> dict[str, _Entry]:
         if name not in self._sections:
@@ -198,26 +195,22 @@ class Config:
         gain = self._float("barrier", "eta1_gain", default="1.0", positive=True)
         return BarrierConfig(rho=rho, eta1_gain=gain)
 
-    def cvar_convention(self) -> str:
-        entry = self._entry("risk", "cvar_convention", default="paper")
-        value = entry.value.strip().lower()
-        if value not in ("paper", "rockafellar"):
-            raise self._fail(entry.line, f"risk.cvar_convention must be paper or rockafellar, got {entry.value!r}")
-        return value
-
     def specs(self) -> list[RiskSpec]:
         self._require_section("risk")
         entry = self._require("risk", "specs")
-        convention = self.cvar_convention()
-        specs = []
+        specs = {}
         for token in _split_spec_list(entry.value):
             try:
-                specs.append(parse_spec(token, cvar_convention=convention))
+                spec = parse_spec(token)
             except ValueError as exc:
                 raise self._fail(entry.line, str(exc)) from exc
+            label = spec_label(spec)  # names the output files, so it must be unique
+            if label in specs:
+                raise self._fail(entry.line, f"risk.specs: {token!r} has the label {label!r} of an earlier spec")
+            specs[label] = spec
         if not specs:
             raise self._fail(entry.line, "risk.specs must list at least one spec")
-        return specs
+        return list(specs.values())
 
     def grid_geometry(self):
         self._require_section("grid")
@@ -239,11 +232,7 @@ class Config:
         """CVaR and CPT families for the audits; the CPT family can add
         the analytic extremes lambda = rho/c_min and gamma = log(rho)/
         log(c_max) when include_extremes is set."""
-        convention = self.cvar_convention()
-        cvar_family = self._audit_list(
-            "cvar_q", "0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999",
-            lambda q: CVaR(q, convention=convention),
-        )
+        cvar_family = self._audit_list("cvar_q", "0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999", CVaR)
         alpha = self._float("audit", "cpt_alpha", default="0.74", positive=True)
         beta = self._float("audit", "cpt_beta", default="1.0", positive=True)
         # CPT itself checks each gamma and lambda

@@ -33,8 +33,6 @@ from .distributions import (
     std_normal_quantile,
 )
 
-CVAR_CONVENTIONS = ("paper", "rockafellar")
-
 
 class SingularPartialError(ValueError):
     """CPT partials are undefined when a grid outcome hits zero (the
@@ -48,22 +46,19 @@ class ExpectedRisk:
 
 @dataclass(frozen=True)
 class CVaR:
-    """Expectation over the worst fraction q of outcomes.
+    """Conditional value at risk with tail parameter q in [0, 1].
 
-    ``convention`` selects the Gaussian closed form used for fields and
-    partials: "paper" divides the pdf/quantile term by q, "rockafellar"
-    by 1 - q (the textbook Gaussian-CVaR formula). The discrete value
-    is convention-independent.
+    The layers read q differently until ROADMAP item 2 makes them agree:
+    the field layer (``moment_risk``) is c_mu + c_sigma * pdf(quantile(q))
+    / q, the lottery layer (``cvar_value``) the mean of the outcomes at
+    or above the q-quantile.
     """
 
     q: float
-    convention: str = "paper"
 
     def __post_init__(self):
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"CVaR q must lie in [0, 1], got {self.q!r}")
-        if self.convention not in CVAR_CONVENTIONS:
-            raise ValueError(f"unknown CVaR convention {self.convention!r}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +85,6 @@ class CPT:
 
 
 RiskSpec = Union[ExpectedRisk, CVaR, CPT]
-
-
-@dataclass(frozen=True)
-class RiskPartials:
-    """Sensitivities of a risk value to the cost mean and deviation."""
-
-    d_mu: float
-    d_sigma: float
 
 
 def utility(c: float, gamma: float, lam: float) -> float:
@@ -165,29 +152,14 @@ def cvar_value(cost: DiscreteCost, q: float) -> float:
     return float((cost.outcomes[tail] @ cost.probabilities[tail]) / mass)
 
 
-def cvar_gaussian_closed_form(
-    c_mu: float, c_sigma: float, q: float, convention: str = "paper"
-) -> float:
-    """Closed-form CVaR of a Gaussian cost: c_mu + c_sigma * k(q).
-
-    k(q) = pdf(quantile(q)) / q under the "paper" convention and
-    pdf(quantile(q)) / (1 - q) under "rockafellar". q = 0 collapses to
-    the expectation c_mu; q = 1 falls back to the 3-sigma truncation
-    bound c_mu + 3*c_sigma.
-    """
-    return float(moment_risk(CVaR(q, convention), c_mu, c_sigma, grad=False)[0])
-
-
 @lru_cache(maxsize=256)
 def _cvar_gain(spec: CVaR) -> float:
-    """Sigma gain k(q) of the Gaussian CVaR closed form (see
-    cvar_gaussian_closed_form); computed once per spec."""
+    """Sigma gain k(q) = pdf(quantile(q)) / q of moment_risk's CVaR."""
     if spec.q == 0.0:
         return 0.0
     if spec.q == 1.0:
         return 3.0
-    denom = spec.q if spec.convention == "paper" else 1.0 - spec.q
-    return std_normal_pdf(std_normal_quantile(spec.q)) / denom
+    return std_normal_pdf(std_normal_quantile(spec.q)) / spec.q
 
 
 @lru_cache(maxsize=256)
@@ -206,15 +178,6 @@ def cpt_value(cost: DiscreteCost, theta: CPT) -> float:
     """CPT value: sum of v(c_i) * Pi_i over the ascending outcomes."""
     weights = decision_weights(cost.probabilities, theta.alpha, theta.beta)
     return theta.lam * float(cost.outcomes ** theta.gamma @ weights)
-
-
-def cpt_closed_form(c_mu: float, c_sigma: float, theta: CPT, m: int = 10) -> float:
-    """CPT value of the truncated-Gaussian cost directly from (c_mu, c_sigma).
-
-    Equals cpt_value on the discretized lottery to within 1e-9; grid
-    points below zero are clamped like the discretizer does.
-    """
-    return float(moment_risk(theta, c_mu, c_sigma, m, grad=False)[0])
 
 
 def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
@@ -267,14 +230,6 @@ def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
     return value, d_mu, d_sigma
 
 
-def partials(
-    spec: RiskSpec, c_mu: float, c_sigma: float, m: int = 10
-) -> RiskPartials:
-    """Sensitivity of the risk value to (c_mu, c_sigma); see moment_risk."""
-    _, d_mu, d_sigma = moment_risk(spec, float(c_mu), float(c_sigma), m)
-    return RiskPartials(float(d_mu), float(d_sigma))
-
-
 def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:
     """Evaluate any risk spec on a discrete lottery."""
     if isinstance(spec, ExpectedRisk):
@@ -289,7 +244,7 @@ def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:
 _SPEC_RE = re.compile(r"^\s*(er|cvar|cpt)\s*(?:\(([^)]*)\))?\s*$", re.IGNORECASE)
 
 
-def parse_spec(text: str, cvar_convention: str = "paper") -> RiskSpec:
+def parse_spec(text: str) -> RiskSpec:
     """Parse a spec string: ``er``, ``cvar(q)`` or ``cpt(a, b, g, l)``."""
     match = _SPEC_RE.match(text)
     if not match:
@@ -309,7 +264,7 @@ def parse_spec(text: str, cvar_convention: str = "paper") -> RiskSpec:
     if kind == "cvar":
         if len(args) != 1:
             raise ValueError("cvar takes exactly one parameter: cvar(q)")
-        return CVaR(args[0], convention=cvar_convention)
+        return CVaR(args[0])
     if len(args) != 4:
         raise ValueError("cpt takes four parameters: cpt(alpha, beta, gamma, lambda)")
     return CPT(*args)

@@ -23,11 +23,10 @@ from riskcbf.risk import (
     CPT,
     CVaR,
     ExpectedRisk,
-    cpt_closed_form,
     cpt_value,
     cvar_value,
     er_value,
-    partials,
+    moment_risk,
 )
 from riskcbf.barrier import AffineConstraint, qp_filter
 from riskcbf.sim import run, single_obstacle_scenario, multi_obstacle_scenario
@@ -111,13 +110,17 @@ def test_criterion_04_gradient_correctness():
         sigma = rng.uniform(0.01, mu / 3.5)
         theta = CPT(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5), rng.uniform(0.3, 1.0), rng.uniform(1.0, 4.0))
         step = 1e-5 * max(1.0, abs(mu))
-        fd_mu = (cpt_closed_form(mu + step, sigma, theta) - cpt_closed_form(mu - step, sigma, theta)) / (2 * step)
-        fd_sig = (cpt_closed_form(mu, sigma + step, theta) - cpt_closed_form(mu, sigma - step, theta)) / (2 * step)
-        p = partials(theta, mu, sigma)
+        fd_mu = (
+            moment_risk(theta, mu + step, sigma, grad=False)[0] - moment_risk(theta, mu - step, sigma, grad=False)[0]
+        ) / (2 * step)
+        fd_sig = (
+            moment_risk(theta, mu, sigma + step, grad=False)[0] - moment_risk(theta, mu, sigma - step, grad=False)[0]
+        ) / (2 * step)
+        _, d_mu, d_sigma = moment_risk(theta, mu, sigma)
         worst_partials = max(
             worst_partials,
-            abs(p.d_mu - fd_mu) / max(1e-12, abs(fd_mu)),
-            abs(p.d_sigma - fd_sig) / max(1e-12, abs(fd_sig)),
+            abs(d_mu - fd_mu) / max(1e-12, abs(fd_mu)),
+            abs(d_sigma - fd_sig) / max(1e-12, abs(fd_sig)),
         )
 
     worst_field = 0.0

@@ -57,6 +57,11 @@ def write_cfg(tmp_path, text):
     return path
 
 
+def line_of(text, part):
+    """1-based number of the line of text that holds part."""
+    return text[: text.index(part)].count("\n") + 1
+
+
 MINIMAL_FIELD = """
 [field]
 k1 = 200.0
@@ -77,12 +82,19 @@ source = 10.0, 10.0
 """
 
 
-def test_unknown_key_reports_line(tmp_path):
+def test_unknown_key_reports_line(tmp_path, capsys):
     path = write_cfg(tmp_path, "[field]\nk1 = 200.0\nk2 = 0.01\nr_bar = 0.5\nbogus = 3\n")
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert ":5:" in str(err.value)
     assert "bogus" in str(err.value)
+    # an older config that still sets the CVaR convention fails loudly
+    path = write_cfg(tmp_path, MINIMAL_FIELD.replace("specs = er\n", "specs = er\ncvar_convention = paper\n"))
+    code = main(["field", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    message = capsys.readouterr().err
+    assert "unknown key 'cvar_convention'" in message
+    assert ":9:" in message
 
 
 def test_unknown_section_reports_line(tmp_path):
@@ -289,56 +301,80 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, command, old, new, line",
+    "name, command, old, new",
     [
-        ("field_default.cfg", "field", "k1 = 200.0", "k1 = nan", 6),
-        ("field_default.cfg", "field", "rho = auto", "rho = nan", 16),
-        ("field_default.cfg", "field", "source = 10.0, 10.0", "source = nan, 10.0", 26),
-        ("single_obstacle.cfg", "simulate", "dt = 0.02", "dt = nan", 36),
-        ("field_default.cfg", "audit", "levels = 30,", "levels = inf,", 27),
-        ("field_default.cfg", "audit", "cvar_q = 0.0,", "cvar_q = 1.5,", 30),
-        ("field_default.cfg", "audit", "cpt_gammas = 0.785,", "cpt_gammas = 1.5,", 31),
-        ("field_default.cfg", "audit", "cpt_lambdas = 1.5,", "cpt_lambdas = 0.5,", 32),
-        ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(nan, 1.0, 0.88, 2.0),", 12),
-        ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(0.74, 1.0, 0.88, inf),", 12),
+        ("field_default.cfg", "field", "k1 = 200.0", "k1 = nan"),
+        ("field_default.cfg", "field", "rho = auto", "rho = nan"),
+        ("field_default.cfg", "field", "source = 10.0, 10.0", "source = nan, 10.0"),
+        ("single_obstacle.cfg", "simulate", "dt = 0.02", "dt = nan"),
+        ("field_default.cfg", "audit", "levels = 30,", "levels = inf,"),
+        ("field_default.cfg", "audit", "cvar_q = 0.0,", "cvar_q = 1.5,"),
+        ("field_default.cfg", "audit", "cpt_gammas = 0.785,", "cpt_gammas = 1.5,"),
+        ("field_default.cfg", "audit", "cpt_lambdas = 1.5,", "cpt_lambdas = 0.5,"),
+        ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(nan, 1.0, 0.88, 2.0),"),
+        ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(0.74, 1.0, 0.88, inf),"),
     ],
 )
-def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, new, line):
+def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, new):
     text = (CONFIGS / name).read_text()
     assert text.count(old) == 1
-    cfg = write_cfg(tmp_path, text.replace(old, new))
+    text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text)
     code = main([command, "--config", str(cfg), "--spec", "er", "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f":{line}:" in capsys.readouterr().err
+    assert f":{line_of(text, new)}:" in capsys.readouterr().err
 
 
 EXTREMES_OFF = ("include_extremes = true", "include_extremes = false")
 
 
 @pytest.mark.parametrize(
-    "edits, line",
+    "edits, key",
     [
-        ([("cvar_q = 0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999", "cvar_q = ,")], 30),
-        ([("cpt_gammas = 0.785, 0.79, 0.8, 0.85, 0.9, 1.0", "cpt_gammas = ,"), EXTREMES_OFF], 31),
-        ([("cpt_lambdas = 1.5, 2.0, 2.5, 3.0, 3.5", "cpt_lambdas = ,"), EXTREMES_OFF], 32),
+        ([("cvar_q = 0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999", "cvar_q = ,")], "cvar_q"),
+        ([("cpt_gammas = 0.785, 0.79, 0.8, 0.85, 0.9, 1.0", "cpt_gammas = ,"), EXTREMES_OFF], "cpt_gammas"),
+        ([("cpt_lambdas = 1.5, 2.0, 2.5, 3.0, 3.5", "cpt_lambdas = ,"), EXTREMES_OFF], "cpt_lambdas"),
         # the extremes keep the CPT family non-empty, so the list is valid
         ([("cpt_gammas = 0.785, 0.79, 0.8, 0.85, 0.9, 1.0", "cpt_gammas = ,")], None),
     ],
 )
-def test_cli_empty_audit_list_reports_line(tmp_path, capsys, edits, line):
+def test_cli_empty_audit_list_reports_line(tmp_path, capsys, edits, key):
     text = (CONFIGS / "field_default.cfg").read_text()
     for old, new in edits:
         assert text.count(old) == 1
         text = text.replace(old, new)
     cfg = write_cfg(tmp_path, text)
     code = main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    if line is None:
+    if key is None:
         assert code == 0
         report = json.loads((tmp_path / "o" / "audit.json").read_text())
         assert len(report["inclusiveness"]["cpt_vs_cvar"]["family1"]) == 2
     else:
         assert code == 2
-        assert f":{line}:" in capsys.readouterr().err
+        assert f":{line_of(text, f'{key} = ,')}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["field", "simulate", "feasibility"])
+@pytest.mark.parametrize(
+    "specs, label",
+    [
+        ("er, cvar(0.1), cvar(0.1000001)", "cvar_q0p1"),
+        ("er, er", "er"),
+        ("cpt(0.74, 1.0, 0.88, 2.0), cpt(0.74, 1, 0.88, 2.0000001)", "cpt_a0p74_b1_g0p88_l2"),
+    ],
+)
+def test_cli_duplicate_spec_label_reports_line(tmp_path, capsys, command, specs, label):
+    # the label names each spec's output files, so a repeat would overwrite them
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    old = text[text.index("specs = ") :].split("\n", 1)[0]
+    text = text.replace(old, f"specs = {specs}")
+    out = tmp_path / "o"
+    code = main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f":{line_of(text, 'specs = ')}:" in err
+    assert repr(label) in err
+    assert not any(out.iterdir())
 
 
 def test_cli_missing_config_exit_code(tmp_path):

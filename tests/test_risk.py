@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.stats import norm
 
 from riskcbf.distributions import DiscreteCost, discretize_truncated_gaussian
@@ -11,14 +10,12 @@ from riskcbf.risk import (
     CVaR,
     ExpectedRisk,
     SingularPartialError,
-    cpt_closed_form,
     cpt_value,
-    cvar_gaussian_closed_form,
     cvar_value,
     decision_weights,
     er_value,
+    moment_risk,
     parse_spec,
-    partials,
     prob_weight,
     risk_value,
     spec_label,
@@ -141,42 +138,21 @@ def test_cvar_between_mean_and_max():
 
 
 def test_cvar_closed_form_examples():
-    assert cvar_gaussian_closed_form(7.0, 0.0, 0.3) == 7.0
+    assert moment_risk(CVaR(0.3), 7.0, 0.0, grad=False)[0] == 7.0
     # quantile(0.5) = 0, pdf(0)/0.5
-    assert cvar_gaussian_closed_form(0.0, 1.0, 0.5) == pytest.approx(0.7978845608, abs=1e-9)
-    assert cvar_gaussian_closed_form(2.0, 1.0, 0.0) == 2.0
-    assert cvar_gaussian_closed_form(2.0, 1.5, 1.0) == pytest.approx(2.0 + 4.5)
+    assert moment_risk(CVaR(0.5), 0.0, 1.0, grad=False)[0] == pytest.approx(0.7978845608, abs=1e-9)
+    assert moment_risk(CVaR(0.0), 2.0, 1.0, grad=False)[0] == 2.0
+    assert moment_risk(CVaR(1.0), 2.0, 1.5, grad=False)[0] == pytest.approx(2.0 + 4.5)
 
 
 def test_cvar_closed_form_monotone_in_sigma():
-    values = [cvar_gaussian_closed_form(5.0, s, 0.3) for s in (0.0, 0.5, 1.0, 2.0)]
+    values = [moment_risk(CVaR(0.3), 5.0, s, grad=False)[0] for s in (0.0, 0.5, 1.0, 2.0)]
     assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-def test_cvar_rockafellar_matches_conditional_expectation_oracle():
-    # independent oracle: integrate x * pdf(x) over the upper tail
-    for q in (0.2, 0.5, 0.8):
-        z_q = norm.ppf(q)
-        tail, _ = integrate.quad(lambda x: x * norm.pdf(x), z_q, 12.0)
-        expected = tail / (1.0 - q)
-        got = cvar_gaussian_closed_form(0.0, 1.0, q, convention="rockafellar")
-        assert got == pytest.approx(expected, abs=1e-8)
-
-
-def test_cvar_conventions_agree_only_at_half():
-    paper = cvar_gaussian_closed_form(0.0, 1.0, 0.5, "paper")
-    rock = cvar_gaussian_closed_form(0.0, 1.0, 0.5, "rockafellar")
-    assert paper == pytest.approx(rock, rel=1e-12)
-    assert cvar_gaussian_closed_form(0.0, 1.0, 0.8, "paper") != pytest.approx(
-        cvar_gaussian_closed_form(0.0, 1.0, 0.8, "rockafellar"), rel=1e-3
-    )
 
 
 def test_cvar_closed_form_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        cvar_gaussian_closed_form(1.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        cvar_gaussian_closed_form(1.0, 1.0, 0.5, convention="bogus")
+        moment_risk(CVaR(-0.1), 1.0, 1.0, grad=False)
 
 
 # --- CPT --------------------------------------------------------------------
@@ -208,8 +184,8 @@ def test_cpt_concave_utility_below_er_for_costs_above_one():
 
 
 def test_cpt_closed_form_degenerate():
-    assert cpt_closed_form(7.0, 0.0, CPT(1, 1, 1, 1), 10) == pytest.approx(7.0, abs=1e-12)
-    assert cpt_closed_form(7.0, 0.0, CPT(1, 1, 1, 3.0), 10) == pytest.approx(21.0, abs=1e-12)
+    assert moment_risk(CPT(1, 1, 1, 1), 7.0, 0.0, 10, grad=False)[0] == pytest.approx(7.0, abs=1e-12)
+    assert moment_risk(CPT(1, 1, 1, 3.0), 7.0, 0.0, 10, grad=False)[0] == pytest.approx(21.0, abs=1e-12)
 
 
 def test_cpt_closed_form_matches_discretize_pipeline():
@@ -226,24 +202,24 @@ def test_cpt_closed_form_matches_discretize_pipeline():
             rng.uniform(1.0, 5.0),
         )
         via_pipeline = cpt_value(discretize_truncated_gaussian(mu, sigma, m), theta)
-        assert abs(cpt_closed_form(mu, sigma, theta, m) - via_pipeline) <= 1e-9
+        assert abs(moment_risk(theta, mu, sigma, m, grad=False)[0] - via_pipeline) <= 1e-9
 
 
 # --- partials ----------------------------------------------------------------
 
 
 def test_partials_er():
-    p = partials(ExpectedRisk(), 12.0, 3.0)
-    assert (p.d_mu, p.d_sigma) == (1.0, 0.0)
+    _, d_mu, d_sigma = moment_risk(ExpectedRisk(), 12.0, 3.0)
+    assert (d_mu, d_sigma) == (1.0, 0.0)
 
 
 def test_partials_cvar():
-    p = partials(CVaR(0.3), 12.0, 3.0)
-    assert p.d_mu == 1.0
-    assert p.d_sigma == pytest.approx(norm.pdf(norm.ppf(0.3)) / 0.3, abs=1e-9)
-    assert p.d_sigma >= 0.0
-    assert partials(CVaR(0.0), 12.0, 3.0).d_sigma == 0.0
-    assert partials(CVaR(1.0), 12.0, 3.0).d_sigma == 3.0
+    _, d_mu, d_sigma = moment_risk(CVaR(0.3), 12.0, 3.0)
+    assert d_mu == 1.0
+    assert d_sigma == pytest.approx(norm.pdf(norm.ppf(0.3)) / 0.3, abs=1e-9)
+    assert d_sigma >= 0.0
+    assert moment_risk(CVaR(0.0), 12.0, 3.0)[2] == 0.0
+    assert moment_risk(CVaR(1.0), 12.0, 3.0)[2] == 3.0
 
 
 def test_partials_cpt_linear_utility_closed_form():
@@ -254,9 +230,9 @@ def test_partials_cpt_linear_utility_closed_form():
     lam, m = 2.5, 12
     pi = cpt_pi_weights(m, 1.0, 1.0)
     g = trunc_gauss_grid_coeffs(m)
-    p = partials(CPT(1.0, 1.0, 1.0, lam), 30.0, 4.0, m)
-    assert p.d_mu == pytest.approx(lam * pi.sum(), rel=1e-12)
-    assert p.d_sigma == pytest.approx(lam * float(g @ pi), rel=1e-12)
+    _, d_mu, d_sigma = moment_risk(CPT(1.0, 1.0, 1.0, lam), 30.0, 4.0, m)
+    assert d_mu == pytest.approx(lam * pi.sum(), rel=1e-12)
+    assert d_sigma == pytest.approx(lam * float(g @ pi), rel=1e-12)
 
 
 def test_partials_cpt_match_finite_differences():
@@ -273,27 +249,29 @@ def test_partials_cpt_match_finite_differences():
         )
         step = 1e-5 * max(1.0, abs(mu))
         fd_mu = (
-            cpt_closed_form(mu + step, sigma, theta) - cpt_closed_form(mu - step, sigma, theta)
+            moment_risk(theta, mu + step, sigma, grad=False)[0]
+            - moment_risk(theta, mu - step, sigma, grad=False)[0]
         ) / (2 * step)
         fd_sigma = (
-            cpt_closed_form(mu, sigma + step, theta) - cpt_closed_form(mu, sigma - step, theta)
+            moment_risk(theta, mu, sigma + step, grad=False)[0]
+            - moment_risk(theta, mu, sigma - step, grad=False)[0]
         ) / (2 * step)
-        p = partials(theta, mu, sigma)
-        assert abs(p.d_mu - fd_mu) / max(1e-12, abs(fd_mu)) < 1e-5
-        assert abs(p.d_sigma - fd_sigma) / max(1e-12, abs(fd_sigma)) < 1e-5
+        _, d_mu, d_sigma = moment_risk(theta, mu, sigma)
+        assert abs(d_mu - fd_mu) / max(1e-12, abs(fd_mu)) < 1e-5
+        assert abs(d_sigma - fd_sigma) / max(1e-12, abs(fd_sigma)) < 1e-5
 
 
 def test_partials_cpt_singular_on_nonpositive_grid():
     with pytest.raises(SingularPartialError):
-        partials(CPT(1.0, 1.0, 0.5, 1.0), 1.0, 1.0)  # grid dips to 1 - 3 < 0
+        moment_risk(CPT(1.0, 1.0, 0.5, 1.0), 1.0, 1.0)  # grid dips to 1 - 3 < 0
 
 
 def test_uncertainty_perception_signs():
     # concave weighting (beta < 1) is uncertainty averse, convex liking
-    averse = partials(CPT(1.0, 0.5, 1.0, 1.0), 10.0, 2.0)
-    liking = partials(CPT(1.0, 2.0, 1.0, 1.0), 10.0, 2.0)
-    assert averse.d_sigma > 0.0
-    assert liking.d_sigma < 0.0
+    averse = moment_risk(CPT(1.0, 0.5, 1.0, 1.0), 10.0, 2.0)[2]
+    liking = moment_risk(CPT(1.0, 2.0, 1.0, 1.0), 10.0, 2.0)[2]
+    assert averse > 0.0
+    assert liking < 0.0
 
 
 # --- model range relationships ----------------------------------------------
@@ -329,7 +307,6 @@ def test_parse_spec_round_trips():
     assert parse_spec("ER") == ExpectedRisk()
     assert parse_spec("cvar(0.5)") == CVaR(0.5)
     assert parse_spec("cpt(0.74, 1, 0.88, 2.25)") == CPT(0.74, 1.0, 0.88, 2.25)
-    assert parse_spec("cvar(0.5)", cvar_convention="rockafellar").convention == "rockafellar"
 
 
 @pytest.mark.parametrize(
