@@ -33,10 +33,10 @@ class BarrierConfig:
     eta1_gain: float = 1.0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.eta1_gain <= 0:
-            raise ValueError("eta1_gain must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0 < self.eta1_gain < math.inf:
+            raise ValueError("eta1_gain must be positive and finite")
 
 
 @dataclass(frozen=True)

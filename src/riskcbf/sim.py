@@ -1,12 +1,13 @@
 """Closed-loop simulation of an agent avoiding uncertain moving obstacles.
 
-A proportional controller drives the agent to its goal; every step one
-risk evaluation gives every obstacle's barrier and affine constraint,
-and the safety filter minimally modifies the nominal control to meet
-the active (lowest-barrier) obstacle's constraint. Unicycle
-agents are controlled through the projected point a distance l ahead of
-the body, whose dynamics are the single integrator the filter assumes;
-goal arrival is measured at that controlled point.
+A proportional controller drives the agent to its goal; every step one risk
+evaluation gives every obstacle's barrier and affine constraint, and the
+safety filter minimally modifies the nominal control to meet the active
+(lowest-barrier) obstacle's constraint. The control is held over each step
+and agents and obstacles are stepped exactly. Unicycle agents are controlled
+through the projected point a distance l ahead of the body, whose dynamics
+are the single integrator the filter assumes; goal arrival is measured at
+that controlled point.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .risk import RiskSpec, spec_label
 
 def _vec2(value) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {arr.shape}")
+    if arr.shape != (2,) or not np.isfinite(arr).all():
+        raise ValueError(f"expected a finite 2-vector, got {arr!r}")
     return arr
 
 
@@ -56,8 +57,8 @@ class SingleIntegrator:
 class Unicycle:
     """Unicycle agent controlled via the projected point p = x + l*d(phi).
 
-    The filtered planar control u is mapped to (v, omega) by
-    unicycle_transform, under which pdot = u holds exactly.
+    The filtered control u maps to (v, omega) by unicycle_transform, under
+    which pdot = u exactly; step moves the body under that law in closed form.
     """
 
     position: np.ndarray
@@ -66,8 +67,10 @@ class Unicycle:
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec2(self.position))
-        if self.offset_l <= 0:
-            raise ValueError("offset_l must be positive")
+        if not 0 < self.offset_l < math.inf:
+            raise ValueError("offset_l must be positive and finite")
+        if not math.isfinite(self.heading):
+            raise ValueError("heading must be finite")
 
     def controlled_point(self) -> np.ndarray:
         return self.position + self.offset_l * np.array(
@@ -75,19 +78,15 @@ class Unicycle:
         )
 
     def step(self, u: np.ndarray, dt: float) -> "Unicycle":
-        # The transform is a feedback law in the current heading; the
-        # heading loop it induces is only stable for steps with
-        # |omega| * step <= ~2, so substep the kinematics (the planar
-        # control u stays zero-order held over dt).
-        n_sub = max(1, math.ceil(float(np.linalg.norm(u)) * dt / (0.1 * self.offset_l)))
-        h = dt / n_sub
-        pos = self.position
-        phi = self.heading
-        for _ in range(n_sub):
-            v, omega = unicycle_transform(u, phi, self.offset_l)
-            pos = pos + h * v * np.array([math.cos(phi), math.sin(phi)])
-            phi += h * omega
-        return Unicycle(pos, phi, self.offset_l)
+        # With u held over dt the point moves by exactly dt*u. The heading
+        # error e to atan2(u) obeys edot = -(|u|/l) sin e, so tan(e/2) shrinks
+        # by k = exp(-|u| dt / l); with turn = 1 - k the heading turns by
+        # e0 - e = 2 atan2(turn sin e0, 2 - turn (1 - cos e0)), in (-pi, pi).
+        e0 = math.atan2(u[1], u[0]) - self.heading
+        turn = -math.expm1(-math.hypot(u[0], u[1]) * dt / self.offset_l)
+        phi = self.heading + 2.0 * math.atan2(turn * math.sin(e0), 2.0 - turn * (1.0 - math.cos(e0)))
+        moved = np.array([math.cos(self.heading) - math.cos(phi), math.sin(self.heading) - math.sin(phi)])
+        return Unicycle(self.position + dt * u + self.offset_l * moved, phi, self.offset_l)
 
 
 AgentModel = Union[SingleIntegrator, Unicycle]
@@ -105,8 +104,8 @@ class ObstacleModel:
     def __post_init__(self):
         object.__setattr__(self, "start", _vec2(self.start))
         object.__setattr__(self, "goal", _vec2(self.goal))
-        if self.speed < 0:
-            raise ValueError("speed must be nonnegative")
+        if not 0 <= self.speed < math.inf:
+            raise ValueError("speed must be nonnegative and finite")
 
 
 def _to_goal(position, goal, speed):
@@ -129,7 +128,7 @@ def obstacle_velocity(position, goal, speed) -> np.ndarray:
 def step_obstacle(position, goal, speed, dt: float) -> np.ndarray:
     """Advance obstacles at positions (..., 2) toward their goals at
     their speeds (...), clamping on arrival; returns new positions."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     to_goal, dist, moving = _to_goal(position, goal, speed)
     travel = np.multiply(speed, dt)
@@ -147,10 +146,10 @@ def unicycle_transform(u, heading: float, l: float) -> tuple[float, float]:
     """Map a planar projected-point control to unicycle (v, omega).
 
     Applies [[cos phi, sin phi], [-sin phi / l, cos phi / l]] to u, the
-    inverse of the projected-point Jacobian, so pdot = u to first order.
+    inverse of the projected-point Jacobian, so pdot = u exactly.
     """
-    if l <= 0:
-        raise ValueError("l must be positive")
+    if not 0 < l < math.inf:
+        raise ValueError("l must be positive and finite")
     u = _vec2(u)
     c, s = math.cos(heading), math.sin(heading)
     v = c * u[0] + s * u[1]
@@ -187,12 +186,12 @@ class Scenario:
             self, "nominal_gain", np.asarray(self.nominal_gain, dtype=float)
         )
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max <= self.dt:
-            raise ValueError("t_max must exceed dt")
-        if self.goal_tol <= 0:
-            raise ValueError("goal_tol must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.dt < self.t_max < math.inf:
+            raise ValueError("t_max must exceed dt and be finite")
+        if not 0 < self.goal_tol < math.inf:
+            raise ValueError("goal_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -288,7 +287,7 @@ class SimLog:
 
 
 def run(scenario: Scenario) -> SimLog:
-    """Forward-Euler closed loop; logs every step.
+    """Zero-order-hold closed loop, exact agent and obstacle steps; logs every step.
 
     Raises ValueError when the start state is already perceived unsafe.
     Infeasible filter states hold the previous control, are logged, and
@@ -325,7 +324,7 @@ def run(scenario: Scenario) -> SimLog:
             )
             active_idx = int(np.argmin(h))  # ties go to the lowest index
             h_min = float(h[active_idx])
-            if k == 0 and h_min <= 0:
+            if k == 0 and not h_min > 0:
                 raise ValueError(
                     f"scenario starts perceived unsafe (h_min = {h_min:g})"
                 )

@@ -324,6 +324,9 @@ def test_barrier_config_validation():
         BarrierConfig(rho=-1.0)
     with pytest.raises(ValueError):
         BarrierConfig(rho=1.0, eta1_gain=0.0)
+    for rho, eta1_gain in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError):
+            BarrierConfig(rho=rho, eta1_gain=eta1_gain)
 
 
 def test_far_field_states_feasible_for_all_models():

@@ -60,22 +60,73 @@ def test_transform_lateral_motion():
     assert omega == pytest.approx(2.0)
 
 
-def test_projected_point_tracks_control_to_first_order():
-    u = np.array([0.8, -0.5])
-    l = 0.3
-    errors = []
-    for dt in (2e-3, 1e-3):
-        agent = Unicycle([1.0, 2.0], 1.1, l)
-        stepped = agent.step(u, dt)
-        pdot_fd = (stepped.controlled_point() - agent.controlled_point()) / dt
-        errors.append(np.linalg.norm(pdot_fd - u))
-    assert errors[0] <= 0.05 * np.linalg.norm(u)
-    assert errors[1] <= 0.6 * errors[0] + 1e-12  # first-order decay
+def midpoint_reference(position, heading, u, l, dt, n=20_000):
+    """Integrate xdot = v d(phi), phidot = omega with n midpoint substeps
+    for a batch of states; (v, omega) is unicycle_transform's law."""
+
+    def rates(phi):
+        c, s = np.cos(phi), np.sin(phi)
+        v = c * u[:, 0] + s * u[:, 1]
+        return v[:, None] * np.stack([c, s], axis=1), (c * u[:, 1] - s * u[:, 0]) / l
+
+    xdot, phidot = rates(heading)
+    for k in range(len(heading)):  # the batched law is unicycle_transform's
+        v, omega = unicycle_transform(u[k], heading[k], l)
+        np.testing.assert_allclose(xdot[k], v * np.array([math.cos(heading[k]), math.sin(heading[k])]), rtol=1e-14)
+        assert phidot[k] == pytest.approx(omega, rel=1e-14)
+    h = dt / n
+    for _ in range(n):
+        xdot, phidot = rates(heading)
+        xdot, phidot = rates(heading + 0.5 * h * phidot)
+        position = position + h * xdot
+        heading = heading + h * phidot
+    return position, heading
+
+
+def test_unicycle_step_is_exact():
+    rng = np.random.default_rng(7)
+    n, l, dt = 200, 0.2, 0.02
+    position = rng.uniform(-10.0, 10.0, (n, 2))
+    heading = rng.uniform(-4.0, 4.0, n)
+    angle = rng.uniform(-math.pi, math.pi, n)
+    u = rng.uniform(0.0, 14.0, n)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    ref_position, ref_heading = midpoint_reference(position, heading, u, l, dt)
+    for k in range(n):
+        agent = Unicycle(position[k], heading[k], l)
+        stepped = agent.step(u[k], dt)
+        np.testing.assert_allclose(stepped.controlled_point(), agent.controlled_point() + dt * u[k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stepped.position, ref_position[k], rtol=0, atol=1e-8)
+        assert stepped.heading == pytest.approx(ref_heading[k], rel=0, abs=1e-8)
+
+
+def test_unicycle_step_without_control_keeps_the_state():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        agent = Unicycle(rng.uniform(-10.0, 10.0, 2), rng.uniform(-10.0, 10.0), rng.uniform(0.05, 1.0))
+        stepped = agent.step(np.zeros(2), 0.02)
+        assert stepped.position.tobytes() == agent.position.tobytes()
+        assert stepped.heading == agent.heading
+
+
+@pytest.mark.parametrize("flip", [math.pi, -math.pi])
+def test_unicycle_step_anti_aligned_keeps_heading(flip):
+    u = np.array([3.0, -4.0])
+    agent = Unicycle([1.0, 2.0], math.atan2(u[1], u[0]) + flip, 0.2)
+    stepped = agent.step(u, 0.02)
+    assert stepped.heading == pytest.approx(agent.heading, rel=0, abs=1e-12)
+    np.testing.assert_allclose(stepped.controlled_point(), agent.controlled_point() + 0.02 * u, rtol=0, atol=1e-12)
+
+
+def test_logged_heading_has_no_wraps():
+    log = run(single_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25)))
+    headings = np.array([r.heading for r in log.records])
+    assert np.abs(np.diff(headings)).max() <= math.pi
 
 
 def test_transform_requires_positive_offset():
-    with pytest.raises(ValueError):
-        unicycle_transform([1.0, 0.0], 0.0, 0.0)
+    for l in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            unicycle_transform([1.0, 0.0], 0.0, l)
 
 
 # --- obstacles ----------------------------------------------------------------------
@@ -213,15 +264,21 @@ def test_total_deviation_grows_with_risk_aversion():
     assert devs[-1] > devs[0]
 
 
-def test_halving_dt_changes_final_position_first_order():
-    finals = {}
+def test_halving_dt_converges_first_order():
+    # Compare the states at t = 2 s, before arrival: the final record is
+    # the first step inside goal_tol, so its time, and with it the final
+    # position, shifts by up to one step between step sizes.
+    at_2s, finals = {}, {}
     for dt in (0.1, 0.05, 0.025):
         log = run(single_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
+        record = log.records[round(2.0 / dt)]
+        assert record.t == pytest.approx(2.0)
+        at_2s[dt] = record.position
         finals[dt] = log.records[-1].position
-    coarse = np.linalg.norm(finals[0.1] - finals[0.05])
-    fine = np.linalg.norm(finals[0.05] - finals[0.025])
-    assert fine < 0.1
-    assert fine <= coarse + 1e-6
+    coarse = np.linalg.norm(at_2s[0.1] - at_2s[0.05])
+    fine = np.linalg.norm(at_2s[0.05] - at_2s[0.025])
+    assert fine <= 0.6 * coarse
+    assert np.linalg.norm(finals[0.05] - finals[0.025]) < 0.1
 
 
 def test_scenario_validation():
@@ -232,6 +289,22 @@ def test_scenario_validation():
         dataclasses.replace(scenario, t_max=0.01)
     with pytest.raises(ValueError):
         dataclasses.replace(scenario, goal_tol=0.0)
+    nan, inf = math.nan, math.inf
+    for field, value in [("dt", nan), ("dt", inf), ("t_max", nan), ("t_max", inf), ("goal_tol", nan), ("goal", [nan, 1.0])]:
+        with pytest.raises(ValueError):
+            dataclasses.replace(scenario, **{field: value})
+    agent, obstacle = scenario.agent, scenario.obstacles[0]
+    for field, value in [("offset_l", nan), ("offset_l", inf), ("heading", nan), ("heading", inf), ("position", [nan, 0.0])]:
+        with pytest.raises(ValueError):
+            dataclasses.replace(agent, **{field: value})
+    for field, value in [("speed", nan), ("speed", inf), ("start", [inf, 0.0]), ("goal", [0.0, nan])]:
+        with pytest.raises(ValueError):
+            dataclasses.replace(obstacle, **{field: value})
+    for position in ([nan, 0.0], [0.0, -inf]):
+        with pytest.raises(ValueError):
+            SingleIntegrator(position)
+    with pytest.raises(ValueError):
+        step_obstacle(obstacle.start, obstacle.goal, obstacle.speed, nan)
 
 
 def test_single_integrator_scenario_runs():
