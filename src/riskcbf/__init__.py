@@ -7,15 +7,10 @@ obstacles.
 """
 
 from .barrier import (
-    AffineConstraint,
     BarrierConfig,
     FeasibilityDiagnostics,
     InfeasibleConstraintError,
-    ProbeResult,
     barrier_constraint,
-    barrier_value,
-    constraint,
-    control_set_probe,
     feasibility_margin,
     qp_filter,
 )
@@ -38,9 +33,7 @@ from .field import (
     evaluate,
     inclusiveness_audit,
     level_set,
-    perceived_risk,
     rasterize,
-    risk_gradient,
     safe_mask,
     versatility_audit,
 )

@@ -2,10 +2,11 @@
 
 The barrier is h(xi) = rho - R(xi), so h > 0 exactly on the
 perceived-safe set. Keeping hdot >= -eta1(h) with the linear
-eta1(s) = gain * s renders the safe set forward invariant; with
-relative dynamics xi_dot = f_y - f - G u the condition is a single
-affine constraint in u, and the minimally invasive control is the exact
-halfspace projection of the nominal one.
+eta1(s) = gain * s renders the safe set forward invariant. The agent
+is assumed to follow xdot = u, so with relative dynamics
+xi_dot = f_y - u the condition is a single affine constraint in u, and
+the minimally invasive control is the exact halfspace projection of
+the nominal one.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import CostFieldParams, evaluate, perceived_risk
-from .risk import RiskSpec, spec_label
+from .field import CostFieldParams, evaluate
+from .risk import RiskSpec
 
 
 class InfeasibleConstraintError(RuntimeError):
@@ -39,100 +40,56 @@ class BarrierConfig:
             raise ValueError("eta1_gain must be positive and finite")
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
-    """Halfspace a . u >= b in control space."""
-
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        if not (np.all(np.isfinite(a)) and math.isfinite(self.b)):
-            raise ValueError("constraint entries must be finite")
-
-    def satisfied_by(self, u, tol: float = 0.0) -> bool:
-        return float(self.a @ np.asarray(u, dtype=float)) >= self.b - tol
-
-
-def barrier_value(
-    spec: RiskSpec, params: CostFieldParams, config: BarrierConfig, xi
-) -> float:
-    """h(xi) = rho - R(xi); positive iff the state is perceived safe."""
-    return config.rho - perceived_risk(spec, params, xi)
-
-
-def _barrier_terms(spec, params, config, x, y):
-    """h and dR/dxi at xi = y - x from one risk evaluation."""
-    xi = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    risk, g = evaluate(spec, params, xi)
-    return config.rho - risk, g
-
-
 def barrier_constraint(
     spec: RiskSpec,
     params: CostFieldParams,
     config: BarrierConfig,
     x,
     y,
-    f,
-    G,
     f_y,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barrier values h(y - x) and the affine constraints a . u >= b
     equivalent to hdot >= -eta1(h), from one risk evaluation.
 
-    y and f_y hold one obstacle's position and velocity, shape (2,), or
-    K obstacles', shape (K, 2); h and b have shape y.shape[:-1] and a
-    the shape of y. With xi = y - x and g the risk-field gradient,
-    hdot = -g . xi_dot = -g . (f_y - f - G u), so a = G^T g and
-    b = g . (f_y - f) - eta1(h).
+    The agent is the single integrator xdot = u. y and f_y hold one
+    obstacle's position and velocity, shape (2,), or K obstacles',
+    shape (K, 2); h and b have shape y.shape[:-1] and a the shape of y.
+    With xi = y - x and g the risk-field gradient,
+    hdot = -g . xi_dot = -g . (f_y - u), so a = g and
+    b = g . f_y - eta1(h). Raises SingularPartialError where a CPT
+    partial is undefined.
     """
-    h, g = _barrier_terms(spec, params, config, x, y)
-    d = np.asarray(f_y, dtype=float) - np.asarray(f, dtype=float)
-    # stacked matmuls take the BLAS dot and matrix-vector product of a
-    # one-obstacle call, so each row of a batch gets the same bytes
-    a = (np.asarray(G, dtype=float).T @ g[..., None])[..., 0]
-    b = (g[..., None, :] @ d[..., :, None])[..., 0, 0] - config.eta1_gain * h
+    xi = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
+    risk, a = evaluate(spec, params, xi)
+    h = config.rho - risk
+    f_y = np.asarray(f_y, dtype=float)
+    # a stacked matmul takes the BLAS dot of a one-obstacle call, so
+    # each row of a batch gets the same bytes
+    b = (a[..., None, :] @ f_y[..., :, None])[..., 0, 0] - config.eta1_gain * h
     return h, a, b
 
 
-def constraint(
-    spec: RiskSpec,
-    params: CostFieldParams,
-    config: BarrierConfig,
-    x,
-    y,
-    f,
-    G,
-    f_y,
-) -> AffineConstraint:
-    """Affine constraint a . u >= b equivalent to hdot >= -eta1(h) for
-    one obstacle; see barrier_constraint."""
-    _, a, b = barrier_constraint(spec, params, config, x, y, f, G, f_y)
-    return AffineConstraint(a, b)
-
-
-def qp_filter(k_nominal, con: AffineConstraint) -> np.ndarray:
+def qp_filter(k_nominal, a, b) -> np.ndarray:
     """Minimally invasive control: argmin ||u - k||^2 s.t. a . u >= b.
 
     Returns k unchanged when it already satisfies the constraint,
     otherwise the exact projection k + (b - a.k)/|a|^2 * a onto the
-    halfspace boundary. Raises InfeasibleConstraintError when a = 0 and
-    b > 0 (empty admissible set).
+    halfspace boundary. Raises ValueError on non-finite a or b and
+    InfeasibleConstraintError when a = 0 and b > 0 (empty admissible
+    set).
     """
     k = np.asarray(k_nominal, dtype=float)
-    residual = con.b - float(con.a @ k)
+    a = np.asarray(a, dtype=float)
+    b = float(b)
+    if not (np.all(np.isfinite(a)) and math.isfinite(b)):
+        raise ValueError("constraint entries must be finite")
+    residual = b - float(a @ k)
     if residual <= 0.0:
         return k.copy()
-    norm2 = float(con.a @ con.a)
+    norm2 = float(a @ a)
     if norm2 == 0.0:
-        raise InfeasibleConstraintError(
-            f"constraint 0 . u >= {con.b!r} admits no control"
-        )
-    return k + (residual / norm2) * con.a
+        raise InfeasibleConstraintError(f"constraint 0 . u >= {b!r} admits no control")
+    return k + (residual / norm2) * a
 
 
 @dataclass(frozen=True)
@@ -158,31 +115,20 @@ class FeasibilityDiagnostics:
     angle_defined: bool
 
 
-def feasibility_margin(
-    spec: RiskSpec,
-    params: CostFieldParams,
-    config: BarrierConfig,
-    x,
-    y,
-    f,
-    G,
-    f_y,
-    u,
-) -> FeasibilityDiagnostics:
-    """Evaluate the separated feasibility condition at (x, y, u).
+def feasibility_margin(h, a, xi_dot, eta1_gain: float) -> FeasibilityDiagnostics:
+    """Separated feasibility condition of one barrier row (h, a) from
+    barrier_constraint under the relative velocity xi_dot = f_y - u.
 
     The eta reported here reduces per model to eta1(h)/|c_mu'| for ER
     and to the analogous ratios with the sigma-weighted gradient norms
     for CVaR and CPT, since dR/dxi = d_mu * c_mu' + d_sigma * c_sigma'.
     """
-    h, g = _barrier_terms(spec, params, config, x, y)
+    a = np.asarray(a, dtype=float)
+    xi_dot = np.asarray(xi_dot, dtype=float)
     h = float(h)
-    eta1_h = config.eta1_gain * h
-    xi_dot = np.asarray(f_y, dtype=float) - (
-        np.asarray(f, dtype=float) + np.asarray(G, dtype=float) @ np.asarray(u, dtype=float)
-    )
-    hdot = -float(g @ xi_dot)
-    g_norm = float(np.linalg.norm(g))
+    eta1_h = eta1_gain * h
+    hdot = -float(a @ xi_dot)
+    g_norm = float(np.linalg.norm(a))
     v_norm = float(np.linalg.norm(xi_dot))
     angle_defined = g_norm > 0.0 and v_norm > 0.0
     if g_norm > 0.0:
@@ -205,41 +151,3 @@ def feasibility_margin(
         grad_norm=g_norm,
         angle_defined=angle_defined,
     )
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Feasible-sample counts of each spec's constraint at one state."""
-
-    labels: tuple[str, ...]
-    counts: tuple[int, ...]
-    feasible: np.ndarray  # (n_specs, n_samples) boolean
-
-    def to_dict(self) -> dict:
-        return {"labels": list(self.labels), "counts": list(self.counts)}
-
-
-def control_set_probe(
-    specs,
-    params: CostFieldParams,
-    config: BarrierConfig,
-    x,
-    y,
-    f,
-    G,
-    f_y,
-    u_samples,
-) -> ProbeResult:
-    """Count which control samples satisfy each spec's constraint."""
-    samples = np.atleast_2d(np.asarray(u_samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("u_samples must be non-empty")
-    feasible = np.empty((len(specs), samples.shape[0]), dtype=bool)
-    for row, spec in enumerate(specs):
-        con = constraint(spec, params, config, x, y, f, G, f_y)
-        feasible[row] = samples @ con.a >= con.b
-    counts = tuple(int(n) for n in feasible.sum(axis=1))
-    return ProbeResult(
-        labels=tuple(spec_label(s) for s in specs), counts=counts, feasible=feasible
-    )
-

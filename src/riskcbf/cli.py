@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import control_set_probe, feasibility_margin
+from .barrier import barrier_constraint, feasibility_margin
 from .config import Config, ConfigError, load_config
 from .field import (
     FieldGrid,
@@ -160,8 +160,6 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
 
     rng = np.random.default_rng(seed)
     u_samples = rng.uniform(-settings["u_max"], settings["u_max"], (settings["n_samples"], 2))
-    f = np.zeros(2)
-    G = np.eye(2)
 
     states = []
     tallies = {spec_label(s): {"feasible": 0, "etas": []} for s in specs}
@@ -176,8 +174,10 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
         obs = scenario.obstacles[nearest]
         f_y = obstacle_velocity(y, obs.goal, obs.speed)
         margins = {}
+        probe = {}
         for spec in specs:
-            diag = feasibility_margin(spec, params, barrier, point, y, f, G, f_y, u_nom)
+            h, a, b = barrier_constraint(spec, params, barrier, point, y, f_y)
+            diag = feasibility_margin(h, a, f_y - u_nom, barrier.eta1_gain)
             label = spec_label(spec)
             margins[label] = {
                 "lhs": diag.lhs,
@@ -190,22 +190,18 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
             tallies[label]["feasible"] += int(diag.feasible)
             if math.isfinite(diag.eta):
                 tallies[label]["etas"].append(diag.eta)
-        probe = control_set_probe(specs, params, barrier, point, y, f, G, f_y, u_samples)
-        er_rows = [i for i, s in enumerate(specs) if isinstance(s, ExpectedRisk)]
-        subset_violations = {}
-        if er_rows:
-            er_feasible = probe.feasible[er_rows[0]]
-            for i, s in enumerate(specs):
-                subset_violations[spec_label(s)] = int(
-                    np.sum(er_feasible & ~probe.feasible[i])
-                )
+            probe[label] = u_samples @ a >= b
+        er_feasible = probe.get(spec_label(ExpectedRisk()))
+        subset_violations = {} if er_feasible is None else {
+            label: int(np.sum(er_feasible & ~feasible)) for label, feasible in probe.items()
+        }
         states.append(
             {
                 "t": rec.t,
                 "point": point.tolist(),
                 "obstacle": y.tolist(),
                 "margins": margins,
-                "probe_counts": dict(zip(probe.labels, probe.counts)),
+                "probe_counts": {label: int(f.sum()) for label, f in probe.items()},
                 "er_feasible_not_in": subset_violations,
             }
         )

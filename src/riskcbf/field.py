@@ -176,16 +176,6 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
     return value, d_mu[..., None] * grad_mu + d_sigma[..., None] * grad_sigma
 
 
-def perceived_risk(spec: RiskSpec, params: CostFieldParams, xi) -> float:
-    """Risk value of the discretized cost at one relative position xi."""
-    return float(evaluate(spec, params, xi, grad=False)[0])
-
-
-def risk_gradient(spec: RiskSpec, params: CostFieldParams, xi) -> np.ndarray:
-    """Gradient of the perceived-risk field at xi (see evaluate)."""
-    return evaluate(spec, params, xi)[1]
-
-
 def rasterize(
     spec: RiskSpec,
     params: CostFieldParams,

@@ -20,7 +20,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .barrier import (
-    AffineConstraint,
     BarrierConfig,
     InfeasibleConstraintError,
     barrier_constraint,
@@ -182,9 +181,7 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "goal", _vec2(self.goal))
-        object.__setattr__(
-            self, "nominal_gain", np.asarray(self.nominal_gain, dtype=float)
-        )
+        object.__setattr__(self, "nominal_gain", _vec2(self.nominal_gain))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
@@ -298,8 +295,6 @@ def run(scenario: Scenario) -> SimLog:
     positions = np.array([o.start for o in obstacles]).reshape(-1, 2)
     goals = np.array([o.goal for o in obstacles]).reshape(-1, 2)
     speeds = np.array([o.speed for o in obstacles])
-    f = np.zeros(2)
-    G = np.eye(2)
     u_prev = np.zeros(2)
     records: list[SimStep] = []
     violations = 0
@@ -318,8 +313,6 @@ def run(scenario: Scenario) -> SimLog:
                 scenario.barrier,
                 point,
                 positions,
-                f,
-                G,
                 obstacle_velocity(positions, goals, speeds),
             )
             active_idx = int(np.argmin(h))  # ties go to the lowest index
@@ -329,7 +322,7 @@ def run(scenario: Scenario) -> SimLog:
                     f"scenario starts perceived unsafe (h_min = {h_min:g})"
                 )
             try:
-                u = qp_filter(u_nom, AffineConstraint(a[active_idx], b[active_idx]))
+                u = qp_filter(u_nom, a[active_idx], b[active_idx])
                 feasible = True
             except InfeasibleConstraintError:
                 u = u_prev.copy()

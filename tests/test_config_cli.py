@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskcbf.barrier
 import riskcbf.cli
 import riskcbf.field
 from riskcbf.cli import main
@@ -292,6 +293,35 @@ def test_cli_feasibility(tmp_path):
     # the insensitive CPT members admit at least as many samples as ER
     counts = state["probe_counts"]
     assert counts["cpt_a0p74_b1_g0p785_l2p25"] >= counts["er"]
+
+
+def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatch):
+    # one barrier row per spec and state feeds both its margins and its probe
+    calls = {"nominal": 0, "states": 0}
+    in_run = []
+    evaluate, run = riskcbf.barrier.evaluate, riskcbf.cli.run
+
+    def counting_evaluate(*args, **kwargs):
+        calls["nominal" if in_run else "states"] += 1
+        return evaluate(*args, **kwargs)
+
+    def flagged_run(scenario):
+        in_run.append(True)
+        try:
+            return run(scenario)
+        finally:
+            in_run.pop()
+
+    for module in (riskcbf.barrier, riskcbf.field):
+        monkeypatch.setattr(module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(riskcbf.cli, "run", flagged_run)
+    out = tmp_path / "feas"
+    args = ["feasibility", "--config", str(CONFIGS / "multi_obstacle.cfg"), "--out", str(out)]
+    assert main(args) == 0
+    report = json.loads((out / "feasibility.json").read_text())
+    assert len(report["states"]) == 20 and len(report["summary"]) == 9
+    assert calls["states"] == 180
+    assert calls["nominal"] > 0
 
 
 def test_cli_config_error_exit_code(tmp_path):

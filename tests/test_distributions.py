@@ -7,6 +7,8 @@ from scipy import integrate
 from riskcbf.distributions import (
     DiscreteCost,
     discretize_truncated_gaussian,
+    lattice_coeffs,
+    lattice_masses,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -136,6 +138,18 @@ def test_discretize_mean_error_decreases_in_m():
 def test_discretize_invalid_inputs(mu, sigma, m):
     with pytest.raises(ValueError):
         discretize_truncated_gaussian(mu, sigma, m)
+
+
+def test_grid_probs_sum_and_symmetry():
+    for m in (2, 5, 10, 33):
+        probs = lattice_masses(m)
+        assert abs(probs.sum() - 1.0) <= 1e-14
+        assert np.allclose(probs, probs[::-1], atol=1e-15)
+
+
+def test_grid_coeffs_span_truncation():
+    g = lattice_coeffs(6)
+    assert np.allclose(g, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def test_discrete_cost_validation():

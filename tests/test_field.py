@@ -16,14 +16,12 @@ from riskcbf.field import (
     evaluate,
     inclusiveness_audit,
     level_set,
-    perceived_risk,
     polylines_to_json,
     rasterize,
-    risk_gradient,
     safe_mask,
     versatility_audit,
 )
-from riskcbf.barrier import BarrierConfig, constraint
+from riskcbf.barrier import BarrierConfig, barrier_constraint
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, SingularPartialError
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
@@ -102,35 +100,34 @@ def _unit(rng):
 
 def test_perceived_risk_er_is_mean_cost():
     for xi in ([0.0, 0.0], [2.0, 1.0], [8.0, -3.0]):
-        assert perceived_risk(ExpectedRisk(), PARAMS, xi) == cost_mean(PARAMS, xi)
+        assert evaluate(ExpectedRisk(), PARAMS, xi, grad=False)[0] == cost_mean(PARAMS, xi)
 
 
 def test_perceived_risk_unit_cpt_close_to_er():
     theta = CPT(1.0, 1.0, 1.0, 1.0)
-    for r in (0.5, 1.0, 2.0, 5.0):
-        xi = np.array([r, 0.0])
-        gap = abs(perceived_risk(theta, PARAMS, xi) - perceived_risk(ExpectedRisk(), PARAMS, xi))
-        assert gap <= 3.0 * cost_sigma(PARAMS, xi) / PARAMS.m + 1e-12
+    xi = np.array([[0.5, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
+    gap = np.abs(evaluate(theta, PARAMS, xi, grad=False)[0] - evaluate(ExpectedRisk(), PARAMS, xi, grad=False)[0])
+    assert np.all(gap <= 3.0 * cost_sigma(PARAMS, xi) / PARAMS.m + 1e-12)
 
 
 def test_perceived_risk_lambda_scaling():
     base = CPT(1.0, 1.0, 1.0, 1.0)
     doubled = CPT(1.0, 1.0, 1.0, 2.0)
     xi = np.array([1.5, 0.5])
-    assert perceived_risk(doubled, PARAMS, xi) == pytest.approx(
-        2.0 * perceived_risk(base, PARAMS, xi), rel=1e-12
+    assert float(evaluate(doubled, PARAMS, xi, grad=False)[0]) == pytest.approx(
+        2.0 * float(evaluate(base, PARAMS, xi, grad=False)[0]), rel=1e-12
     )
 
 
 def test_risk_gradient_er_equals_mean_gradient():
     xi = np.array([2.0, -1.0])
     gm, _ = cost_gradients(PARAMS, xi)
-    assert np.allclose(risk_gradient(ExpectedRisk(), PARAMS, xi), gm)
+    assert np.allclose(evaluate(ExpectedRisk(), PARAMS, xi)[1], gm)
 
 
 def test_risk_gradient_zero_at_source():
     for spec in (ExpectedRisk(), CVaR(0.3), CPT(0.74, 1.0, 0.88, 2.25)):
-        assert np.allclose(risk_gradient(spec, PARAMS, [0.0, 0.0]), 0.0)
+        assert np.allclose(evaluate(spec, PARAMS, [0.0, 0.0])[1], 0.0)
 
 
 def test_risk_gradient_matches_finite_differences():
@@ -140,15 +137,11 @@ def test_risk_gradient_matches_finite_differences():
     for spec in specs:
         for _ in range(100):
             xi = rng.uniform(0.05, 9.0) * _unit(rng)
-            g = risk_gradient(spec, PARAMS, xi)
-            fd = np.zeros(2)
-            for k in range(2):
-                e = np.zeros(2)
-                e[k] = h
-                fd[k] = (
-                    perceived_risk(spec, PARAMS, xi + e)
-                    - perceived_risk(spec, PARAMS, xi - e)
-                ) / (2 * h)
+            g = evaluate(spec, PARAMS, xi)[1]
+            # central differences along both axes in one batch
+            steps = h * np.eye(2)
+            up, down = (evaluate(spec, PARAMS, xi + sign * steps, grad=False)[0] for sign in (1, -1))
+            fd = (up - down) / (2 * h)
             assert np.linalg.norm(g - fd) / max(1e-12, np.linalg.norm(fd)) < 1e-4
 
 
@@ -157,7 +150,7 @@ def test_risk_gradient_propagates_singular_partials():
     params = CostFieldParams(1.0, 2.0, 0.0)
     assert cost_mean(params, [1.0, 0.0]) < 3.0 * cost_sigma(params, [1.0, 0.0])
     with pytest.raises(SingularPartialError):
-        risk_gradient(CPT(1.0, 1.0, 0.5, 1.0), params, [1.0, 0.0])
+        evaluate(CPT(1.0, 1.0, 0.5, 1.0), params, [1.0, 0.0])
 
 
 def test_evaluate_batch_and_grid_match_pointwise():
@@ -182,12 +175,13 @@ def test_cpt_singular_cells_raise_in_constraint_but_rasterize():
     cfg = BarrierConfig(rho=0.5)
     zero = np.zeros(2)
     with pytest.raises(SingularPartialError):
-        constraint(spec, params, cfg, zero, [1.0, 0.0], zero, np.eye(2), zero)
+        barrier_constraint(spec, params, cfg, zero, [1.0, 0.0], zero)
     grid = rasterize(spec, params, (0.0, 0.0), (-2.0, 2.0, -2.0, 2.0), (21, 21))
     assert np.isfinite(grid.values).all()
     corner = -np.array([grid.x_centers()[0], grid.y_centers()[0]])
     assert cost_mean(params, corner) < 3.0 * cost_sigma(params, corner)  # clamped cell
-    assert grid.values[0, 0] == pytest.approx(perceived_risk(spec, params, corner), rel=1e-14)
+    value, _ = evaluate(spec, params, corner, grad=False)
+    assert grid.values[0, 0] == pytest.approx(float(value), rel=1e-14)
 
 
 # --- rasterization -------------------------------------------------------------
@@ -218,8 +212,8 @@ def test_rasterize_matches_rowmajor_pointwise_loop():
         for i in range(res[0]):
             for j in range(res[1]):
                 center = np.array([grid.x_centers()[i], grid.y_centers()[j]])
-                expected = perceived_risk(spec, PARAMS, SOURCE - center)
-                assert grid.values[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                expected, _ = evaluate(spec, PARAMS, SOURCE - center, grad=False)
+                assert grid.values[i, j] == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
 
 
 def test_safe_mask_bounds_and_monotonicity():
@@ -266,7 +260,7 @@ def test_level_set_vertices_track_level():
             j = min(int((y - grid.ymin) / grid.dy), grid.ny - 2)
             block = grid.values[i : i + 2, j : j + 2]
             span = block.max() - block.min()
-            value = perceived_risk(spec, PARAMS, SOURCE - np.array([x, y]))
+            value, _ = evaluate(spec, PARAMS, SOURCE - np.array([x, y]), grad=False)
             assert abs(value - rho) <= span + 1e-9
 
 

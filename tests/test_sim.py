@@ -307,6 +307,14 @@ def test_scenario_validation():
         step_obstacle(obstacle.start, obstacle.goal, obstacle.speed, nan)
 
 
+def test_scenario_rejects_bad_nominal_gain():
+    # rejected when the scenario is built, not at the first step
+    scenario = single_obstacle_scenario(ExpectedRisk())
+    for gain in ([math.nan, 0.6], [0.6, 0.6, 0.6]):
+        with pytest.raises(ValueError, match="finite 2-vector"):
+            dataclasses.replace(scenario, nominal_gain=gain)
+
+
 def test_single_integrator_scenario_runs():
     scenario = single_obstacle_scenario(CVaR(0.4))
     integrator = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]))
