@@ -42,7 +42,6 @@ from .risk import (
     CVaR,
     ExpectedRisk,
     RiskSpec,
-    SingularPartialError,
     cpt_value,
     cvar_value,
     decision_weights,
@@ -62,10 +61,8 @@ from .sim import (
     SingleIntegrator,
     Unicycle,
     default_obstacle_speed,
-    multi_obstacle_scenario,
     nominal_control,
     run,
-    single_obstacle_scenario,
     step_obstacle,
     unicycle_transform,
 )

@@ -56,8 +56,7 @@ def barrier_constraint(
     shape (K, 2); h and b have shape y.shape[:-1] and a the shape of y.
     With xi = y - x and g the risk-field gradient,
     hdot = -g . xi_dot = -g . (f_y - u), so a = g and
-    b = g . f_y - eta1(h). Raises SingularPartialError where a CPT
-    partial is undefined.
+    b = g . f_y - eta1(h).
     """
     xi = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
     risk, a = evaluate(spec, params, xi)

@@ -103,14 +103,14 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
         "rho": barrier.rho,
         "cost_range": [c_min, c_max],
         "inclusiveness": {
-            "cpt_vs_cvar": inclusiveness_audit(cpt, cvar, *args).to_dict(),
-            "cpt_vs_er": inclusiveness_audit(cpt, er, *args).to_dict(),
-            "cvar_vs_er": inclusiveness_audit(cvar, er, *args).to_dict(),
+            "cpt_vs_cvar": dataclasses.asdict(inclusiveness_audit(cpt, cvar, *args)),
+            "cpt_vs_er": dataclasses.asdict(inclusiveness_audit(cpt, er, *args)),
+            "cvar_vs_er": dataclasses.asdict(inclusiveness_audit(cvar, er, *args)),
         },
         "versatility": {
-            "er": versatility_audit(er, *args, levels).to_dict(),
-            "cvar": versatility_audit(cvar, *args, levels).to_dict(),
-            "cpt": versatility_audit(cpt, *args, levels).to_dict(),
+            "er": dataclasses.asdict(versatility_audit(er, *args, levels)),
+            "cvar": dataclasses.asdict(versatility_audit(cvar, *args, levels)),
+            "cpt": dataclasses.asdict(versatility_audit(cpt, *args, levels)),
         },
     }
     path = out / "audit.json"

@@ -23,7 +23,6 @@ from .sim import (
     Scenario,
     SingleIntegrator,
     Unicycle,
-    _heading_towards,
     default_obstacle_speed,
 )
 
@@ -285,7 +284,8 @@ class Config:
         if kind == "unicycle":
             entry = self._entry("agent", "heading", default="auto")
             if entry.value.strip().lower() == "auto":
-                heading = _heading_towards(start, goal)
+                d = goal - start
+                heading = math.atan2(d[1], d[0])
             else:
                 heading = self._float("agent", "heading")
             agent = Unicycle(

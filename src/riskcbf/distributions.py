@@ -33,7 +33,7 @@ class DiscreteCost:
     """An M-outcome cost lottery: sorted nonnegative outcomes with masses.
 
     ``clamped`` records whether negative grid points were clamped to zero
-    during discretization, so audits can exclude such cells.
+    during discretization.
     """
 
     outcomes: np.ndarray

@@ -34,10 +34,11 @@ class CostFieldParams:
     m: int = 10
 
     def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
-        if self.r_bar < 0:
-            raise ValueError("r_bar must be nonnegative")
+        # each check is a range that NaN fails
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError("k1 and k2 must be positive and finite")
+        if not 0 <= self.r_bar < math.inf:
+            raise ValueError("r_bar must be nonnegative and finite")
         if self.m < 2:
             raise ValueError("m must be at least 2")
 
@@ -165,7 +166,7 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
     xi.shape[:-1] and dR/dxi the shape of xi; the gradient chains the
     (c_mu, c_sigma) partials of :func:`riskcbf.risk.moment_risk` through
     the cost-field gradients. grad=False returns (R, None) and computes
-    no partials, so clamped CPT cells keep a value.
+    no partials.
     """
     xi = np.asarray(xi, dtype=float)
     mu, sigma = _moments(params, _r2(xi))
@@ -372,23 +373,6 @@ class InclusivenessReport:
     verdict: str
     scope: str
 
-    def to_dict(self) -> dict:
-        return {
-            "family1": list(self.family1),
-            "family2": list(self.family2),
-            "rho": self.rho,
-            "safe_subset": self.safe_subset,
-            "risky_subset": self.risky_subset,
-            "safe_witnesses": self.safe_witnesses,
-            "risky_witnesses": self.risky_witnesses,
-            "safe_violations": self.safe_violations,
-            "risky_violations": self.risky_violations,
-            "witness_cells_safe": [list(c) for c in self.witness_cells_safe],
-            "witness_cells_risky": [list(c) for c in self.witness_cells_risky],
-            "verdict": self.verdict,
-            "scope": self.scope,
-        }
-
 
 # witness cells listed per subset relation in an InclusivenessReport
 MAX_WITNESSES = 8
@@ -476,17 +460,6 @@ class VersatilityReport:
     interval: tuple[float, float] | None
     rho: float
     scope: str
-
-    def to_dict(self) -> dict:
-        return {
-            "levels": list(self.levels),
-            "achieved": list(self.achieved),
-            "achieved_by": list(self.achieved_by),
-            "runs": [list(r) for r in self.runs],
-            "interval": list(self.interval) if self.interval else None,
-            "rho": self.rho,
-            "scope": self.scope,
-        }
 
 
 def versatility_audit(

@@ -34,11 +34,6 @@ from .distributions import (
 )
 
 
-class SingularPartialError(ValueError):
-    """CPT partials are undefined when a grid outcome hits zero (the
-    gamma-1 exponent is singular there)."""
-
-
 @dataclass(frozen=True)
 class ExpectedRisk:
     """Plain expectation of the cost lottery."""
@@ -190,13 +185,11 @@ def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
     truncation bound fallback). CPT is lam * sum_i Pi_i * c_i**gamma over
     the lattice outcomes c_i = c_mu + c_sigma*g_i at the fixed decision
     weights Pi, negative outcomes clamped to zero like the discretizer;
-    its partials differentiate that sum at fixed weights and raise
-    SingularPartialError unless every outcome is positive (the gamma-1
-    exponent is singular at zero).
+    its partials differentiate that sum at fixed weights, where an
+    outcome clamped at zero adds a constant.
 
-    With grad=False both partials are None and no partial is
-    computed, so clamped CPT cells still get a value; grid callers use
-    this route.
+    With grad=False both partials are None and no partial is computed;
+    grid callers use this route.
     """
     mu = np.asarray(c_mu, dtype=float)
     sigma = np.asarray(c_sigma, dtype=float)
@@ -215,12 +208,10 @@ def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
     c = mu.reshape(-1, 1) + sigma.reshape(-1, 1) * g
     d_mu = d_sigma = None
     if grad:
-        if np.any(c[:, 0] <= 0.0):
-            raise SingularPartialError(
-                "CPT partials need strictly positive grid values "
-                f"(min c_mu - 3*c_sigma = {float(c[:, 0].min())!r})"
-            )
-        t = c ** (spec.gamma - 1.0)
+        # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0
+        # for c < 0, so this is the exact derivative of the value below
+        # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
+        t = np.power(c, spec.gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
         scale = spec.lam * spec.gamma
         d_mu = (scale * (t @ pi)).reshape(mu.shape)
         d_sigma = (scale * (t @ (g * pi))).reshape(mu.shape)

@@ -62,7 +62,7 @@ class Unicycle:
 
     position: np.ndarray
     heading: float
-    offset_l: float = 0.2
+    offset_l: float
 
     def __post_init__(self):
         object.__setattr__(self, "position", _vec2(self.position))
@@ -175,9 +175,9 @@ class Scenario:
     field: CostFieldParams
     risk: RiskSpec
     barrier: BarrierConfig
-    dt: float = 0.02
-    t_max: float = 60.0
-    goal_tol: float = 0.1
+    dt: float
+    t_max: float
+    goal_tol: float
 
     def __post_init__(self):
         object.__setattr__(self, "goal", _vec2(self.goal))
@@ -402,77 +402,3 @@ def comparison_to_csv(logs, path) -> None:
                 )
                 + "\n"
             )
-
-
-def _heading_towards(start, goal) -> float:
-    d = _vec2(goal) - _vec2(start)
-    return math.atan2(d[1], d[0])
-
-
-def single_obstacle_scenario(
-    risk: RiskSpec,
-    dt: float = 0.02,
-    t_max: float = 60.0,
-    goal_tol: float = 0.1,
-    eta1_gain: float = 1.0,
-    m: int = 10,
-) -> Scenario:
-    """Unicycle agent from (5, 2) to (10, 10) crossing one obstacle that
-    moves from (13, 13) to (2, 3); cost constants k1=200, k2=0.01 with
-    localization radius 0.5 and rho at the mean cost of that radius."""
-    params = CostFieldParams(200.0, 0.01, 0.5, m=m)
-    gain = np.array([0.6, 0.6])
-    start = np.array([5.0, 2.0])
-    goal = np.array([10.0, 10.0])
-    obs_start = np.array([13.0, 13.0])
-    obs_goal = np.array([2.0, 3.0])
-    speed = default_obstacle_speed(obs_start, obs_goal, start, goal, gain)
-    return Scenario(
-        agent=Unicycle(start, _heading_towards(start, goal), 0.2),
-        goal=goal,
-        nominal_gain=gain,
-        obstacles=(ObstacleModel(obs_start, obs_goal, speed),),
-        field=params,
-        risk=risk,
-        barrier=BarrierConfig(rho=params.sigma_peak, eta1_gain=eta1_gain),
-        dt=dt,
-        t_max=t_max,
-        goal_tol=goal_tol,
-    )
-
-
-def multi_obstacle_scenario(
-    risk: RiskSpec,
-    dt: float = 0.02,
-    t_max: float = 60.0,
-    goal_tol: float = 0.1,
-    eta1_gain: float = 1.0,
-    m: int = 10,
-) -> Scenario:
-    """Unicycle agent from (-15, -15) to (15, 15) against three crossing
-    obstacles; gain 1.6, localization radius 2.5, same cost constants."""
-    params = CostFieldParams(200.0, 0.01, 2.5, m=m)
-    gain = np.array([1.6, 1.6])
-    start = np.array([-15.0, -15.0])
-    goal = np.array([15.0, 15.0])
-    paths = [
-        ((-17.0, 0.0), (17.0, 0.0)),
-        ((0.0, 14.0), (0.0, -14.0)),
-        ((10.0, -10.0), (-10.0, 10.0)),
-    ]
-    obstacles = tuple(
-        ObstacleModel(s, g, default_obstacle_speed(s, g, start, goal, gain))
-        for s, g in paths
-    )
-    return Scenario(
-        agent=Unicycle(start, _heading_towards(start, goal), 0.2),
-        goal=goal,
-        nominal_gain=gain,
-        obstacles=obstacles,
-        field=params,
-        risk=risk,
-        barrier=BarrierConfig(rho=params.sigma_peak, eta1_gain=eta1_gain),
-        dt=dt,
-        t_max=t_max,
-        goal_tol=goal_tol,
-    )

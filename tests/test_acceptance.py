@@ -28,7 +28,8 @@ from riskcbf.risk import (
     moment_risk,
 )
 from riskcbf.barrier import qp_filter
-from riskcbf.sim import run, single_obstacle_scenario, multi_obstacle_scenario
+from riskcbf.sim import run
+from shipped import shipped_scenario
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -177,11 +178,11 @@ def test_criterion_05_qp_optimality():
     )
 
 
-def _invariance_sweep(number, factory, rho, check_switching):
+def _invariance_sweep(number, name, rho, check_switching):
     failures = []
     for spec in SWEEPS:
         start = time.perf_counter()
-        log = run(factory(spec))
+        log = run(shipped_scenario(name, spec))
         wall = time.perf_counter() - start
         ok = log.reached_goal and log.min_h >= -1e-3 * rho and wall < 5.0
         if check_switching:
@@ -197,11 +198,11 @@ def _invariance_sweep(number, factory, rho, check_switching):
 
 
 def test_criterion_06_single_obstacle_invariance():
-    _invariance_sweep(6, single_obstacle_scenario, RHO_SINGLE, check_switching=False)
+    _invariance_sweep(6, "single_obstacle", RHO_SINGLE, check_switching=False)
 
 
 def test_criterion_07_multi_obstacle_invariance():
-    _invariance_sweep(7, multi_obstacle_scenario, RHO_MULTI, check_switching=True)
+    _invariance_sweep(7, "multi_obstacle", RHO_MULTI, check_switching=True)
 
 
 def test_criterion_08_versatility_extremes():
@@ -267,7 +268,7 @@ def test_criterion_10_deviation_ordering():
         + CVAR_SWEEP
         + [CPT(1.0, 1.0, 1.0, 1.0), CPT(1.05, 1.0, 0.98, 1.1), CPT(0.74, 1.0, 0.88, 1.5)]
     )
-    rows = [run(single_obstacle_scenario(spec)) for spec in specs]
+    rows = [run(shipped_scenario("single_obstacle", spec)) for spec in specs]
     er_max = next(r.max_delta for r in rows if r.label == "er")
     cvar_max = [r.max_delta for r in rows if r.label.startswith("cvar")]
     cpt_rows = [r for r in rows if r.label.startswith("cpt")]
@@ -288,7 +289,7 @@ def test_criterion_11_convergence_sanity():
     # by up to one step between step sizes
     at_2s = {}
     for dt in (0.05, 0.025):
-        log = run(single_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
+        log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
         at_2s[dt] = log.records[round(2.0 / dt)].position
     change = float(np.linalg.norm(at_2s[0.05] - at_2s[0.025]))
     report(11, change < 0.1, f"position change at t = 2 s {change:.4f} (<0.1) when halving dt")

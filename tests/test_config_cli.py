@@ -14,7 +14,6 @@ from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
 from riskcbf.field import FieldGrid
 from riskcbf.risk import CPT, CVaR, ExpectedRisk
-from riskcbf.sim import single_obstacle_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -28,20 +27,6 @@ def test_shipped_configs_load():
         cfg = load_config(CONFIGS / name)
         assert cfg.field_params().k1 == 200.0
         assert cfg.specs()
-
-
-def test_single_config_matches_factory_scenario():
-    cfg = load_config(CONFIGS / "single_obstacle.cfg")
-    built = cfg.scenario(ExpectedRisk())
-    factory = single_obstacle_scenario(ExpectedRisk())
-    assert np.allclose(built.agent.position, factory.agent.position)
-    assert built.agent.heading == pytest.approx(factory.agent.heading)
-    assert np.allclose(built.goal, factory.goal)
-    assert built.field == factory.field
-    assert built.barrier == factory.barrier
-    assert built.dt == factory.dt and built.t_max == factory.t_max
-    assert len(built.obstacles) == 1
-    assert built.obstacles[0].speed == pytest.approx(factory.obstacles[0].speed)
 
 
 def test_spec_list_parsing():
@@ -435,6 +420,23 @@ def test_cli_runtime_error_exit_code(tmp_path):
     bad = write_cfg(tmp_path, text)
     code = main(["simulate", "--config", str(bad), "--spec", "er", "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "feasibility"])
+def test_cli_runs_where_cpt_outcomes_clamp(tmp_path, command):
+    # with k2 = 1.0 the mean cost decays faster than its deviation, so
+    # obstacles sit where the lowest CPT lattice outcomes clamp at zero
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    assert text.count("k2 = 0.01") == 1
+    cfg = write_cfg(tmp_path, text.replace("k2 = 0.01", "k2 = 1.0"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    if command == "simulate":
+        logs = sorted(out.glob("sim_*.json"))
+        assert len(logs) == len(load_config(cfg).specs())
+        for path in logs:
+            summary = json.loads(path.read_text())["summary"]
+            assert summary["reached_goal"] is True and summary["min_h"] > 0.0
 
 
 def test_cli_spec_index_selector(tmp_path):

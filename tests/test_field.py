@@ -22,7 +22,7 @@ from riskcbf.field import (
     versatility_audit,
 )
 from riskcbf.barrier import BarrierConfig, barrier_constraint
-from riskcbf.risk import CPT, CVaR, ExpectedRisk, SingularPartialError
+from riskcbf.risk import CPT, CVaR, ExpectedRisk
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -36,6 +36,25 @@ def polygon_area(poly):
 
 
 # --- cost fields -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "k1, k2, r_bar",
+    [
+        (0.0, 0.01, 0.5),
+        (200.0, -0.01, 0.5),
+        (200.0, 0.01, -0.5),
+        (math.nan, 0.01, 0.5),
+        (200.0, math.nan, 0.5),
+        (200.0, 0.01, math.nan),
+        (math.inf, 0.01, 0.5),
+        (200.0, math.inf, 0.5),
+        (200.0, 0.01, math.inf),
+    ],
+)
+def test_cost_field_params_reject_out_of_range(k1, k2, r_bar):
+    with pytest.raises(ValueError):
+        CostFieldParams(k1, k2, r_bar)
 
 
 def test_cost_mean_peak_at_source():
@@ -145,12 +164,22 @@ def test_risk_gradient_matches_finite_differences():
             assert np.linalg.norm(g - fd) / max(1e-12, np.linalg.norm(fd)) < 1e-4
 
 
-def test_risk_gradient_propagates_singular_partials():
-    # fast mean decay leaves sigma dominant, driving grid values negative
+def test_risk_gradient_matches_finite_differences_on_clamped_cells():
+    # fast mean decay leaves sigma dominant, so the lowest lattice
+    # outcomes clamp at zero; each adds a constant, whatever gamma is
     params = CostFieldParams(1.0, 2.0, 0.0)
-    assert cost_mean(params, [1.0, 0.0]) < 3.0 * cost_sigma(params, [1.0, 0.0])
-    with pytest.raises(SingularPartialError):
-        evaluate(CPT(1.0, 1.0, 0.5, 1.0), params, [1.0, 0.0])
+    rng = np.random.default_rng(2)
+    h = 1e-6
+    steps = h * np.eye(2)
+    for gamma in (0.0, 0.5, 0.88, 1.0):
+        spec = CPT(0.74, 1.0, gamma, 2.25)
+        for _ in range(225):
+            xi = rng.uniform(0.75, 3.0) * _unit(rng)
+            assert cost_mean(params, xi) < 3.0 * cost_sigma(params, xi)  # clamped cell
+            g = evaluate(spec, params, xi)[1]
+            up, down = (evaluate(spec, params, xi + sign * steps, grad=False)[0] for sign in (1, -1))
+            fd = (up - down) / (2 * h)
+            assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_evaluate_batch_and_grid_match_pointwise():
@@ -169,19 +198,19 @@ def test_evaluate_batch_and_grid_match_pointwise():
             assert np.array_equal(evaluate(spec, PARAMS, xi, grad=False)[0], value)
 
 
-def test_cpt_singular_cells_raise_in_constraint_but_rasterize():
+def test_cpt_clamped_cells_constrain_and_rasterize():
     params = CostFieldParams(1.0, 2.0, 0.0)
     spec = CPT(0.74, 1.0, 0.88, 2.25)
-    cfg = BarrierConfig(rho=0.5)
-    zero = np.zeros(2)
-    with pytest.raises(SingularPartialError):
-        barrier_constraint(spec, params, cfg, zero, [1.0, 0.0], zero)
+    zero, y = np.zeros(2), np.array([1.0, 0.0])
+    assert cost_mean(params, y) < 3.0 * cost_sigma(params, y)  # clamped cell
+    h, a, b = barrier_constraint(spec, params, BarrierConfig(rho=0.5), zero, y, zero)
+    value, grad = evaluate(spec, params, y)
+    assert h == 0.5 - value and np.array_equal(a, grad) and np.isfinite(b)
     grid = rasterize(spec, params, (0.0, 0.0), (-2.0, 2.0, -2.0, 2.0), (21, 21))
     assert np.isfinite(grid.values).all()
     corner = -np.array([grid.x_centers()[0], grid.y_centers()[0]])
-    assert cost_mean(params, corner) < 3.0 * cost_sigma(params, corner)  # clamped cell
-    value, _ = evaluate(spec, params, corner, grad=False)
-    assert grid.values[0, 0] == pytest.approx(float(value), rel=1e-14)
+    assert cost_mean(params, corner) < 3.0 * cost_sigma(params, corner)
+    assert grid.values[0, 0] == pytest.approx(float(evaluate(spec, params, corner)[0]), rel=1e-14)
 
 
 # --- rasterization -------------------------------------------------------------

@@ -9,7 +9,6 @@ from riskcbf.risk import (
     CPT,
     CVaR,
     ExpectedRisk,
-    SingularPartialError,
     cpt_value,
     cvar_value,
     decision_weights,
@@ -261,9 +260,14 @@ def test_partials_cpt_match_finite_differences():
         assert abs(d_sigma - fd_sigma) / max(1e-12, abs(fd_sigma)) < 1e-5
 
 
-def test_partials_cpt_singular_on_nonpositive_grid():
-    with pytest.raises(SingularPartialError):
-        moment_risk(CPT(1.0, 1.0, 0.5, 1.0), 1.0, 1.0)  # grid dips to 1 - 3 < 0
+def test_partials_cpt_match_finite_differences_with_clamped_outcomes():
+    # the lattice dips to 1 - 3 < 0; the clamped outcomes add a constant
+    theta, step = CPT(1.0, 1.0, 0.5, 1.0), 1e-6
+    _, d_mu, d_sigma = moment_risk(theta, 1.0, 1.0)
+    fd_mu = (moment_risk(theta, 1.0 + step, 1.0)[0] - moment_risk(theta, 1.0 - step, 1.0)[0]) / (2 * step)
+    fd_sigma = (moment_risk(theta, 1.0, 1.0 + step)[0] - moment_risk(theta, 1.0, 1.0 - step)[0]) / (2 * step)
+    assert d_mu == pytest.approx(fd_mu, rel=1e-7)
+    assert d_sigma == pytest.approx(fd_sigma, rel=1e-7)
 
 
 def test_uncertainty_perception_signs():

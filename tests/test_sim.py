@@ -15,14 +15,13 @@ from riskcbf.sim import (
     Unicycle,
     comparison_to_csv,
     default_obstacle_speed,
-    multi_obstacle_scenario,
     nominal_control,
     obstacle_velocity,
     run,
-    single_obstacle_scenario,
     step_obstacle,
     unicycle_transform,
 )
+from shipped import shipped_scenario
 
 
 # --- nominal control -----------------------------------------------------------
@@ -118,7 +117,7 @@ def test_unicycle_step_anti_aligned_keeps_heading(flip):
 
 
 def test_logged_heading_has_no_wraps():
-    log = run(single_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25)))
+    log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
     headings = np.array([r.heading for r in log.records])
     assert np.abs(np.diff(headings)).max() <= math.pi
 
@@ -182,7 +181,7 @@ def test_default_obstacle_speed_formula():
 
 
 def obstacle_free_scenario(**kwargs):
-    scenario = single_obstacle_scenario(ExpectedRisk(), **kwargs)
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk(), **kwargs)
     return dataclasses.replace(scenario, obstacles=())
 
 
@@ -197,8 +196,8 @@ def test_run_without_obstacles_flies_nominal():
 
 def test_run_is_deterministic():
     spec = CPT(0.74, 1.0, 0.88, 2.5)
-    a = run(single_obstacle_scenario(spec))
-    b = run(single_obstacle_scenario(spec))
+    a = run(shipped_scenario("single_obstacle", spec))
+    b = run(shipped_scenario("single_obstacle", spec))
     assert a.steps == b.steps
     for ra, rb in zip(a.records, b.records):
         assert np.array_equal(ra.position, rb.position)
@@ -207,7 +206,7 @@ def test_run_is_deterministic():
 
 
 def test_run_with_huge_rho_matches_nominal_exactly():
-    scenario = single_obstacle_scenario(CPT(0.74, 1.0, 0.88, 3.5))
+    scenario = shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 3.5))
     relaxed = dataclasses.replace(
         scenario, barrier=dataclasses.replace(scenario.barrier, rho=1e12)
     )
@@ -221,7 +220,7 @@ def test_run_with_huge_rho_matches_nominal_exactly():
 
 def test_unfiltered_nominal_path_enters_risky_set():
     # the default obstacle timing forces the crossing conflict
-    scenario = single_obstacle_scenario(ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
     relaxed = dataclasses.replace(
         scenario, barrier=dataclasses.replace(scenario.barrier, rho=1e12)
     )
@@ -238,7 +237,7 @@ def test_unfiltered_nominal_path_enters_risky_set():
 
 
 def test_run_rejects_initially_unsafe_start():
-    scenario = single_obstacle_scenario(ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
     bad = dataclasses.replace(
         scenario,
         obstacles=(ObstacleModel([5.2, 2.2], [2.0, 3.0], 0.5),),
@@ -248,7 +247,7 @@ def test_run_rejects_initially_unsafe_start():
 
 
 def test_record_count_bounded():
-    scenario = single_obstacle_scenario(ExpectedRisk(), dt=0.05, t_max=2.0)
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk(), dt=0.05, t_max=2.0)
     log = run(scenario)
     assert log.steps <= math.ceil(2.0 / 0.05) + 1
     assert not log.reached_goal
@@ -257,7 +256,7 @@ def test_record_count_bounded():
 def test_total_deviation_grows_with_risk_aversion():
     devs = []
     for lam in (1.5, 2.0, 2.5, 3.0, 3.5):
-        log = run(single_obstacle_scenario(CPT(0.74, 1.0, 0.88, lam)))
+        log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, lam)))
         assert log.reached_goal
         devs.append(log.total_deviation)
     assert all(a <= b + 1e-12 for a, b in zip(devs, devs[1:]))
@@ -270,7 +269,7 @@ def test_halving_dt_converges_first_order():
     # position, shifts by up to one step between step sizes.
     at_2s, finals = {}, {}
     for dt in (0.1, 0.05, 0.025):
-        log = run(single_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
+        log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
         record = log.records[round(2.0 / dt)]
         assert record.t == pytest.approx(2.0)
         at_2s[dt] = record.position
@@ -282,7 +281,7 @@ def test_halving_dt_converges_first_order():
 
 
 def test_scenario_validation():
-    scenario = single_obstacle_scenario(ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
     with pytest.raises(ValueError):
         dataclasses.replace(scenario, dt=-0.1)
     with pytest.raises(ValueError):
@@ -309,14 +308,14 @@ def test_scenario_validation():
 
 def test_scenario_rejects_bad_nominal_gain():
     # rejected when the scenario is built, not at the first step
-    scenario = single_obstacle_scenario(ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
     for gain in ([math.nan, 0.6], [0.6, 0.6, 0.6]):
         with pytest.raises(ValueError, match="finite 2-vector"):
             dataclasses.replace(scenario, nominal_gain=gain)
 
 
 def test_single_integrator_scenario_runs():
-    scenario = single_obstacle_scenario(CVaR(0.4))
+    scenario = shipped_scenario("single_obstacle", CVaR(0.4))
     integrator = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]))
     log = run(integrator)
     assert log.reached_goal
@@ -328,16 +327,16 @@ def test_single_integrator_scenario_runs():
 
 
 def test_run_deterministic_summary():
-    first, second = (run(single_obstacle_scenario(CVaR(0.4))) for _ in range(2))
+    first, second = (run(shipped_scenario("single_obstacle", CVaR(0.4))) for _ in range(2))
     assert first.summary_dict() == second.summary_dict()
 
 
 def test_cvar_deviation_spread_smaller_than_cpt():
     cvar_rows = [
-        run(single_obstacle_scenario(CVaR(q))) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)
+        run(shipped_scenario("single_obstacle", CVaR(q))) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)
     ]
     cpt_rows = [
-        run(single_obstacle_scenario(spec))
+        run(shipped_scenario("single_obstacle", spec))
         for spec in [CPT(0.74, 1.0, 0.88, lam) for lam in (1.5, 2.5, 3.5)]
         + [CPT(0.74, 1.0, g, 2.25) for g in (0.785, 0.9, 1.0)]
     ]
@@ -350,7 +349,7 @@ def test_cvar_deviation_spread_smaller_than_cpt():
 
 
 def test_simlog_csv_schema(tmp_path):
-    log = run(single_obstacle_scenario(CVaR(0.4), t_max=5.0))
+    log = run(shipped_scenario("single_obstacle", CVaR(0.4), t_max=5.0))
     path = tmp_path / "log.csv"
     log.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -367,7 +366,7 @@ def test_simlog_csv_schema(tmp_path):
 
 
 def test_simlog_csv_writes_each_value_as_17g(tmp_path):
-    scenario = single_obstacle_scenario(CVaR(0.4), t_max=3.0)
+    scenario = shipped_scenario("single_obstacle", CVaR(0.4), t_max=3.0)
     # a single integrator logs a NaN heading and no obstacles an inf h_min
     bare = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]), obstacles=())
     for log in (run(scenario), run(bare)):
@@ -386,7 +385,7 @@ def test_simlog_csv_writes_each_value_as_17g(tmp_path):
 
 
 def test_simlog_json_schema(tmp_path):
-    log = run(single_obstacle_scenario(CVaR(0.4), t_max=5.0))
+    log = run(shipped_scenario("single_obstacle", CVaR(0.4), t_max=5.0))
     path = tmp_path / "log.json"
     log.to_json(path)
     payload = json.loads(path.read_text())
@@ -397,7 +396,8 @@ def test_simlog_json_schema(tmp_path):
 
 
 def test_comparison_csv(tmp_path):
-    logs = [run(single_obstacle_scenario(spec, t_max=5.0)) for spec in (CVaR(0.4), ExpectedRisk())]
+    specs = (CVaR(0.4), ExpectedRisk())
+    logs = [run(shipped_scenario("single_obstacle", spec, t_max=5.0)) for spec in specs]
     path = tmp_path / "summary.csv"
     comparison_to_csv(logs, path)
     lines = path.read_text().strip().splitlines()
@@ -409,7 +409,7 @@ def test_comparison_csv(tmp_path):
 
 
 def test_single_scenario_constants():
-    scenario = single_obstacle_scenario(ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
     assert isinstance(scenario.agent, Unicycle)
     assert np.allclose(scenario.agent.position, [5.0, 2.0])
     assert np.allclose(scenario.goal, [10.0, 10.0])
@@ -422,7 +422,7 @@ def test_single_scenario_constants():
 
 
 def test_multi_scenario_constants():
-    scenario = multi_obstacle_scenario(ExpectedRisk())
+    scenario = shipped_scenario("multi_obstacle", ExpectedRisk())
     assert np.allclose(scenario.agent.position, [-15.0, -15.0])
     assert np.allclose(scenario.goal, [15.0, 15.0])
     assert np.allclose(scenario.nominal_gain, [1.6, 1.6])
@@ -434,7 +434,7 @@ def test_multi_scenario_constants():
 
 
 def test_identical_obstacles_tie_to_the_lowest_index():
-    scenario = single_obstacle_scenario(CVaR(0.4))
+    scenario = shipped_scenario("single_obstacle", CVaR(0.4))
     alone = run(scenario)
     twins = run(dataclasses.replace(scenario, obstacles=scenario.obstacles * 2))
     assert all(rec.active_index == 0 for rec in twins.records)
@@ -456,13 +456,13 @@ def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
     monkeypatch.setattr(riskcbf.field, "evaluate", evaluate)
     monkeypatch.setattr(riskcbf.barrier, "evaluate", evaluate)
     monkeypatch.setattr(riskcbf.sim, "qp_filter", counted("qp_filter", riskcbf.sim.qp_filter))
-    log = run(multi_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25), t_max=3.0))
+    log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25), t_max=3.0))
     assert log.records[0].obstacles.shape == (3, 2)
     assert counts == {"evaluate": log.steps, "qp_filter": log.steps}
 
 
 def test_multi_obstacle_active_switching_keeps_h_min_continuous():
-    log = run(multi_obstacle_scenario(CPT(0.74, 1.0, 0.88, 2.25)))
+    log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
     assert log.reached_goal
     h = np.array([r.h_min for r in log.records])
     active = np.array([r.active_index for r in log.records])
