@@ -110,7 +110,6 @@ class FeasibilityDiagnostics:
     eta: float
     h: float
     hdot: float
-    grad_norm: float
     angle_defined: bool
 
 
@@ -147,6 +146,5 @@ def feasibility_margin(h, a, xi_dot, eta1_gain: float) -> FeasibilityDiagnostics
         eta=eta,
         h=h,
         hdot=hdot,
-        grad_norm=g_norm,
         angle_defined=angle_defined,
     )

@@ -13,22 +13,25 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .barrier import barrier_constraint, feasibility_margin
+from .barrier import BarrierConfig, barrier_constraint, feasibility_margin
 from .config import Config, ConfigError, load_config
 from .field import (
     FieldGrid,
+    cost_mean,
+    cost_sigma,
     discretized_cost_range,
     inclusiveness_audit,
     level_set,
     polylines_to_json,
     rasterize,
     safe_mask,
+    sample_grid,
     versatility_audit,
-    _cost_grids,
 )
 from .risk import ExpectedRisk, spec_label
 from .sim import comparison_to_csv, nominal_control, obstacle_velocity, run
@@ -57,21 +60,18 @@ def _write_grid(grid: FieldGrid, out: Path, stem: str, fmt: str) -> None:
 
 def cmd_field(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     params = cfg.field_params()
-    barrier = cfg.barrier_config()
+    barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
     specs = _select_specs(cfg.specs(), selector)
 
-    mu, sigma, geom = _cost_grids(params, source, bounds, resolution)
-    _write_grid(FieldGrid(*geom, values=mu), out, "c_mu", fmt)
-    _write_grid(FieldGrid(*geom, values=sigma), out, "c_sigma", fmt)
+    _write_grid(sample_grid(partial(cost_mean, params), source, bounds, resolution), out, "c_mu", fmt)
+    _write_grid(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
     for spec in specs:
         label = spec_label(spec)
         grid = rasterize(spec, params, source, bounds, resolution)
         _write_grid(grid, out, f"risk_{label}", fmt)
         mask = safe_mask(grid, barrier.rho)
-        _write_grid(
-            FieldGrid(*geom, values=mask.astype(float)), out, f"safe_{label}", fmt
-        )
+        _write_grid(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
         polylines_to_json(level_set(grid, barrier.rho), out / f"levelset_{label}.json")
         print(f"field: wrote grids for {label}")
     return 0
@@ -79,7 +79,7 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 
 def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     params = cfg.field_params()
-    barrier = cfg.barrier_config()
+    barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
     c_min, c_max = discretized_cost_range(params, source, bounds, resolution)
     cvar_family, cpt_family = cfg.audit_families(c_min, c_max, barrier.rho)
@@ -93,9 +93,9 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 
     er, cvar, cpt = safe_sets([ExpectedRisk()]), safe_sets(cvar_family), safe_sets(cpt_family)
 
-    mu, _, _ = _cost_grids(params, source, bounds, resolution)
     levels = cfg.levels()
     if not levels:
+        mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
         levels = list(np.linspace(float(mu.min()), float(mu.max()), 8))
 
     args = (params, source, bounds, resolution, barrier.rho)
@@ -125,9 +125,10 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 
 def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     specs = _select_specs(cfg.specs(), selector)
+    scenario = cfg.scenario(specs[0])
     logs = []
     for spec in specs:
-        log = run(cfg.scenario(spec))
+        log = run(dataclasses.replace(scenario, risk=spec))
         logs.append(log)
         if fmt in ("csv", "both"):
             log.to_csv(out / f"sim_{log.label}.csv")
@@ -146,15 +147,13 @@ def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 
 def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     specs = _select_specs(cfg.specs(), selector)
-    params = cfg.field_params()
-    barrier = cfg.barrier_config()
     settings = cfg.feasibility_settings()
-
     scenario = cfg.scenario(specs[0])
-    free = dataclasses.replace(
-        scenario, barrier=dataclasses.replace(scenario.barrier, rho=1e300)
-    )
-    nominal_log = run(free)
+    params, barrier = scenario.field, scenario.barrier
+
+    # the unfiltered nominal run: no constraint binds at this rho, and the
+    # default gain keeps gain * h finite
+    nominal_log = run(dataclasses.replace(scenario, barrier=BarrierConfig(rho=1e300)))
     stride = max(1, len(nominal_log.records) // settings["n_states"])
     sampled = nominal_log.records[::stride][: settings["n_states"]]
 

@@ -18,7 +18,7 @@ shared by the lottery and the field layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,15 +30,10 @@ _INV_SQRT_2 = 0.7071067811865475244
 
 @dataclass(frozen=True)
 class DiscreteCost:
-    """An M-outcome cost lottery: sorted nonnegative outcomes with masses.
-
-    ``clamped`` records whether negative grid points were clamped to zero
-    during discretization.
-    """
+    """An M-outcome cost lottery: sorted nonnegative outcomes with masses."""
 
     outcomes: np.ndarray
     probabilities: np.ndarray
-    clamped: bool = field(default=False)
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes, dtype=float)
@@ -131,8 +126,8 @@ def discretize_truncated_gaussian(
 
     Degenerate case: c_sigma == 0 returns the single-support lottery on
     c_mu replicated across the M entries with uniform mass. Outcomes
-    below zero (large c_sigma relative to c_mu) are clamped to zero and
-    the clamping recorded in the ``clamped`` flag; bin masses are kept.
+    below zero (large c_sigma relative to c_mu) are clamped to zero;
+    bin masses are kept.
     """
     c_mu = float(c_mu)
     c_sigma = float(c_sigma)
@@ -144,8 +139,5 @@ def discretize_truncated_gaussian(
         raise ValueError("m must be at least 2")
     if c_sigma == 0.0:
         return DiscreteCost(np.full(m, c_mu), np.full(m, 1.0 / m))
-    outcomes = c_mu + c_sigma * lattice_coeffs(m)
-    clamped = bool(outcomes[0] < 0.0)
-    if clamped:
-        outcomes = np.maximum(outcomes, 0.0)
-    return DiscreteCost(outcomes, lattice_masses(m), clamped=clamped)
+    outcomes = np.maximum(c_mu + c_sigma * lattice_coeffs(m), 0.0)
+    return DiscreteCost(outcomes, lattice_masses(m))

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -133,7 +134,9 @@ def _moments(params: CostFieldParams, r2):
 
 
 def _r2(xi: np.ndarray):
-    return np.sum(xi * xi, axis=-1)
+    # the bytes of np.sum(xi * xi, axis=-1) without its reduction over a
+    # length-2 axis, which costs a grid about ten times as much
+    return xi[..., 0] * xi[..., 0] + xi[..., 1] * xi[..., 1]
 
 
 def cost_mean(params: CostFieldParams, xi) -> float | np.ndarray:
@@ -177,6 +180,19 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
     return value, d_mu[..., None] * grad_mu + d_sigma[..., None] * grad_sigma
 
 
+def sample_grid(fn, source, bounds, resolution) -> FieldGrid:
+    """The cell-center grid over bounds at resolution whose cell (i, j)
+    holds fn at xi = source - center(i, j); fn maps the (nx, ny, 2)
+    offsets to (nx, ny) values."""
+    nx, ny = (int(r) for r in resolution)
+    grid = FieldGrid(*(float(b) for b in bounds), nx, ny, values=np.zeros((nx, ny)))
+    source = np.asarray(source, dtype=float)
+    xi = np.empty((2, nx, ny))  # component-major: _r2 reads each xi[..., k] contiguously
+    xi[0] = source[0] - grid.x_centers()[:, None]
+    xi[1] = source[1] - grid.y_centers()
+    return replace(grid, values=fn(np.moveaxis(xi, 0, -1)))
+
+
 def rasterize(
     spec: RiskSpec,
     params: CostFieldParams,
@@ -190,29 +206,15 @@ def rasterize(
     vectorized evaluation is cell-wise pure, hence identical to a
     sequential row-major loop.
     """
-    mu, sigma, grid = _cost_grids(params, source, bounds, resolution)
-    values, _, _ = moment_risk(spec, mu, sigma, params.m, grad=False)
-    return FieldGrid(*grid, values=values)
-
-
-def _cost_grids(params, source, bounds, resolution):
-    xmin, xmax, ymin, ymax = (float(b) for b in bounds)
-    nx, ny = (int(r) for r in resolution)
-    source = np.asarray(source, dtype=float)
-    # same center arithmetic as FieldGrid.x_centers/y_centers
-    xs = xmin + (np.arange(nx) + 0.5) * ((xmax - xmin) / nx)
-    ys = ymin + (np.arange(ny) + 0.5) * ((ymax - ymin) / ny)
-    dx = source[0] - xs[:, None]
-    dy = source[1] - ys[None, :]
-    mu, sigma = _moments(params, dx * dx + dy * dy)
-    return mu, sigma, (xmin, xmax, ymin, ymax, nx, ny)
+    return sample_grid(lambda xi: evaluate(spec, params, xi, grad=False)[0], source, bounds, resolution)
 
 
 def discretized_cost_range(
     params: CostFieldParams, source, bounds, resolution
 ) -> tuple[float, float]:
     """(min, max) over the grid of the discretized cost outcomes."""
-    mu, sigma, _ = _cost_grids(params, source, bounds, resolution)
+    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
+    sigma = sample_grid(partial(cost_sigma, params), source, bounds, resolution).values
     g = lattice_coeffs(params.m)
     low = np.maximum(mu + g[0] * sigma, 0.0)
     high = mu + g[-1] * sigma
@@ -480,7 +482,7 @@ def versatility_audit(
     if not family:
         raise ValueError("family must be non-empty")
     levels = sorted(float(c) for c in c_levels)
-    mu, _, _ = _cost_grids(params, source, bounds, resolution)
+    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
 
     achieved = []
     achieved_by: list[str | None] = []

@@ -11,12 +11,13 @@ import numpy as np
 from riskcbf.distributions import DiscreteCost
 from riskcbf.field import (
     CostFieldParams,
+    cost_sigma,
     discretized_cost_range,
     evaluate,
     inclusiveness_audit,
     rasterize,
     safe_mask,
-    _cost_grids,
+    sample_grid,
 )
 from riskcbf.risk import (
     CPT,
@@ -223,8 +224,8 @@ def test_criterion_09_inclusiveness_audit():
     rho = RHO_SINGLE
     c_min, c_max = discretized_cost_range(PARAMS, SOURCE, BOUNDS, RES)
     assert c_min > 1.0  # grid minimum exceeds 1 with these constants
-    _, sigma_grid, _ = _cost_grids(PARAMS, SOURCE, BOUNDS, RES)
-    assert sigma_grid.min() > 0.0  # uncertainty positive on the whole grid
+    sigma_grid = sample_grid(lambda xi: cost_sigma(PARAMS, xi), SOURCE, BOUNDS, RES)
+    assert sigma_grid.values.min() > 0.0  # uncertainty positive on the whole grid
 
     cvar_family = [CVaR(q) for q in (0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999)]
     cpt_family = [CPT(0.74, 1.0, g, l) for g in (0.785, 0.9, 1.0) for l in (1.5, 2.5, 3.5)]

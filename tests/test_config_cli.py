@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import riskcbf.barrier
 import riskcbf.cli
+import riskcbf.config
 import riskcbf.field
 from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
@@ -99,17 +101,15 @@ def test_duplicate_key_rejected(tmp_path):
 
 def test_invalid_value_reports_line_and_key(tmp_path):
     path = write_cfg(tmp_path, MINIMAL_FIELD.replace("k2 = 0.01", "k2 = -0.5"))
-    cfg = load_config(path)
     with pytest.raises(ConfigError) as err:
-        cfg.field_params()
+        load_config(path)
     assert "field.k2" in str(err.value)
 
 
 def test_bad_spec_string_reports_line(tmp_path):
     path = write_cfg(tmp_path, MINIMAL_FIELD.replace("specs = er", "specs = cvar(2.0)"))
-    cfg = load_config(path)
     with pytest.raises(ConfigError):
-        cfg.specs()
+        load_config(path)
 
 
 def test_missing_section_flagged(tmp_path):
@@ -309,6 +309,32 @@ def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatc
     assert calls["nominal"] > 0
 
 
+def test_cli_simulate_builds_the_scenario_once(tmp_path, monkeypatch):
+    # one scenario for all 15 specs; each run replaces only its risk spec
+    calls = {"field_params": 0, "barrier_config": 0, "obstacles": 0}
+    for name in calls:
+        method = getattr(riskcbf.config.Config, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(riskcbf.config.Config, name, counting)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(CONFIGS / "single_obstacle.cfg"), "--out", str(out)]) == 0
+    assert len(list(out.glob("sim_*.csv"))) == 15
+    assert calls == {"field_params": 1, "barrier_config": 1, "obstacles": 1}
+
+
+def test_cli_feasibility_nominal_run_with_large_barrier_gain(tmp_path):
+    # the unfiltered nominal run must not overflow gain * h
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    assert text.count("eta1_gain = 1.0") == 1
+    cfg = write_cfg(tmp_path, text.replace("eta1_gain = 1.0", "eta1_gain = 1e9"))
+    for command in ("simulate", "feasibility"):
+        assert main([command, "--config", str(cfg), "--spec", "er", "--out", str(tmp_path / command)]) == 0
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = write_cfg(tmp_path, "[field]\nk1 = -5\nk2 = 0.01\nr_bar = 0.5\n")
     code = main(["field", "--config", str(bad), "--out", str(tmp_path / "o")])
@@ -328,6 +354,13 @@ def test_cli_config_error_exit_code(tmp_path):
         ("field_default.cfg", "audit", "cpt_lambdas = 1.5,", "cpt_lambdas = 0.5,"),
         ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(nan, 1.0, 0.88, 2.0),"),
         ("field_default.cfg", "field", "specs = er,", "specs = er, cpt(0.74, 1.0, 0.88, inf),"),
+        # checks of two keys report the line of one of them
+        ("field_default.cfg", "field", "xmax = 15.0", "xmax = -1.0"),
+        ("single_obstacle.cfg", "simulate", "t_max = 60.0", "t_max = 0.01"),
+        ("single_obstacle.cfg", "simulate", "dt = 0.02\nt_max = 60.0", "dt = 100.0\n"),
+        ("single_obstacle.cfg", "simulate", "goal = 10.0, 10.0", "goal = 5.0, 2.0"),
+        ("single_obstacle.cfg", "simulate", "gain = 0.6, 0.6", "gain = -0.6, -0.6"),
+        ("field_default.cfg", "field", "r_bar = 0.5", "r_bar = 1e5"),
     ],
 )
 def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, new):
@@ -389,7 +422,7 @@ def test_cli_duplicate_spec_label_reports_line(tmp_path, capsys, command, specs,
     err = capsys.readouterr().err
     assert f":{line_of(text, 'specs = ')}:" in err
     assert repr(label) in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_cli_missing_config_exit_code(tmp_path):
@@ -457,11 +490,15 @@ def test_cli_spec_index_selector(tmp_path):
 
 
 def test_cli_entry_point_subprocess():
+    # the child imports the package these tests import, installed or not
+    package_root = str(Path(riskcbf.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "riskcbf", "field", "--help"],
         capture_output=True,
         text=True,
         cwd=REPO,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "--config" in proc.stdout

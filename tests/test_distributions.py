@@ -86,14 +86,14 @@ def test_discretize_degenerate_sigma_zero():
     dc = discretize_truncated_gaussian(5.0, 0.0, 4)
     assert np.all(dc.outcomes == 5.0)
     assert dc.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-    assert not dc.clamped
+    assert dc.outcomes[0] > 0
 
 
 def test_discretize_grid_m6_clamped_and_symmetric():
     dc = discretize_truncated_gaussian(0.0, 1.0, 6)
     # pre-clamp grid is {-3,-2,-1,0,1,2}; negatives clamp to zero
     assert np.allclose(dc.outcomes, [0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-    assert dc.clamped
+    assert dc.outcomes[0] == 0
     # bin masses are symmetric about the mean after re-normalization
     assert np.allclose(dc.probabilities, dc.probabilities[::-1], atol=1e-15)
     assert dc.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
@@ -117,7 +117,7 @@ def test_discretize_mean_within_grid_asymmetry_bound():
         sigma = rng.uniform(0.0, mu / 3.001)  # keep the grid nonnegative
         m = int(rng.integers(2, 48))
         dc = discretize_truncated_gaussian(mu, sigma, m)
-        assert not dc.clamped
+        assert dc.outcomes[0] > 0
         mean = float(dc.outcomes @ dc.probabilities)
         assert abs(mean - mu) <= 3.0 * sigma / m + 1e-9
 
