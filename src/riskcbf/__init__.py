@@ -57,7 +57,6 @@ from .sim import (
     ObstacleModel,
     Scenario,
     SimLog,
-    SimStep,
     SingleIntegrator,
     Unicycle,
     default_obstacle_speed,

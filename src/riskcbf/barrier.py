@@ -109,7 +109,6 @@ class FeasibilityDiagnostics:
     feasible: bool
     eta: float
     h: float
-    hdot: float
     angle_defined: bool
 
 
@@ -145,6 +144,5 @@ def feasibility_margin(h, a, xi_dot, eta1_gain: float) -> FeasibilityDiagnostics
         feasible=feasible,
         eta=eta,
         h=h,
-        hdot=hdot,
         angle_defined=angle_defined,
     )

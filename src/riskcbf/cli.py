@@ -34,7 +34,7 @@ from .field import (
     versatility_audit,
 )
 from .risk import ExpectedRisk, spec_label
-from .sim import comparison_to_csv, nominal_control, obstacle_velocity, run
+from .sim import comparison_to_csv, obstacle_velocity, run
 
 
 def _select_specs(specs, selector: str | None):
@@ -154,22 +154,21 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
     # the unfiltered nominal run: no constraint binds at this rho, and the
     # default gain keeps gain * h finite
     nominal_log = run(dataclasses.replace(scenario, barrier=BarrierConfig(rho=1e300)))
-    stride = max(1, len(nominal_log.records) // settings["n_states"])
-    sampled = nominal_log.records[::stride][: settings["n_states"]]
+    stride = max(1, nominal_log.steps // settings["n_states"])
+    # K is fixed for a run, so without obstacles no state has one to check
+    sampled = nominal_log.records[::stride][: settings["n_states"] if scenario.obstacles else 0]
 
     rng = np.random.default_rng(seed)
     u_samples = rng.uniform(-settings["u_max"], settings["u_max"], (settings["n_samples"], 2))
 
     states = []
     tallies = {spec_label(s): {"feasible": 0, "etas": []} for s in specs}
-    for rec in sampled:
-        if rec.obstacles.shape[0] == 0:
-            continue
-        point = rec.point
-        u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
-        dists = np.linalg.norm(rec.obstacles - point[None, :], axis=1)
+    for t, point, positions, u_nom in zip(
+        sampled["t"].tolist(), sampled["point"], sampled["obstacles"], sampled["u_nominal"]
+    ):
+        dists = np.linalg.norm(positions - point[None, :], axis=1)
         nearest = int(np.argmin(dists))
-        y = rec.obstacles[nearest]
+        y = positions[nearest]
         obs = scenario.obstacles[nearest]
         f_y = obstacle_velocity(y, obs.goal, obs.speed)
         margins = {}
@@ -196,7 +195,7 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
         }
         states.append(
             {
-                "t": rec.t,
+                "t": t,
                 "point": point.tolist(),
                 "obstacle": y.tolist(),
                 "margins": margins,
@@ -262,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    created = not out.exists()
     try:
         cfg = load_config(args.config)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.spec, args.format, args.seed)
     except ConfigError as exc:
@@ -273,6 +273,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # a command that fails before writing leaves no empty --out behind
+        if created and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()
 
 
 if __name__ == "__main__":

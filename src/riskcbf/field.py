@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -180,17 +180,26 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
     return value, d_mu[..., None] * grad_mu + d_sigma[..., None] * grad_sigma
 
 
-def sample_grid(fn, source, bounds, resolution) -> FieldGrid:
-    """The cell-center grid over bounds at resolution whose cell (i, j)
-    holds fn at xi = source - center(i, j); fn maps the (nx, ny, 2)
-    offsets to (nx, ny) values."""
-    nx, ny = (int(r) for r in resolution)
-    grid = FieldGrid(*(float(b) for b in bounds), nx, ny, values=np.zeros((nx, ny)))
-    source = np.asarray(source, dtype=float)
+@lru_cache(maxsize=1)
+def _grid_offsets(source: tuple, bounds: tuple, resolution: tuple) -> np.ndarray:
+    # one read-only (nx, ny, 2) array per geometry, shared by every grid on it
+    nx, ny = resolution
+    grid = FieldGrid(*bounds, nx, ny, values=np.zeros((nx, ny)))
     xi = np.empty((2, nx, ny))  # component-major: _r2 reads each xi[..., k] contiguously
     xi[0] = source[0] - grid.x_centers()[:, None]
     xi[1] = source[1] - grid.y_centers()
-    return replace(grid, values=fn(np.moveaxis(xi, 0, -1)))
+    xi.flags.writeable = False
+    return np.moveaxis(xi, 0, -1)
+
+
+def sample_grid(fn, source, bounds, resolution) -> FieldGrid:
+    """The cell-center grid over bounds at resolution whose cell (i, j)
+    holds fn at xi = source - center(i, j); fn maps the (nx, ny, 2)
+    offsets, a read-only array, to (nx, ny) values."""
+    bounds = tuple(float(b) for b in bounds)
+    resolution = tuple(int(r) for r in resolution)
+    xi = _grid_offsets(tuple(np.asarray(source, dtype=float).tolist()), bounds, resolution)
+    return FieldGrid(*bounds, *resolution, values=fn(xi))
 
 
 def rasterize(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -107,12 +108,17 @@ class ObstacleModel:
             raise ValueError("speed must be nonnegative and finite")
 
 
+def _norm(v):
+    """Lengths of the vectors v (..., 2). The stacked matmul is the BLAS
+    dot of a 1-D np.linalg.norm, so each length has the bytes that vector
+    would have alone; np.linalg.norm(v, axis=-1) rounds differently."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def _to_goal(position, goal, speed):
-    """Offsets to the goals, their lengths, and which obstacles move.
-    The stacked matmul is the BLAS dot of a 1-D norm, so a batch moves
-    each obstacle with the bytes it would have alone."""
+    """Offsets to the goals, their lengths, and which obstacles move."""
     to_goal = np.subtract(goal, position)
-    dist = np.sqrt((to_goal[..., None, :] @ to_goal[..., :, None])[..., 0, 0])
+    dist = _norm(to_goal)
     return to_goal, dist, np.not_equal(speed, 0.0) & (dist != 0.0)
 
 
@@ -191,62 +197,90 @@ class Scenario:
             raise ValueError("goal_tol must be positive and finite")
 
 
-@dataclass(frozen=True)
-class SimStep:
-    t: float
-    position: np.ndarray
-    heading: float
-    point: np.ndarray
-    obstacles: np.ndarray
-    u_nominal: np.ndarray
-    u_filtered: np.ndarray
-    h_min: float
-    active_index: int
-    feasible: bool
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    @property
-    def delta(self) -> np.ndarray:
-        return self.u_nominal - self.u_filtered
+
+def _log_dtype(n_obs: int) -> np.dtype:
+    """A run's per-step row: its state, the K obstacle positions, both
+    controls, every obstacle's barrier value and the filter's outcome."""
+    return np.dtype([("t", float), ("position", float, 2), ("heading", float), ("point", float, 2),
+                     ("obstacles", float, (n_obs, 2)), ("u_nominal", float, 2), ("u_filtered", float, 2),
+                     ("h", float, (n_obs,)), ("feasible", bool)])
 
 
 @dataclass(frozen=True)
 class SimLog:
+    """One run: its read-only per-step table ``records`` (one row per
+    step, one column per field of _log_dtype) and what no row holds.
+    Everything else is derived from the columns, once."""
+
     label: str
-    records: tuple[SimStep, ...]
+    records: np.ndarray
+    dt: float
     reached_goal: bool
-    goal_time: Optional[float]
-    min_h: float
-    total_deviation: float
-    max_delta: float
-    feasibility_violations: int
 
     @property
     def steps(self) -> int:
         return len(self.records)
 
+    @property
+    def goal_time(self) -> Optional[float]:
+        return float(self.records["t"][-1]) if self.reached_goal else None
+
+    @cached_property
+    def active_index(self) -> np.ndarray:
+        """Per step, the lowest-barrier obstacle (ties go to the lowest
+        index); -1 without obstacles."""
+        h = self.records["h"]
+        return _readonly(h.argmin(axis=1) if h.shape[1] else np.full(len(h), -1))
+
+    @cached_property
+    def h_min(self) -> np.ndarray:
+        """Per step, the active obstacle's barrier; inf without obstacles."""
+        h = self.records["h"]
+        return _readonly(h[np.arange(len(h)), self.active_index] if h.shape[1] else np.full(len(h), math.inf))
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        return _readonly(self.records["u_nominal"] - self.records["u_filtered"])
+
+    @cached_property
+    def _delta_norms(self) -> list[float]:
+        return _norm(self.delta).tolist()
+
+    @property
+    def min_h(self) -> float:
+        return min(self.h_min.tolist())
+
+    @property
+    def total_deviation(self) -> float:
+        # Python's sequential sum: NumPy's pairwise one rounds differently
+        return float(sum(d * self.dt for d in self._delta_norms))
+
+    @property
+    def max_delta(self) -> float:
+        return max(self._delta_norms)
+
+    @property
+    def feasibility_violations(self) -> int:
+        return int(np.count_nonzero(~self.records["feasible"]))
+
     def to_csv(self, path) -> None:
-        n_obs = self.records[0].obstacles.shape[0] if self.records else 0
+        r = self.records
+        n, n_obs = r["h"].shape
         cols = ["t", "x", "y", "heading", "px", "py"]
-        for k in range(n_obs):
-            cols += [f"obs{k}_x", f"obs{k}_y"]
-        cols += [
-            "unom_x",
-            "unom_y",
-            "u_x",
-            "u_y",
-            "delta_x",
-            "delta_y",
-            "h_min",
-            "active_obstacle",
-            "feasible",
-        ]
+        cols += [f"obs{k}_{axis}" for k in range(n_obs) for axis in "xy"]
+        cols += "unom_x,unom_y,u_x,u_y,delta_x,delta_y,h_min,active_obstacle,feasible".split(",")
+        table = np.column_stack([r["t"], r["position"], r["heading"], r["point"], r["obstacles"].reshape(n, -1),
+                                 r["u_nominal"], r["u_filtered"], self.delta, self.h_min, self.active_index,
+                                 r["feasible"]])
         # '%.17g' % v gives the bytes of f"{v:.17g}" for every float
         row = ",".join(["%.17g"] * (len(cols) - 2)) + ",%d,%d\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
-            for r in self.records:
-                values = (r.t, *r.position, r.heading, *r.point, *r.obstacles.ravel(), *r.u_nominal)
-                fh.write(row % (*values, *r.u_filtered, *r.delta, r.h_min, r.active_index, r.feasible))
+            fh.writelines(row % tuple(values) for values in table.tolist())
 
     def summary_dict(self) -> dict:
         return {
@@ -261,25 +295,16 @@ class SimLog:
         }
 
     def to_json(self, path) -> None:
-        records = []
-        for rec in self.records:
-            records.append(
-                {
-                    "t": rec.t,
-                    "position": rec.position.tolist(),
-                    "heading": None if math.isnan(rec.heading) else rec.heading,
-                    "point": rec.point.tolist(),
-                    "obstacles": rec.obstacles.tolist(),
-                    "u_nominal": rec.u_nominal.tolist(),
-                    "u_filtered": rec.u_filtered.tolist(),
-                    "h_min": None if math.isinf(rec.h_min) else rec.h_min,
-                    "active_index": rec.active_index,
-                    "feasible": rec.feasible,
-                }
-            )
-        payload = {"summary": self.summary_dict(), "records": records}
+        r = self.records
+        columns = {name: r[name].tolist() for name in ("t", "position", "heading", "point", "obstacles",
+                                                      "u_nominal", "u_filtered")}
+        columns["heading"] = [None if math.isnan(v) else v for v in columns["heading"]]
+        columns["h_min"] = [None if math.isinf(v) else v for v in self.h_min.tolist()]
+        columns["active_index"] = self.active_index.tolist()
+        columns["feasible"] = r["feasible"].tolist()
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            json.dump({"summary": self.summary_dict(), "records": records}, fh)
             fh.write("\n")
 
 
@@ -295,17 +320,18 @@ def run(scenario: Scenario) -> SimLog:
     positions = np.array([o.start for o in obstacles]).reshape(-1, 2)
     goals = np.array([o.goal for o in obstacles]).reshape(-1, 2)
     speeds = np.array([o.speed for o in obstacles])
+    h = np.empty(0)
     u_prev = np.zeros(2)
-    records: list[SimStep] = []
-    violations = 0
     reached = False
-    goal_time: Optional[float] = None
     n_steps = math.ceil(scenario.t_max / scenario.dt)
+    # grown as a list would be: t_max / dt may be far more steps than run
+    records = np.empty(min(n_steps + 1, 256), _log_dtype(len(obstacles)))
 
     for k in range(n_steps + 1):
         t = k * scenario.dt
         point = agent.controlled_point()
         u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
+        feasible = True
         if obstacles:
             h, a, b = barrier_constraint(
                 scenario.risk,
@@ -316,42 +342,24 @@ def run(scenario: Scenario) -> SimLog:
                 obstacle_velocity(positions, goals, speeds),
             )
             active_idx = int(np.argmin(h))  # ties go to the lowest index
-            h_min = float(h[active_idx])
-            if k == 0 and not h_min > 0:
+            if k == 0 and not h[active_idx] > 0:
                 raise ValueError(
-                    f"scenario starts perceived unsafe (h_min = {h_min:g})"
+                    f"scenario starts perceived unsafe (h_min = {h[active_idx]:g})"
                 )
             try:
                 u = qp_filter(u_nom, a[active_idx], b[active_idx])
-                feasible = True
             except InfeasibleConstraintError:
-                u = u_prev.copy()
+                u = u_prev
                 feasible = False
-                violations += 1
         else:
-            h_min = math.inf
-            active_idx = -1
-            u = u_nom.copy()
-            feasible = True
+            u = u_nom
 
         heading = agent.heading if isinstance(agent, Unicycle) else math.nan
-        records.append(
-            SimStep(
-                t=t,
-                position=agent.position.copy(),
-                heading=heading,
-                point=point.copy(),
-                obstacles=positions,
-                u_nominal=u_nom,
-                u_filtered=u,
-                h_min=h_min,
-                active_index=active_idx,
-                feasible=feasible,
-            )
-        )
+        if k == len(records):
+            records = np.concatenate([records, np.empty_like(records)])
+        records[k] = (t, agent.position, heading, point, positions, u_nom, u, h, feasible)
         if float(np.linalg.norm(point - scenario.goal)) <= scenario.goal_tol:
             reached = True
-            goal_time = t
             break
         if k == n_steps:
             break
@@ -359,46 +367,20 @@ def run(scenario: Scenario) -> SimLog:
         positions = step_obstacle(positions, goals, speeds, scenario.dt)
         u_prev = u
 
-    deltas = [float(np.linalg.norm(r.delta)) for r in records]
     return SimLog(
         label=spec_label(scenario.risk),
-        records=tuple(records),
+        records=_readonly(records[: k + 1]),
+        dt=scenario.dt,
         reached_goal=reached,
-        goal_time=goal_time,
-        min_h=min((r.h_min for r in records), default=math.inf),
-        total_deviation=float(sum(d * scenario.dt for d in deltas)),
-        max_delta=max(deltas, default=0.0),
-        feasibility_violations=violations,
     )
 
 
 def comparison_to_csv(logs, path) -> None:
     """Write the summary table: one row per run, the fields of summary_dict."""
-    cols = [
-        "label",
-        "reached_goal",
-        "goal_time",
-        "min_h",
-        "total_deviation",
-        "max_delta",
-        "feasibility_violations",
-        "steps",
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write("label,reached_goal,goal_time,min_h,total_deviation,max_delta,feasibility_violations,steps\n")
         for log in logs:
-            fh.write(
-                ",".join(
-                    [
-                        log.label,
-                        "1" if log.reached_goal else "0",
-                        "" if log.goal_time is None else f"{log.goal_time:.17g}",
-                        f"{log.min_h:.17g}",
-                        f"{log.total_deviation:.17g}",
-                        f"{log.max_delta:.17g}",
-                        str(log.feasibility_violations),
-                        str(log.steps),
-                    ]
-                )
-                + "\n"
-            )
+            goal_time = "" if log.goal_time is None else "%.17g" % log.goal_time
+            fh.write("%s,%d,%s,%.17g,%.17g,%.17g,%d,%d\n" % (log.label, log.reached_goal, goal_time, log.min_h,
+                                                         log.total_deviation, log.max_delta,
+                                                         log.feasibility_violations, log.steps))

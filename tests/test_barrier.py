@@ -178,8 +178,9 @@ def test_margin_agrees_with_direct_inequality():
         h, a, b = barrier_constraint(spec, PARAMS, CONFIG, x, y, f_y)
         d = feasibility_margin(h, a, f_y - u, CONFIG.eta1_gain)
         assert d.feasible == (a @ u >= b) or abs(a @ u - b) <= 1e-9
-        direct = d.hdot >= -CONFIG.eta1_gain * d.h
-        if abs(d.hdot + CONFIG.eta1_gain * d.h) > 1e-9:  # skip exact boundary ties
+        hdot = -(a @ (f_y - u))
+        direct = hdot >= -CONFIG.eta1_gain * d.h
+        if abs(hdot + CONFIG.eta1_gain * d.h) > 1e-9:  # skip exact boundary ties
             assert d.feasible == direct
         checked += 1
 

@@ -425,6 +425,16 @@ def test_cli_duplicate_spec_label_reports_line(tmp_path, capsys, command, specs,
     assert not out.exists()
 
 
+def test_cli_grid_two_key_error_reports_line(tmp_path, capsys):
+    # the grid builder checks xmin < xmax after main has named --out
+    text = (CONFIGS / "field_default.cfg").read_text().replace("xmax = 15.0", "xmax = -1.0")
+    out = tmp_path / "o"
+    code = main(["field", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)])
+    assert code == 2
+    assert f":{line_of(text, 'xmax = -1.0')}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_missing_config_exit_code(tmp_path):
     code = main(["field", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
     assert code == 2
@@ -443,6 +453,7 @@ def test_cli_unmatched_spec_selector(tmp_path):
         ]
     )
     assert code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -19,6 +19,7 @@ from riskcbf.field import (
     polylines_to_json,
     rasterize,
     safe_mask,
+    sample_grid,
     versatility_audit,
 )
 from riskcbf.barrier import BarrierConfig, barrier_constraint
@@ -243,6 +244,22 @@ def test_rasterize_matches_rowmajor_pointwise_loop():
                 center = np.array([grid.x_centers()[i], grid.y_centers()[j]])
                 expected, _ = evaluate(spec, PARAMS, SOURCE - center, grad=False)
                 assert grid.values[i, j] == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+
+
+def test_sample_grid_shares_one_read_only_offset_array():
+    seen = []
+
+    def mean(xi):
+        seen.append(xi)
+        return cost_mean(PARAMS, xi)
+
+    first = sample_grid(mean, SOURCE, BOUNDS, (12, 9))
+    again = sample_grid(mean, tuple(SOURCE), list(BOUNDS), np.array([12, 9]))
+    assert seen[0] is seen[1]  # one geometry, one offset array
+    assert first.values.tobytes() == again.values.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        sample_grid(lambda xi: np.add(xi, 1.0, out=xi)[..., 0], SOURCE, BOUNDS, (12, 9))
+    assert first.values.tobytes() == sample_grid(mean, SOURCE, BOUNDS, (12, 9)).values.tobytes()
 
 
 def test_safe_mask_bounds_and_monotonicity():

@@ -118,7 +118,7 @@ def test_unicycle_step_anti_aligned_keeps_heading(flip):
 
 def test_logged_heading_has_no_wraps():
     log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
-    headings = np.array([r.heading for r in log.records])
+    headings = log.records["heading"]
     assert np.abs(np.diff(headings)).max() <= math.pi
 
 
@@ -190,8 +190,10 @@ def test_run_without_obstacles_flies_nominal():
     assert log.reached_goal
     assert log.total_deviation == 0.0
     assert log.max_delta == 0.0
-    assert all(np.array_equal(r.u_nominal, r.u_filtered) for r in log.records)
+    assert np.array_equal(log.records["u_nominal"], log.records["u_filtered"])
     assert math.isinf(log.min_h)
+    # the log and the views derived from it are read-only
+    assert not any(a.flags.writeable for a in (log.records, log.h_min, log.active_index, log.delta))
 
 
 def test_run_is_deterministic():
@@ -199,10 +201,9 @@ def test_run_is_deterministic():
     a = run(shipped_scenario("single_obstacle", spec))
     b = run(shipped_scenario("single_obstacle", spec))
     assert a.steps == b.steps
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.position, rb.position)
-        assert ra.h_min == rb.h_min
-        assert np.array_equal(ra.u_filtered, rb.u_filtered)
+    for name in ("position", "u_filtered"):
+        assert np.array_equal(a.records[name], b.records[name])
+    assert np.array_equal(a.h_min, b.h_min)
 
 
 def test_run_with_huge_rho_matches_nominal_exactly():
@@ -214,8 +215,7 @@ def test_run_with_huge_rho_matches_nominal_exactly():
     free = run(dataclasses.replace(scenario, obstacles=()))
     assert filtered.total_deviation == 0.0
     assert filtered.steps == free.steps
-    for ra, rb in zip(filtered.records, free.records):
-        assert np.array_equal(ra.position, rb.position)
+    assert np.array_equal(filtered.records["position"], free.records["position"])
 
 
 def test_unfiltered_nominal_path_enters_risky_set():
@@ -228,8 +228,8 @@ def test_unfiltered_nominal_path_enters_risky_set():
     risky = min(
         scenario.barrier.rho
         - max(
-            200.0 * math.exp(-0.01 * float(np.sum((rec.obstacles[0] - rec.point) ** 2)))
-            for rec in log.records
+            200.0 * math.exp(-0.01 * float(np.sum((obstacles[0] - point) ** 2)))
+            for obstacles, point in zip(log.records["obstacles"], log.records["point"])
         ),
         0.0,
     )
@@ -253,6 +253,15 @@ def test_record_count_bounded():
     assert not log.reached_goal
 
 
+def test_log_grows_with_the_steps_run_not_with_t_max():
+    # 5e13 steps of t_max would not fit in memory; the run arrives in about 650
+    log = run(shipped_scenario("single_obstacle", ExpectedRisk(), t_max=1e12))
+    assert log.reached_goal
+    assert log.steps > 256  # past the first block of rows
+    short = run(shipped_scenario("single_obstacle", ExpectedRisk()))
+    assert log.records.tobytes() == short.records.tobytes()
+
+
 def test_total_deviation_grows_with_risk_aversion():
     devs = []
     for lam in (1.5, 2.0, 2.5, 3.0, 3.5):
@@ -271,9 +280,9 @@ def test_halving_dt_converges_first_order():
     for dt in (0.1, 0.05, 0.025):
         log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
         record = log.records[round(2.0 / dt)]
-        assert record.t == pytest.approx(2.0)
-        at_2s[dt] = record.position
-        finals[dt] = log.records[-1].position
+        assert record["t"] == pytest.approx(2.0)
+        at_2s[dt] = record["position"]
+        finals[dt] = log.records["position"][-1]
     coarse = np.linalg.norm(at_2s[0.1] - at_2s[0.05])
     fine = np.linalg.norm(at_2s[0.05] - at_2s[0.025])
     assert fine <= 0.6 * coarse
@@ -320,7 +329,7 @@ def test_single_integrator_scenario_runs():
     log = run(integrator)
     assert log.reached_goal
     assert log.min_h >= 0.0
-    assert all(math.isnan(rec.heading) for rec in log.records)
+    assert np.isnan(log.records["heading"]).all()
 
 
 # --- comparisons -------------------------------------------------------------------
@@ -374,12 +383,13 @@ def test_simlog_csv_writes_each_value_as_17g(tmp_path):
         log.to_csv(path)
         lines = path.read_text().splitlines()[1:]
         assert len(lines) == log.steps
-        for rec, line in zip(log.records, lines):
+        r = log.records
+        for i, line in enumerate(lines):
             floats = [
-                rec.t, *rec.position, rec.heading, *rec.point, *rec.obstacles.ravel(),
-                *rec.u_nominal, *rec.u_filtered, *rec.delta, rec.h_min,
+                r["t"][i], *r["position"][i], r["heading"][i], *r["point"][i], *r["obstacles"][i].ravel(),
+                *r["u_nominal"][i], *r["u_filtered"][i], *log.delta[i], log.h_min[i],
             ]
-            tail = [str(rec.active_index), "1" if rec.feasible else "0"]
+            tail = [str(log.active_index[i]), "1" if r["feasible"][i] else "0"]
             assert line.split(",") == [format(v, ".17g") for v in floats] + tail
     assert lines[0].split(",")[3] == "nan" and lines[0].split(",")[-3:] == ["inf", "-1", "1"]
 
@@ -393,6 +403,34 @@ def test_simlog_json_schema(tmp_path):
     assert payload["summary"]["steps"] == log.steps
     assert len(payload["records"]) == log.steps
     assert payload["records"][0]["t"] == 0.0
+
+
+def test_simlog_json_records_are_the_rows(tmp_path):
+    scenario = shipped_scenario("single_obstacle", CVaR(0.4), t_max=3.0)
+    # a single integrator logs a NaN heading and no obstacles an inf h_min
+    bare = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]), obstacles=())
+    for log in (run(scenario), run(bare)):
+        path = tmp_path / "log.json"
+        log.to_json(path)
+        records = json.loads(path.read_text())["records"]
+        assert len(records) == log.steps
+        r = log.records
+        for i, rec in enumerate(records):
+            heading, h_min = float(r["heading"][i]), float(log.h_min[i])
+            assert rec == {
+                "t": float(r["t"][i]),
+                "position": r["position"][i].tolist(),
+                "heading": None if math.isnan(heading) else heading,
+                "point": r["point"][i].tolist(),
+                "obstacles": r["obstacles"][i].tolist(),
+                "u_nominal": r["u_nominal"][i].tolist(),
+                "u_filtered": r["u_filtered"][i].tolist(),
+                "h_min": None if math.isinf(h_min) else h_min,
+                "active_index": int(log.active_index[i]),
+                "feasible": bool(r["feasible"][i]),
+            }
+    assert records[0]["heading"] is None and records[0]["h_min"] is None
+    assert records[0]["active_index"] == -1 and records[0]["obstacles"] == []
 
 
 def test_comparison_csv(tmp_path):
@@ -437,8 +475,8 @@ def test_identical_obstacles_tie_to_the_lowest_index():
     scenario = shipped_scenario("single_obstacle", CVaR(0.4))
     alone = run(scenario)
     twins = run(dataclasses.replace(scenario, obstacles=scenario.obstacles * 2))
-    assert all(rec.active_index == 0 for rec in twins.records)
-    assert [r.h_min for r in twins.records] == [r.h_min for r in alone.records]
+    assert (twins.active_index == 0).all()
+    assert np.array_equal(twins.h_min, alone.h_min)
     assert twins.total_deviation == alone.total_deviation > 0.0
 
 
@@ -457,16 +495,28 @@ def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
     monkeypatch.setattr(riskcbf.barrier, "evaluate", evaluate)
     monkeypatch.setattr(riskcbf.sim, "qp_filter", counted("qp_filter", riskcbf.sim.qp_filter))
     log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25), t_max=3.0))
-    assert log.records[0].obstacles.shape == (3, 2)
+    assert log.records["obstacles"].shape[1:] == (3, 2)
     assert counts == {"evaluate": log.steps, "qp_filter": log.steps}
 
 
 def test_multi_obstacle_active_switching_keeps_h_min_continuous():
     log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
     assert log.reached_goal
-    h = np.array([r.h_min for r in log.records])
-    active = np.array([r.active_index for r in log.records])
+    h, active = log.h_min, log.active_index
     assert len(set(active.tolist())) > 1  # the worst-case obstacle changes
     # h_min is a min of continuous barriers: one step moves it by at
     # most the fastest barrier rate times dt, switches included
     assert np.abs(np.diff(h)).max() < 10.0
+
+
+def test_log_views_match_per_row_loops():
+    # the per-step loops the columnar views replaced, as the reference
+    log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
+    rows = log.records["h"].tolist()
+    assert log.h_min.tolist() == [min(row) for row in rows]
+    assert log.active_index.tolist() == [row.index(min(row)) for row in rows]
+    norms = [float(np.linalg.norm(u - v)) for u, v in zip(log.records["u_nominal"], log.records["u_filtered"])]
+    assert log.total_deviation == sum(d * log.dt for d in norms) > 0.0
+    assert log.max_delta == max(norms)
+    assert log.feasibility_violations == sum(not f for f in log.records["feasible"].tolist())
+    assert log.goal_time == log.records["t"][-1] == (log.steps - 1) * log.dt
