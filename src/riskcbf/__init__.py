@@ -8,7 +8,6 @@ obstacles.
 
 from .barrier import (
     BarrierConfig,
-    FeasibilityDiagnostics,
     InfeasibleConstraintError,
     barrier_constraint,
     feasibility_margin,

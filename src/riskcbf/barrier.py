@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import CostFieldParams, evaluate
-from .risk import RiskSpec
+from .risk import RiskSpec, row_dot
 
 
 class InfeasibleConstraintError(RuntimeError):
@@ -62,9 +62,7 @@ def barrier_constraint(
     risk, a = evaluate(spec, params, xi)
     h = config.rho - risk
     f_y = np.asarray(f_y, dtype=float)
-    # a stacked matmul takes the BLAS dot of a one-obstacle call, so
-    # each row of a batch gets the same bytes
-    b = (a[..., None, :] @ f_y[..., :, None])[..., 0, 0] - config.eta1_gain * h
+    b = row_dot(a, f_y) - config.eta1_gain * h
     return h, a, b
 
 
@@ -91,58 +89,40 @@ def qp_filter(k_nominal, a, b) -> np.ndarray:
     return k + (residual / norm2) * a
 
 
-@dataclass(frozen=True)
-class FeasibilityDiagnostics:
-    """Separated form of the barrier condition at one (state, control).
-
-    lhs is the relative-velocity component along the barrier gradient
-    direction -dR/dxi (|xi_dot| times the cosine of the angle between
-    them); rhs is -eta, with eta = eta1(h)/|dR/dxi| the model-specific
-    bound. feasible is lhs >= rhs, which coincides with hdot >= -eta1(h)
-    wherever the angle is defined; where it is not (zero gradient or
-    zero relative velocity) feasibility falls back to the direct
-    inequality and ``angle_defined`` is False.
-    """
-
-    lhs: float
-    rhs: float
-    feasible: bool
-    eta: float
-    h: float
-    angle_defined: bool
+def row_norm(v):
+    """Lengths of the vectors v (..., 2), each with the bytes of a 1-D
+    np.linalg.norm (the sqrt of a dot); np.linalg.norm(v, axis=-1) rounds
+    differently."""
+    return np.sqrt(row_dot(v, v))
 
 
-def feasibility_margin(h, a, xi_dot, eta1_gain: float) -> FeasibilityDiagnostics:
-    """Separated feasibility condition of one barrier row (h, a) from
-    barrier_constraint under the relative velocity xi_dot = f_y - u.
+def feasibility_margin(h, a, xi_dot, eta1_gain: float):
+    """Separated form of hdot >= -eta1(h) for barrier rows (h, a) of
+    barrier_constraint, of any leading shape, under the relative
+    velocities xi_dot = f_y - u.
 
-    The eta reported here reduces per model to eta1(h)/|c_mu'| for ER
-    and to the analogous ratios with the sigma-weighted gradient norms
-    for CVaR and CPT, since dR/dxi = d_mu * c_mu' + d_sigma * c_sigma'.
+    Returns arrays (lhs, eta, feasible, angle_defined). lhs = hdot/|a|
+    is the relative-velocity component along the barrier gradient
+    direction -dR/dxi, and eta = eta1(h)/|a| the model-specific bound,
+    so lhs + eta = (a.u - b)/|a| is the normalized slack of the row
+    a.u >= b, and feasible is lhs >= -eta. Per model eta reduces to
+    eta1(h)/|c_mu'| for ER and to the analogous ratios with the
+    sigma-weighted gradient norms for CVaR and CPT, since
+    dR/dxi = d_mu * c_mu' + d_sigma * c_sigma'.
+
+    Where |a| = 0 the separated form has no direction: lhs is 0, eta is
+    +inf, -inf or 0 by the sign of eta1(h), and feasible is the direct
+    hdot >= -eta1(h). angle_defined is False there and where xi_dot = 0.
     """
     a = np.asarray(a, dtype=float)
     xi_dot = np.asarray(xi_dot, dtype=float)
-    h = float(h)
     eta1_h = eta1_gain * h
-    hdot = -float(a @ xi_dot)
-    g_norm = float(np.linalg.norm(a))
-    v_norm = float(np.linalg.norm(xi_dot))
-    angle_defined = g_norm > 0.0 and v_norm > 0.0
-    if g_norm > 0.0:
-        lhs = hdot / g_norm
-        eta = eta1_h / g_norm
-        rhs = -eta
-        feasible = lhs >= rhs
-    else:
-        lhs = 0.0
-        eta = math.inf if eta1_h > 0 else -math.inf if eta1_h < 0 else 0.0
-        rhs = -eta
-        feasible = hdot >= -eta1_h
-    return FeasibilityDiagnostics(
-        lhs=lhs,
-        rhs=rhs,
-        feasible=feasible,
-        eta=eta,
-        h=h,
-        angle_defined=angle_defined,
-    )
+    hdot = -row_dot(a, xi_dot)
+    a_norm = row_norm(a)
+    directed = a_norm > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # at |a| = 0, eta1(h)/0 is +-inf and 0/0 stands for 0
+        lhs = np.where(directed, hdot / a_norm, 0.0)
+        eta = np.where(directed | (eta1_h != 0.0), eta1_h / a_norm, 0.0)
+    feasible = np.where(directed, lhs >= -eta, hdot >= -eta1_h)
+    return lhs, eta, feasible, directed & (row_norm(xi_dot) > 0.0)

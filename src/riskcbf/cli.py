@@ -155,64 +155,65 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
     # default gain keeps gain * h finite
     nominal_log = run(dataclasses.replace(scenario, barrier=BarrierConfig(rho=1e300)))
     stride = max(1, nominal_log.steps // settings["n_states"])
+    obstacles = scenario.obstacles
     # K is fixed for a run, so without obstacles no state has one to check
-    sampled = nominal_log.records[::stride][: settings["n_states"] if scenario.obstacles else 0]
+    sampled = nominal_log.records[::stride][: settings["n_states"] if obstacles else 0]
+    points, positions, u_nom = sampled["point"], sampled["obstacles"], sampled["u_nominal"]
+    # each state checks the obstacle nearest its point
+    dists = np.linalg.norm(positions - points[:, None, :], axis=2)
+    nearest = dists.argmin(axis=1) if obstacles else np.zeros(0, dtype=int)
+    ys = positions[np.arange(len(nearest)), nearest]
+    goals = np.array([o.goal for o in obstacles]).reshape(-1, 2)
+    f_ys = obstacle_velocity(ys, goals[nearest], np.array([o.speed for o in obstacles])[nearest])
 
     rng = np.random.default_rng(seed)
     u_samples = rng.uniform(-settings["u_max"], settings["u_max"], (settings["n_samples"], 2))
 
-    states = []
-    tallies = {spec_label(s): {"feasible": 0, "etas": []} for s in specs}
-    for t, point, positions, u_nom in zip(
-        sampled["t"].tolist(), sampled["point"], sampled["obstacles"], sampled["u_nominal"]
-    ):
-        dists = np.linalg.norm(positions - point[None, :], axis=1)
-        nearest = int(np.argmin(dists))
-        y = positions[nearest]
-        obs = scenario.obstacles[nearest]
-        f_y = obstacle_velocity(y, obs.goal, obs.speed)
-        margins = {}
-        probe = {}
-        for spec in specs:
-            h, a, b = barrier_constraint(spec, params, barrier, point, y, f_y)
-            diag = feasibility_margin(h, a, f_y - u_nom, barrier.eta1_gain)
-            label = spec_label(spec)
-            margins[label] = {
-                "lhs": diag.lhs,
-                "rhs": None if math.isinf(diag.rhs) else diag.rhs,
-                "eta": None if math.isinf(diag.eta) else diag.eta,
-                "h": diag.h,
-                "feasible": diag.feasible,
-                "angle_defined": diag.angle_defined,
-            }
-            tallies[label]["feasible"] += int(diag.feasible)
-            if math.isfinite(diag.eta):
-                tallies[label]["etas"].append(diag.eta)
-            probe[label] = u_samples @ a >= b
-        er_feasible = probe.get(spec_label(ExpectedRisk()))
-        subset_violations = {} if er_feasible is None else {
-            label: int(np.sum(er_feasible & ~feasible)) for label, feasible in probe.items()
-        }
-        states.append(
+    n_states = max(1, len(sampled))
+    margins, probes, summary = {}, {}, {}
+    for spec in specs:
+        label = spec_label(spec)
+        h, a, b = barrier_constraint(spec, params, barrier, points, ys, f_ys)
+        lhs, eta, feasible, angle_defined = feasibility_margin(h, a, f_ys - u_nom, barrier.eta1_gain)
+        margins[label] = [
             {
-                "t": t,
-                "point": point.tolist(),
-                "obstacle": y.tolist(),
-                "margins": margins,
-                "probe_counts": {label: int(f.sum()) for label, f in probe.items()},
-                "er_feasible_not_in": subset_violations,
+                "lhs": lhs_i,
+                "rhs": None if math.isinf(eta_i) else -eta_i,
+                "eta": None if math.isinf(eta_i) else eta_i,
+                "h": h_i,
+                "feasible": feasible_i,
+                "angle_defined": defined_i,
             }
-        )
-
-    n_states = max(1, len(states))
-    summary = {
-        label: {
-            "feasible_fraction": tally["feasible"] / n_states,
-            "mean_eta": float(np.mean(tally["etas"])) if tally["etas"] else None,
-            "min_eta": float(np.min(tally["etas"])) if tally["etas"] else None,
+            for lhs_i, eta_i, h_i, feasible_i, defined_i in zip(
+                lhs.tolist(), eta.tolist(), h.tolist(), feasible.tolist(), angle_defined.tolist()
+            )
+        ]
+        # one gemv per state: a gemm over all states rounds differently
+        probes[label] = np.array([u_samples @ a_i for a_i in a]) >= b[:, None]
+        etas = eta[np.isfinite(eta)]
+        summary[label] = {
+            "feasible_fraction": int(feasible.sum()) / n_states,
+            "mean_eta": float(np.mean(etas)) if etas.size else None,
+            "min_eta": float(np.min(etas)) if etas.size else None,
         }
-        for label, tally in tallies.items()
+
+    er_feasible = probes.get(spec_label(ExpectedRisk()))
+    counts = {label: probe.sum(axis=1).tolist() for label, probe in probes.items()}
+    not_in = {} if er_feasible is None else {
+        label: (er_feasible & ~probe).sum(axis=1).tolist() for label, probe in probes.items()
     }
+    states = [
+        {
+            "t": t,
+            "point": point,
+            "obstacle": y,
+            "margins": {label: rows[i] for label, rows in margins.items()},
+            "probe_counts": {label: rows[i] for label, rows in counts.items()},
+            "er_feasible_not_in": {label: rows[i] for label, rows in not_in.items()},
+        }
+        for i, (t, point, y) in enumerate(zip(sampled["t"].tolist(), points.tolist(), ys.tolist()))
+    ]
+
     report = {
         "seed": seed,
         "n_samples": settings["n_samples"],

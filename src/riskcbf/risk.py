@@ -43,7 +43,7 @@ class ExpectedRisk:
 class CVaR:
     """Conditional value at risk with tail parameter q in [0, 1].
 
-    The layers read q differently until ROADMAP item 2 makes them agree:
+    The layers read q differently until ROADMAP item 3 makes them agree:
     the field layer (``moment_risk``) is c_mu + c_sigma * pdf(quantile(q))
     / q, the lottery layer (``cvar_value``) the mean of the outcomes at
     or above the q-quantile.
@@ -175,6 +175,15 @@ def cpt_value(cost: DiscreteCost, theta: CPT) -> float:
     return theta.lam * float(cost.outcomes ** theta.gamma @ weights)
 
 
+def row_dot(u, v):
+    """Dot products over the last axis of u and v, broadcast over the
+    leading axes. The stacked matmul takes the BLAS dot of a one-row
+    call, so each row has the bytes it would have alone; u @ v (a gemv)
+    and np.sum(u * v, -1) round a row differently depending on the
+    batch."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
     """Risk value of the truncated-Gaussian cost and its partials.
 
@@ -213,11 +222,11 @@ def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
         # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
         t = np.power(c, spec.gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
         scale = spec.lam * spec.gamma
-        d_mu = (scale * (t @ pi)).reshape(mu.shape)
-        d_sigma = (scale * (t @ (g * pi))).reshape(mu.shape)
+        d_mu = (scale * row_dot(t, pi)).reshape(mu.shape)
+        d_sigma = (scale * row_dot(t, g * pi)).reshape(mu.shape)
     np.maximum(c, 0.0, out=c)
     c **= spec.gamma
-    value = (spec.lam * (c @ pi)).reshape(mu.shape)
+    value = (spec.lam * row_dot(c, pi)).reshape(mu.shape)
     return value, d_mu, d_sigma
 
 

@@ -25,6 +25,7 @@ from .barrier import (
     InfeasibleConstraintError,
     barrier_constraint,
     qp_filter,
+    row_norm,
 )
 from .field import CostFieldParams
 from .risk import RiskSpec, spec_label
@@ -108,17 +109,10 @@ class ObstacleModel:
             raise ValueError("speed must be nonnegative and finite")
 
 
-def _norm(v):
-    """Lengths of the vectors v (..., 2). The stacked matmul is the BLAS
-    dot of a 1-D np.linalg.norm, so each length has the bytes that vector
-    would have alone; np.linalg.norm(v, axis=-1) rounds differently."""
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-
-
 def _to_goal(position, goal, speed):
     """Offsets to the goals, their lengths, and which obstacles move."""
     to_goal = np.subtract(goal, position)
-    dist = _norm(to_goal)
+    dist = row_norm(to_goal)
     return to_goal, dist, np.not_equal(speed, 0.0) & (dist != 0.0)
 
 
@@ -248,7 +242,7 @@ class SimLog:
 
     @cached_property
     def _delta_norms(self) -> list[float]:
-        return _norm(self.delta).tolist()
+        return row_norm(self.delta).tolist()
 
     @property
     def min_h(self) -> float:

@@ -150,17 +150,17 @@ def test_margin_perpendicular_motion():
     x, y = np.array([4.0, 4.0]), np.array([9.0, 4.0])
     h, g, _ = barrier_constraint(CVaR(0.3), PARAMS, CONFIG, x, y, F0)
     v = np.array([-g[1], g[0]])  # orthogonal to g
-    d = feasibility_margin(h, g, v, CONFIG.eta1_gain)
-    assert d.lhs == pytest.approx(0.0, abs=1e-12)
-    assert d.h > 0 and d.feasible
+    lhs, _, feasible, _ = feasibility_margin(h, g, v, CONFIG.eta1_gain)
+    assert lhs == pytest.approx(0.0, abs=1e-12)
+    assert h > 0 and feasible
 
 
 def test_margin_er_reduces_to_mean_gradient_ratio():
     x, y = np.array([3.0, 3.0]), np.array([9.0, 7.0])
     h, a, _ = barrier_constraint(ExpectedRisk(), PARAMS, CONFIG, x, y, F0)
-    d = feasibility_margin(h, a, F0 - [1.0, 0.0], CONFIG.eta1_gain)
+    _, eta, _, _ = feasibility_margin(h, a, F0 - [1.0, 0.0], CONFIG.eta1_gain)
     gm, _ = cost_gradients(PARAMS, y - x)
-    assert d.rhs == pytest.approx(-CONFIG.eta1_gain * h / np.linalg.norm(gm), rel=1e-12)
+    assert eta == pytest.approx(CONFIG.eta1_gain * h / np.linalg.norm(gm), rel=1e-12)
 
 
 def test_margin_agrees_with_direct_inequality():
@@ -176,26 +176,53 @@ def test_margin_agrees_with_direct_inequality():
         u = rng.uniform(-5, 5, 2)
         f_y = rng.uniform(-2, 2, 2)
         h, a, b = barrier_constraint(spec, PARAMS, CONFIG, x, y, f_y)
-        d = feasibility_margin(h, a, f_y - u, CONFIG.eta1_gain)
-        assert d.feasible == (a @ u >= b) or abs(a @ u - b) <= 1e-9
+        lhs, eta, feasible, _ = feasibility_margin(h, a, f_y - u, CONFIG.eta1_gain)
+        assert feasible == (a @ u >= b) or abs(a @ u - b) <= 1e-9
+        # lhs + eta is the normalized slack of the row
+        assert lhs + eta == pytest.approx((a @ u - b) / np.linalg.norm(a), rel=1e-9, abs=1e-9)
         hdot = -(a @ (f_y - u))
-        direct = hdot >= -CONFIG.eta1_gain * d.h
-        if abs(hdot + CONFIG.eta1_gain * d.h) > 1e-9:  # skip exact boundary ties
-            assert d.feasible == direct
+        direct = hdot >= -CONFIG.eta1_gain * h
+        if abs(hdot + CONFIG.eta1_gain * h) > 1e-9:  # skip exact boundary ties
+            assert feasible == direct
         checked += 1
 
 
 def test_margin_flags_undefined_angle():
     x = np.array([3.0, 3.0])
     h, a, _ = barrier_constraint(ExpectedRisk(), PARAMS, CONFIG, x, x, F0)
-    d = feasibility_margin(h, a, F0 - [1.0, 0.0], CONFIG.eta1_gain)
-    assert not d.angle_defined  # gradient vanishes at the source
+    lhs, eta, feasible, angle_defined = feasibility_margin(h, a, F0 - [1.0, 0.0], CONFIG.eta1_gain)
+    assert not angle_defined  # gradient vanishes at the source
+    assert lhs == 0.0 and eta == -math.inf and not feasible  # h < 0 there: 0 >= -eta1(h) fails
     y = np.array([8.0, 3.0])
     f_y = np.array([0.5, -0.25])
     h, a, _ = barrier_constraint(ExpectedRisk(), PARAMS, CONFIG, x, y, f_y)
-    d = feasibility_margin(h, a, f_y - f_y, CONFIG.eta1_gain)
-    assert not d.angle_defined  # zero relative velocity
-    assert d.feasible  # hdot = 0 >= -eta1(h) on the safe set
+    _, _, feasible, angle_defined = feasibility_margin(h, a, f_y - f_y, CONFIG.eta1_gain)
+    assert not angle_defined  # zero relative velocity
+    assert feasible  # hdot = 0 >= -eta1(h) on the safe set
+
+
+def test_margin_rows_match_single_rows():
+    # stacked rows give each row's values alone, bit for bit, including a
+    # zero-gradient row (agent at the source) and a zero relative velocity
+    rng = np.random.default_rng(12)
+    x = np.array([3.0, 3.0])
+    y = np.vstack([x, x + rng.uniform(-4.0, 4.0, (5, 2))])
+    f_y = rng.uniform(-2.0, 2.0, (6, 2))
+    u = rng.uniform(-5.0, 5.0, (6, 2))
+    u[2] = f_y[2]
+    for spec in (ExpectedRisk(), CVaR(0.3), CPT(0.74, 1.0, 0.88, 2.25)):
+        h, a, _ = barrier_constraint(spec, PARAMS, CONFIG, x, y, f_y)
+        assert not a[0].any()
+        rows = feasibility_margin(h, a, f_y - u, CONFIG.eta1_gain)
+        assert all(r.shape == (6,) for r in rows)
+        assert not rows[3][0] and not rows[3][2]  # no angle at the source or at rest
+        for k in range(6):
+            single = feasibility_margin(h[k], a[k], f_y[k] - u[k], CONFIG.eta1_gain)
+            assert all(r.shape == () for r in single)
+            for got, want in zip(rows, single):
+                assert np.array_equal(got[k], want)
+        for k in (0, 2):  # hdot = 0: the direct condition on both rows
+            assert rows[2][k] == (h[k] >= 0.0)
 
 
 # --- control-set probe ------------------------------------------------------------
@@ -243,7 +270,7 @@ def test_probe_er_subset_of_risk_insensitive_cpt():
         (CVaR(0.0), 0.0),
         (CVaR(0.3), 0.0),
         (CVaR(1.0), 0.0),
-        (CPT(0.74, 1.0, 0.88, 2.25), 1e-12),
+        (CPT(0.74, 1.0, 0.88, 2.25), 0.0),
     ],
 )
 def test_barrier_constraint_batch_matches_single_obstacles(spec, rtol):
@@ -316,4 +343,5 @@ def test_far_field_states_feasible_for_all_models():
         f_y = rng.uniform(-1.0, 1.0, 2)
         for spec in specs:
             h, a, _ = barrier_constraint(spec, PARAMS, CONFIG, x, y, f_y)
-            assert feasibility_margin(h, a, f_y - u, CONFIG.eta1_gain).feasible
+            _, _, feasible, _ = feasibility_margin(h, a, f_y - u, CONFIG.eta1_gain)
+            assert feasible

@@ -12,10 +12,12 @@ import riskcbf.barrier
 import riskcbf.cli
 import riskcbf.config
 import riskcbf.field
+from riskcbf.barrier import barrier_constraint, feasibility_margin
 from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
 from riskcbf.field import FieldGrid
-from riskcbf.risk import CPT, CVaR, ExpectedRisk
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
+from riskcbf.sim import nominal_control, obstacle_velocity
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -281,14 +283,19 @@ def test_cli_feasibility(tmp_path):
 
 
 def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatch):
-    # one barrier row per spec and state feeds both its margins and its probe
-    calls = {"nominal": 0, "states": 0}
+    # one barrier row per spec and state feeds both its margins and its
+    # probe, and each spec takes all states in one batch
+    calls = {"nominal": 0, "states": 0, "margins": 0}
     in_run = []
-    evaluate, run = riskcbf.barrier.evaluate, riskcbf.cli.run
+    evaluate, run, margin = riskcbf.barrier.evaluate, riskcbf.cli.run, riskcbf.cli.feasibility_margin
 
     def counting_evaluate(*args, **kwargs):
         calls["nominal" if in_run else "states"] += 1
         return evaluate(*args, **kwargs)
+
+    def counting_margin(*args):
+        calls["margins"] += 1
+        return margin(*args)
 
     def flagged_run(scenario):
         in_run.append(True)
@@ -300,13 +307,48 @@ def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatc
     for module in (riskcbf.barrier, riskcbf.field):
         monkeypatch.setattr(module, "evaluate", counting_evaluate)
     monkeypatch.setattr(riskcbf.cli, "run", flagged_run)
+    monkeypatch.setattr(riskcbf.cli, "feasibility_margin", counting_margin)
     out = tmp_path / "feas"
     args = ["feasibility", "--config", str(CONFIGS / "multi_obstacle.cfg"), "--out", str(out)]
     assert main(args) == 0
     report = json.loads((out / "feasibility.json").read_text())
     assert len(report["states"]) == 20 and len(report["summary"]) == 9
-    assert calls["states"] == 180
+    assert calls["states"] == 9 and calls["margins"] == 9
     assert calls["nominal"] > 0
+
+
+def test_cli_feasibility_matches_one_state_rows(tmp_path):
+    # every state's margins and probe counts are those of a one-state
+    # barrier row on that state's point and obstacle, bit for bit
+    out = tmp_path / "feas"
+    config = CONFIGS / "single_obstacle.cfg"
+    assert main(["feasibility", "--config", str(config), "--out", str(out)]) == 0
+    report = json.loads((out / "feasibility.json").read_text())
+    cfg = load_config(config)
+    specs = cfg.specs()
+    scenario = cfg.scenario(specs[0])
+    (obstacle,) = scenario.obstacles
+    u_samples = np.random.default_rng(report["seed"]).uniform(
+        -report["u_max"], report["u_max"], (report["n_samples"], 2)
+    )
+    assert len(report["states"]) == cfg.feasibility_settings()["n_states"]
+    for state in report["states"]:
+        point, y = np.array(state["point"]), np.array(state["obstacle"])
+        f_y = obstacle_velocity(y, obstacle.goal, obstacle.speed)
+        u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
+        for spec in specs:
+            h, a, b = barrier_constraint(spec, scenario.field, scenario.barrier, point, y, f_y)
+            lhs, eta, feasible, angle_defined = feasibility_margin(h, a, f_y - u_nom, scenario.barrier.eta1_gain)
+            finite = math.isfinite(eta)
+            assert state["margins"][spec_label(spec)] == {
+                "lhs": float(lhs),
+                "rhs": -float(eta) if finite else None,
+                "eta": float(eta) if finite else None,
+                "h": float(h),
+                "feasible": bool(feasible),
+                "angle_defined": bool(angle_defined),
+            }
+            assert state["probe_counts"][spec_label(spec)] == int(np.sum(u_samples @ a >= b))
 
 
 def test_cli_simulate_builds_the_scenario_once(tmp_path, monkeypatch):

@@ -184,9 +184,11 @@ def test_risk_gradient_matches_finite_differences_on_clamped_cells():
 
 
 def test_evaluate_batch_and_grid_match_pointwise():
+    # byte for byte: a point's risk and gradient do not depend on how many
+    # points share its call (a gemv over the CPT lattice rounded rows by N)
     rng = np.random.default_rng(11)
     batch = rng.uniform(-6.0, 6.0, (7, 2))
-    grid = rng.uniform(-6.0, 6.0, (4, 3, 2))
+    grid = rng.uniform(-6.0, 6.0, (12, 15, 2))
     specs = [ExpectedRisk(), CVaR(0.0), CVaR(0.3), CVaR(1.0), CPT(0.74, 1.0, 0.88, 2.25)]
     for spec in specs:
         for xi in (batch, grid):
@@ -194,8 +196,7 @@ def test_evaluate_batch_and_grid_match_pointwise():
             assert value.shape == xi.shape[:-1] and grad.shape == xi.shape
             for idx in np.ndindex(*xi.shape[:-1]):
                 v, g = evaluate(spec, PARAMS, xi[idx])
-                assert value[idx] == pytest.approx(float(v), rel=1e-14)
-                assert np.allclose(grad[idx], g, rtol=1e-14, atol=0.0)
+                assert value[idx] == v and np.array_equal(grad[idx], g)
             assert np.array_equal(evaluate(spec, PARAMS, xi, grad=False)[0], value)
 
 
@@ -613,14 +614,14 @@ def test_cpt_safe_sets_nested_decreasing_in_lambda():
         previous = current
 
 
-# --- one meaning per risk model (ROADMAP item 2) ----------------------------------
+# --- one meaning per risk model (ROADMAP item 3) ----------------------------------
 #
 # Field-level properties the lottery layer already has. Each fails with
-# the current closed forms; the fix of ROADMAP item 2 removes the marks.
+# the current closed forms; the fix of ROADMAP item 3 removes the marks.
 
-ITEM_2 = pytest.mark.xfail(
+ITEM_3 = pytest.mark.xfail(
     raises=AssertionError,
-    reason="ROADMAP item 2: the field layer's CVaR and CPT do not yet mean what the lottery layer does",
+    reason="ROADMAP item 3: the field layer's CVaR and CPT do not yet mean what the lottery layer does",
 )
 # relative positions along one ray, |xi| = 0, 0.1, ..., 4 (0.3 included)
 RAY = np.linspace(0.0, 4.0, 41)[:, None] * np.array([0.6, 0.8])
@@ -631,13 +632,13 @@ def field_values(spec, xi=RAY):
     return evaluate(spec, PARAMS, xi, grad=False)[0]
 
 
-@ITEM_2
+@ITEM_3
 def test_unit_cpt_field_equals_er_field():
     # CPT(1, 1, 1, 1) is the risk-neutral expectation (today up to 9.5 below ER)
     np.testing.assert_allclose(field_values(CPT(1.0, 1.0, 1.0, 1.0)), field_values(ExpectedRisk()), rtol=1e-9)
 
 
-@ITEM_2
+@ITEM_3
 def test_cvar_field_within_truncation_bound():
     # the cost lottery is truncated at 3 sigma (today CVaR(0.001) is 302.0
     # at |xi| = 0.3, where mu + 3 sigma is 290.9)
@@ -646,7 +647,7 @@ def test_cvar_field_within_truncation_bound():
         assert np.all(field_values(CVaR(q)) <= bound * (1.0 + 1e-12)), q
 
 
-@ITEM_2
+@ITEM_3
 def test_cvar_field_nondecreasing_in_q():
     # cvar_value averages the worst 1 - q, so it grows with q (today the
     # field falls from 302.0 to 199.9 between q = 0.001 and 0.999 at |xi| = 0.3)
@@ -654,7 +655,7 @@ def test_cvar_field_nondecreasing_in_q():
     assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:])
 
 
-@ITEM_2
+@ITEM_3
 def test_cvar_field_continuous_at_zero():
     # CVaR(0) is the expectation; a small q stays within 0.1% of it
     # (today CVaR(0) is 199.8 and CVaR(1e-6) is 350.0 at |xi| = 0.3)

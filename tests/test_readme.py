@@ -1,11 +1,14 @@
-"""The README's Python examples run as written, and its sim-CSV column
-block is the header the log writes."""
+"""The README's Python examples run as written, its sim-CSV column block
+is the header the log writes, and its margin keys are the ones
+`feasibility` writes."""
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
 from riskcbf import ExpectedRisk, load_config, run
+from riskcbf.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +36,14 @@ def test_readme_sim_csv_columns_match_the_log(tmp_path):
     run(dataclasses.replace(scenario, t_max=0.1)).to_csv(tmp_path / "log.csv")
     header = (tmp_path / "log.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
     assert documented == header
+
+
+def test_readme_margin_keys_match_feasibility(tmp_path):
+    # the keys of the margins.<label> bullet, outside its parentheses
+    text = README.read_text(encoding="utf-8")
+    bullet = re.search(r"^\s*- `margins\.<label>`:(.*?);$", text, re.MULTILINE | re.DOTALL).group(1)
+    documented = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", bullet))
+    config = README.parent / "configs" / "single_obstacle.cfg"
+    assert main(["feasibility", "--config", str(config), "--spec", "er", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "feasibility.json").read_text(encoding="utf-8"))
+    assert all(documented == list(state["margins"]["er"]) for state in report["states"])
