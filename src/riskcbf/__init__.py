@@ -60,8 +60,8 @@ from .sim import (
     Unicycle,
     default_obstacle_speed,
     nominal_control,
+    obstacle_motion,
     run,
-    step_obstacle,
     unicycle_transform,
 )
 

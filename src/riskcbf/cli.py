@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .barrier import BarrierConfig, barrier_constraint, feasibility_margin
+from .barrier import barrier_constraint, feasibility_margin
 from .config import Config, ConfigError, load_config
 from .field import (
     FieldGrid,
@@ -34,7 +34,7 @@ from .field import (
     versatility_audit,
 )
 from .risk import ExpectedRisk, spec_label
-from .sim import comparison_to_csv, obstacle_velocity, run
+from .sim import comparison_to_csv, obstacle_motion, run
 
 
 def _select_specs(specs, selector: str | None):
@@ -151,25 +151,23 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
     scenario = cfg.scenario(specs[0])
     params, barrier = scenario.field, scenario.barrier
 
-    # the unfiltered nominal run: no constraint binds at this rho, and the
-    # default gain keeps gain * h finite
-    nominal_log = run(dataclasses.replace(scenario, barrier=BarrierConfig(rho=1e300)))
+    # the agent's nominal path: without obstacles nothing is filtered
+    nominal_log = run(dataclasses.replace(scenario, obstacles=()))
     stride = max(1, nominal_log.steps // settings["n_states"])
     obstacles = scenario.obstacles
     # K is fixed for a run, so without obstacles no state has one to check
     sampled = nominal_log.records[::stride][: settings["n_states"] if obstacles else 0]
-    points, positions, u_nom = sampled["point"], sampled["obstacles"], sampled["u_nominal"]
+    points, u_nom = sampled["point"], sampled["u_nominal"]
+    positions, velocities = obstacle_motion(*scenario.obstacle_paths, sampled["t"][:, None])
     # each state checks the obstacle nearest its point
     dists = np.linalg.norm(positions - points[:, None, :], axis=2)
     nearest = dists.argmin(axis=1) if obstacles else np.zeros(0, dtype=int)
-    ys = positions[np.arange(len(nearest)), nearest]
-    goals = np.array([o.goal for o in obstacles]).reshape(-1, 2)
-    f_ys = obstacle_velocity(ys, goals[nearest], np.array([o.speed for o in obstacles])[nearest])
+    at = np.arange(len(nearest))
+    ys, f_ys = positions[at, nearest], velocities[at, nearest]
 
     rng = np.random.default_rng(seed)
     u_samples = rng.uniform(-settings["u_max"], settings["u_max"], (settings["n_samples"], 2))
 
-    n_states = max(1, len(sampled))
     margins, probes, summary = {}, {}, {}
     for spec in specs:
         label = spec_label(spec)
@@ -192,7 +190,7 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
         probes[label] = np.array([u_samples @ a_i for a_i in a]) >= b[:, None]
         etas = eta[np.isfinite(eta)]
         summary[label] = {
-            "feasible_fraction": int(feasible.sum()) / n_states,
+            "feasible_fraction": float(np.mean(feasible)) if feasible.size else None,
             "mean_eta": float(np.mean(etas)) if etas.size else None,
             "min_eta": float(np.min(etas)) if etas.size else None,
         }
@@ -226,7 +224,8 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for label, row in summary.items():
-        print(f"feasibility: {label}: nominal-feasible fraction {row['feasible_fraction']:.3f}")
+        fraction = "n/a" if row["feasible_fraction"] is None else f"{row['feasible_fraction']:.3f}"
+        print(f"feasibility: {label}: nominal-feasible fraction {fraction}")
     print(f"feasibility: report written to {path}")
     return 0
 

@@ -4,10 +4,11 @@ A proportional controller drives the agent to its goal; every step one risk
 evaluation gives every obstacle's barrier and affine constraint, and the
 safety filter minimally modifies the nominal control to meet the active
 (lowest-barrier) obstacle's constraint. The control is held over each step
-and agents and obstacles are stepped exactly. Unicycle agents are controlled
-through the projected point a distance l ahead of the body, whose dynamics
-are the single integrator the filter assumes; goal arrival is measured at
-that controlled point.
+and the agent is stepped exactly. Each obstacle moves on a straight line at a
+fixed speed and then rests, so obstacle_motion gives its position and velocity
+at any t in closed form. Unicycle agents are controlled through the projected
+point a distance l ahead of the body, whose dynamics are the single integrator
+the filter assumes; goal arrival is measured at that controlled point.
 """
 
 from __future__ import annotations
@@ -109,31 +110,24 @@ class ObstacleModel:
             raise ValueError("speed must be nonnegative and finite")
 
 
-def _to_goal(position, goal, speed):
-    """Offsets to the goals, their lengths, and which obstacles move."""
-    to_goal = np.subtract(goal, position)
-    dist = row_norm(to_goal)
-    return to_goal, dist, np.not_equal(speed, 0.0) & (dist != 0.0)
-
-
-def obstacle_velocity(position, goal, speed) -> np.ndarray:
-    """Velocities of obstacles at positions (..., 2) heading for their
-    goals at their speeds (...); zero for an obstacle at rest."""
-    to_goal, dist, moving = _to_goal(position, goal, speed)
-    scale = np.divide(speed, dist, out=np.zeros(np.shape(dist)), where=moving)
-    return np.where(moving[..., None], scale[..., None] * to_goal, 0.0)
-
-
-def step_obstacle(position, goal, speed, dt: float) -> np.ndarray:
-    """Advance obstacles at positions (..., 2) toward their goals at
-    their speeds (...), clamping on arrival; returns new positions."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    to_goal, dist, moving = _to_goal(position, goal, speed)
-    travel = np.multiply(speed, dt)
-    frac = np.divide(travel, dist, out=np.zeros(np.shape(dist)), where=moving)
-    ahead = np.where((travel >= dist)[..., None], goal, position + frac[..., None] * to_goal)
-    return np.where(moving[..., None], ahead, position)
+def obstacle_motion(start, goal, speed, t) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and velocities (..., 2) at times t >= 0 of obstacles
+    moving from start to goal (..., 2) in a straight line at speed (...),
+    then resting at the goal; t broadcasts against speed."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("t must be nonnegative and finite")
+    to_goal = np.subtract(goal, start)
+    length = row_norm(to_goal)
+    travel = np.multiply(speed, t)
+    en_route = travel < length  # so length > 0 wherever it divides
+    shape = np.shape(en_route)
+    frac = np.divide(travel, length, out=np.zeros(shape), where=en_route)
+    scale = np.divide(speed, length, out=np.zeros(shape), where=en_route)
+    positions = np.where(en_route[..., None], start + frac[..., None] * to_goal, goal)
+    # at rest is +0.0, not 0 * (goal - start), which may be -0.0
+    velocities = np.where((scale != 0.0)[..., None], scale[..., None] * to_goal, 0.0)
+    return positions, velocities
 
 
 def nominal_control(state_point, goal, gain) -> np.ndarray:
@@ -189,6 +183,14 @@ class Scenario:
             raise ValueError("t_max must exceed dt and be finite")
         if not 0 < self.goal_tol < math.inf:
             raise ValueError("goal_tol must be positive and finite")
+
+    @cached_property
+    def obstacle_paths(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The obstacles' starts (K, 2), goals (K, 2) and speeds (K,): the
+        leading arguments of obstacle_motion."""
+        starts, goals, speeds = (np.array([getattr(o, name) for o in self.obstacles])
+                                 for name in ("start", "goal", "speed"))
+        return _readonly(starts.reshape(-1, 2)), _readonly(goals.reshape(-1, 2)), _readonly(speeds)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -303,18 +305,17 @@ class SimLog:
 
 
 def run(scenario: Scenario) -> SimLog:
-    """Zero-order-hold closed loop, exact agent and obstacle steps; logs every step.
+    """Zero-order-hold closed loop; logs every step.
 
-    Raises ValueError when the start state is already perceived unsafe.
-    Infeasible filter states hold the previous control, are logged, and
-    flag the run; the loop still terminates on goal arrival or t_max.
+    The agent is stepped exactly, and obstacle_motion places the obstacles
+    at each step's t in closed form. Raises ValueError when the start state
+    is already perceived unsafe. Infeasible filter states hold the previous
+    control, are logged, and flag the run; the loop still terminates on
+    goal arrival or t_max.
     """
     agent = scenario.agent
     obstacles = scenario.obstacles
-    positions = np.array([o.start for o in obstacles]).reshape(-1, 2)
-    goals = np.array([o.goal for o in obstacles]).reshape(-1, 2)
-    speeds = np.array([o.speed for o in obstacles])
-    h = np.empty(0)
+    positions, h = np.empty((0, 2)), np.empty(0)
     u_prev = np.zeros(2)
     reached = False
     n_steps = math.ceil(scenario.t_max / scenario.dt)
@@ -327,14 +328,8 @@ def run(scenario: Scenario) -> SimLog:
         u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
         feasible = True
         if obstacles:
-            h, a, b = barrier_constraint(
-                scenario.risk,
-                scenario.field,
-                scenario.barrier,
-                point,
-                positions,
-                obstacle_velocity(positions, goals, speeds),
-            )
+            positions, velocities = obstacle_motion(*scenario.obstacle_paths, t)
+            h, a, b = barrier_constraint(scenario.risk, scenario.field, scenario.barrier, point, positions, velocities)
             active_idx = int(np.argmin(h))  # ties go to the lowest index
             if k == 0 and not h[active_idx] > 0:
                 raise ValueError(
@@ -358,7 +353,6 @@ def run(scenario: Scenario) -> SimLog:
         if k == n_steps:
             break
         agent = agent.step(u, scenario.dt)
-        positions = step_obstacle(positions, goals, speeds, scenario.dt)
         u_prev = u
 
     return SimLog(

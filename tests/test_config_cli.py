@@ -17,7 +17,7 @@ from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
 from riskcbf.field import FieldGrid
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
-from riskcbf.sim import nominal_control, obstacle_velocity
+from riskcbf.sim import nominal_control, obstacle_motion
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -314,7 +314,8 @@ def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatc
     report = json.loads((out / "feasibility.json").read_text())
     assert len(report["states"]) == 20 and len(report["summary"]) == 9
     assert calls["states"] == 9 and calls["margins"] == 9
-    assert calls["nominal"] > 0
+    # the nominal path is an obstacle-free run, which evaluates no risk
+    assert calls["nominal"] == 0
 
 
 def test_cli_feasibility_matches_one_state_rows(tmp_path):
@@ -333,8 +334,9 @@ def test_cli_feasibility_matches_one_state_rows(tmp_path):
     )
     assert len(report["states"]) == cfg.feasibility_settings()["n_states"]
     for state in report["states"]:
-        point, y = np.array(state["point"]), np.array(state["obstacle"])
-        f_y = obstacle_velocity(y, obstacle.goal, obstacle.speed)
+        point = np.array(state["point"])
+        y, f_y = obstacle_motion(obstacle.start, obstacle.goal, obstacle.speed, state["t"])
+        assert state["obstacle"] == y.tolist()
         u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
         for spec in specs:
             h, a, b = barrier_constraint(spec, scenario.field, scenario.barrier, point, y, f_y)
@@ -349,6 +351,22 @@ def test_cli_feasibility_matches_one_state_rows(tmp_path):
                 "angle_defined": bool(angle_defined),
             }
             assert state["probe_counts"][spec_label(spec)] == int(np.sum(u_samples @ a >= b))
+
+
+def test_cli_feasibility_without_obstacles_reports_no_fraction(tmp_path, capsys):
+    # no state has an obstacle to check, so no fraction of them is feasible
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    start = text.index("[obstacle.1]")
+    cfg = write_cfg(tmp_path, text[:start] + text[text.index("\n[", start) + 1 :])
+    assert load_config(cfg).scenario(ExpectedRisk()).obstacles == ()
+    out = tmp_path / "feas"
+    assert main(["feasibility", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "feasibility.json").read_text())
+    assert report["states"] == []
+    assert len(report["summary"]) == len(load_config(cfg).specs())
+    for row in report["summary"].values():
+        assert row == {"feasible_fraction": None, "mean_eta": None, "min_eta": None}
+    assert "nominal-feasible fraction n/a" in capsys.readouterr().out
 
 
 def test_cli_simulate_builds_the_scenario_once(tmp_path, monkeypatch):
@@ -369,7 +387,7 @@ def test_cli_simulate_builds_the_scenario_once(tmp_path, monkeypatch):
 
 
 def test_cli_feasibility_nominal_run_with_large_barrier_gain(tmp_path):
-    # the unfiltered nominal run must not overflow gain * h
+    # a large gain on h must not overflow eta1(h) in the filter or the margins
     text = (CONFIGS / "single_obstacle.cfg").read_text()
     assert text.count("eta1_gain = 1.0") == 1
     cfg = write_cfg(tmp_path, text.replace("eta1_gain = 1.0", "eta1_gain = 1e9"))

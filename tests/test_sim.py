@@ -16,9 +16,8 @@ from riskcbf.sim import (
     comparison_to_csv,
     default_obstacle_speed,
     nominal_control,
-    obstacle_velocity,
+    obstacle_motion,
     run,
-    step_obstacle,
     unicycle_transform,
 )
 from shipped import shipped_scenario
@@ -132,43 +131,50 @@ def test_transform_requires_positive_offset():
 
 
 def test_static_obstacle():
-    position, goal = np.array([1.0, 1.0]), np.array([5.0, 5.0])
-    assert np.array_equal(step_obstacle(position, goal, 0.0, 0.5), position)
-    assert np.allclose(obstacle_velocity(position, goal, 0.0), 0.0)
+    start, goal = np.array([1.0, 1.0]), np.array([-5.0, 5.0])
+    for t in (0.0, 0.5, 1e6):
+        position, velocity = obstacle_motion(start, goal, 0.0, t)
+        assert np.array_equal(position, start)
+        assert np.array_equal(velocity, [0.0, 0.0])
+        assert not np.signbit(velocity).any()  # +0.0, not 0 * (goal - start)
 
 
 def test_obstacle_reaches_goal_on_schedule():
-    position, goal = np.zeros(2), np.array([3.0, 4.0])  # 5 units at speed 2
-    dt = 0.01
-    steps = int(round(5.0 / 2.0 / dt))
-    for _ in range(steps):
-        position = step_obstacle(position, goal, 2.0, dt)
-    assert np.allclose(position, [3.0, 4.0], atol=1e-9)
-    assert np.allclose(obstacle_velocity(position, goal, 2.0), 0.0)
+    start, goal = np.zeros(2), np.array([3.0, 4.0])  # 5 units at speed 2: 2.5 s
+    position, velocity = obstacle_motion(start, goal, 2.0, 2.5 - 1e-9)
+    assert not np.array_equal(position, goal)
+    assert np.array_equal(velocity, 2.0 / 5.0 * goal)
+    for t in (2.5, 2.5 + 1e-9, 100.0):
+        position, velocity = obstacle_motion(start, goal, 2.0, t)
+        assert np.array_equal(position, goal)
+        assert np.array_equal(velocity, [0.0, 0.0])
+        assert not np.signbit(velocity).any()
 
 
 def test_obstacle_midpoint_at_half_time():
-    position, goal = np.zeros(2), np.array([3.0, 4.0])
-    for _ in range(125):  # 1.25 s of the 2.5 s trip
-        position = step_obstacle(position, goal, 2.0, 0.01)
-    assert np.allclose(position, [1.5, 2.0], atol=1e-9)
+    # 1.25 s of the 2.5 s trip; every operand and result is exact
+    position, _ = obstacle_motion(np.zeros(2), np.array([3.0, 4.0]), 2.0, 1.25)
+    assert np.array_equal(position, [1.5, 2.0])
 
 
 def test_obstacle_batch_matches_single_obstacles():
-    # resting (speed 0), arriving within the step, moving, and already at
-    # its goal with a nonzero speed; a 0/0 would warn, and warnings fail
-    position = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, -1.0]])
+    # resting (speed 0), arriving at t = 0.25, moving, and already at its
+    # goal with a nonzero speed; a 0/0 would warn, and warnings fail
+    start = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [2.0, -1.0]])
     goal = np.array([[-5.0, 5.0], [0.3, 0.4], [3.0, 4.0], [2.0, -1.0]])
     speed = np.array([0.0, 2.0, 2.0, 1.5])
-    dt = 0.5
-    stepped = step_obstacle(position, goal, speed, dt)
-    velocity = obstacle_velocity(position, goal, speed)
-    np.testing.assert_allclose(stepped, [[1.0, 1.0], [0.3, 0.4], [0.6, 0.8], [2.0, -1.0]], rtol=1e-15)
-    np.testing.assert_allclose(velocity, [[0.0, 0.0], [1.2, 1.6], [1.2, 1.6], [0.0, 0.0]], rtol=1e-15)
-    assert not np.signbit(velocity).any()  # at rest is +0.0, not 0 * (goal - position)
-    for k in range(4):
-        assert np.array_equal(stepped[k], step_obstacle(position[k], goal[k], speed[k], dt))
-        assert np.array_equal(velocity[k], obstacle_velocity(position[k], goal[k], speed[k]))
+    t = np.array([0.0, 0.1, 0.5, 3.0])
+    positions, velocities = obstacle_motion(start, goal, speed, t[:, None])
+    assert positions.shape == velocities.shape == (4, 4, 2)
+    np.testing.assert_allclose(positions[2], [[1.0, 1.0], [0.3, 0.4], [0.6, 0.8], [2.0, -1.0]], rtol=1e-15)
+    np.testing.assert_allclose(velocities[1], [[0.0, 0.0], [1.2, 1.6], [1.2, 1.6], [0.0, 0.0]], rtol=1e-15)
+    np.testing.assert_allclose(velocities[2], [[0.0, 0.0], [0.0, 0.0], [1.2, 1.6], [0.0, 0.0]], rtol=1e-15)
+    assert not np.signbit(velocities).any()
+    for s in range(len(t)):
+        for k in range(len(speed)):
+            position, velocity = obstacle_motion(start[k], goal[k], speed[k], t[s])
+            assert np.array_equal(positions[s, k], position)
+            assert np.array_equal(velocities[s, k], velocity)
 
 
 def test_default_obstacle_speed_formula():
@@ -311,8 +317,9 @@ def test_scenario_validation():
     for position in ([nan, 0.0], [0.0, -inf]):
         with pytest.raises(ValueError):
             SingleIntegrator(position)
-    with pytest.raises(ValueError):
-        step_obstacle(obstacle.start, obstacle.goal, obstacle.speed, nan)
+    for t in (nan, inf, -0.1, [0.0, nan]):
+        with pytest.raises(ValueError):
+            obstacle_motion(obstacle.start, obstacle.goal, obstacle.speed, t)
 
 
 def test_scenario_rejects_bad_nominal_gain():
@@ -497,6 +504,15 @@ def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
     log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25), t_max=3.0))
     assert log.records["obstacles"].shape[1:] == (3, 2)
     assert counts == {"evaluate": log.steps, "qp_filter": log.steps}
+
+
+def test_run_logs_obstacle_motion_at_each_t():
+    scenario = shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25))
+    log = run(scenario)
+    starts, goals, speeds = (np.array([getattr(o, name) for o in scenario.obstacles])
+                             for name in ("start", "goal", "speed"))
+    for t, logged in zip(log.records["t"].tolist(), log.records["obstacles"]):
+        assert np.array_equal(logged, obstacle_motion(starts, goals, speeds, t)[0])
 
 
 def test_multi_obstacle_active_switching_keeps_h_min_continuous():
