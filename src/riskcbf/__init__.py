@@ -8,7 +8,6 @@ obstacles.
 
 from .barrier import (
     BarrierConfig,
-    InfeasibleConstraintError,
     barrier_constraint,
     feasibility_margin,
     qp_filter,
@@ -61,7 +60,7 @@ from .sim import (
     default_obstacle_speed,
     nominal_control,
     obstacle_motion,
-    run,
+    simulate,
     unicycle_transform,
 )
 

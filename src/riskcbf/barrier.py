@@ -20,11 +20,6 @@ from .field import CostFieldParams, evaluate
 from .risk import RiskSpec, row_dot
 
 
-class InfeasibleConstraintError(RuntimeError):
-    """The constraint normal vanished while the offset demands progress
-    (a = 0, b > 0): the admissible control set is empty at this state."""
-
-
 @dataclass(frozen=True)
 class BarrierConfig:
     """Risk tolerance rho and the gain of the linear class-K function
@@ -53,7 +48,9 @@ def barrier_constraint(
 
     The agent is the single integrator xdot = u. y and f_y hold one
     obstacle's position and velocity, shape (2,), or K obstacles',
-    shape (K, 2); h and b have shape y.shape[:-1] and a the shape of y.
+    shape (K, 2); h and b have the leading shape of y - x and a its
+    shape. spec may be a tuple of S specs (see moment_risk): then the
+    leading axis of y - x, say of x with shape (S, 1, 2), is the lanes.
     With xi = y - x and g the risk-field gradient,
     hdot = -g . xi_dot = -g . (f_y - u), so a = g and
     b = g . f_y - eta1(h).
@@ -66,27 +63,28 @@ def barrier_constraint(
     return h, a, b
 
 
-def qp_filter(k_nominal, a, b) -> np.ndarray:
-    """Minimally invasive control: argmin ||u - k||^2 s.t. a . u >= b.
+def qp_filter(k_nominal, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Minimally invasive controls: per row, argmin ||u - k||^2 s.t.
+    a . u >= b.
 
-    Returns k unchanged when it already satisfies the constraint,
-    otherwise the exact projection k + (b - a.k)/|a|^2 * a onto the
-    halfspace boundary. Raises ValueError on non-finite a or b and
-    InfeasibleConstraintError when a = 0 and b > 0 (empty admissible
-    set).
+    k and a have shape (..., 2) and b the leading shape (...). Returns
+    the controls (..., 2) and the feasibility mask (...). A row keeps k
+    where k already satisfies its constraint, and is otherwise the exact
+    projection k + (b - a.k)/|a|^2 * a onto the halfspace boundary. Where
+    a = 0 and b > 0 the admissible set is empty: the row keeps k and is
+    marked infeasible. Raises ValueError on non-finite a or b.
     """
     k = np.asarray(k_nominal, dtype=float)
     a = np.asarray(a, dtype=float)
-    b = float(b)
-    if not (np.all(np.isfinite(a)) and math.isfinite(b)):
+    b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("constraint entries must be finite")
-    residual = b - float(a @ k)
-    if residual <= 0.0:
-        return k.copy()
-    norm2 = float(a @ a)
-    if norm2 == 0.0:
-        raise InfeasibleConstraintError(f"constraint 0 . u >= {b!r} admits no control")
-    return k + (residual / norm2) * a
+    residual = b - row_dot(a, k)
+    norm2 = row_dot(a, a)
+    feasible = (residual <= 0.0) | (norm2 != 0.0)
+    project = (residual > 0.0) & feasible
+    step = np.divide(residual, norm2, out=np.zeros_like(residual), where=project)
+    return np.where(project[..., None], k + step[..., None] * a, k), feasible
 
 
 def row_norm(v):

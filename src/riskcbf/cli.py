@@ -34,7 +34,7 @@ from .field import (
     versatility_audit,
 )
 from .risk import ExpectedRisk, spec_label
-from .sim import comparison_to_csv, obstacle_motion, run
+from .sim import comparison_to_csv, obstacle_motion, simulate
 
 
 def _select_specs(specs, selector: str | None):
@@ -124,12 +124,8 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 
 
 def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
-    specs = _select_specs(cfg.specs(), selector)
-    scenario = cfg.scenario(specs[0])
-    logs = []
-    for spec in specs:
-        log = run(dataclasses.replace(scenario, risk=spec))
-        logs.append(log)
+    logs = simulate(cfg.scenario(), _select_specs(cfg.specs(), selector))
+    for log in logs:
         if fmt in ("csv", "both"):
             log.to_csv(out / f"sim_{log.label}.csv")
         if fmt in ("json", "both"):
@@ -148,11 +144,11 @@ def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     specs = _select_specs(cfg.specs(), selector)
     settings = cfg.feasibility_settings()
-    scenario = cfg.scenario(specs[0])
+    scenario = cfg.scenario()
     params, barrier = scenario.field, scenario.barrier
 
     # the agent's nominal path: without obstacles nothing is filtered
-    nominal_log = run(dataclasses.replace(scenario, obstacles=()))
+    (nominal_log,) = simulate(dataclasses.replace(scenario, obstacles=()), specs[:1])
     stride = max(1, nominal_log.steps // settings["n_states"])
     obstacles = scenario.obstacles
     # K is fixed for a run, so without obstacles no state has one to check

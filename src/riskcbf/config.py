@@ -300,7 +300,7 @@ class Config:
             obstacles.append(ObstacleModel(start, goal, speed))
         return tuple(obstacles)
 
-    def scenario(self, spec: RiskSpec) -> Scenario:
+    def scenario(self) -> Scenario:
         start, goal, gain = (self._get("agent", key) for key in ("start", "goal", "gain"))
         if self._get("agent", "model") == "unicycle":
             heading = self._get("agent", "heading")
@@ -322,7 +322,6 @@ class Config:
             nominal_gain=gain,
             obstacles=self.obstacles(start, goal, gain),
             field=params,
-            risk=spec,
             barrier=self.barrier_config(params),
             dt=dt,
             t_max=t_max,

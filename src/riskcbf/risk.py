@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -148,9 +148,10 @@ def cvar_value(cost: DiscreteCost, q: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _cvar_gain(spec: CVaR) -> float:
-    """Sigma gain k(q) = pdf(quantile(q)) / q of moment_risk's CVaR."""
-    if spec.q == 0.0:
+def _linear_gain(spec: Union[ExpectedRisk, CVaR]) -> float:
+    """Sigma gain k of moment_risk's value c_mu + k * c_sigma: 0 for ER,
+    pdf(quantile(q)) / q for CVaR(q)."""
+    if isinstance(spec, ExpectedRisk) or spec.q == 0.0:
         return 0.0
     if spec.q == 1.0:
         return 3.0
@@ -184,7 +185,7 @@ def row_dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
+def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 10, grad: bool = True):
     """Risk value of the truncated-Gaussian cost and its partials.
 
     c_mu and c_sigma are arrays (or scalars) of one shape; returns
@@ -197,37 +198,102 @@ def moment_risk(spec: RiskSpec, c_mu, c_sigma, m: int = 10, grad: bool = True):
     its partials differentiate that sum at fixed weights, where an
     outcome clamped at zero adds a constant.
 
+    spec is one RiskSpec, or a tuple of S specs evaluated side by side
+    as lanes along the leading axis of c_mu and c_sigma; each lane's
+    rows have the bytes of a call with its spec alone.
+
     With grad=False both partials are None and no partial is computed;
     grid callers use this route.
     """
     mu = np.asarray(c_mu, dtype=float)
     sigma = np.asarray(c_sigma, dtype=float)
+    if isinstance(spec, tuple):
+        return _lane_risk(_lane_params(spec, m), mu, sigma, m, grad)
     if isinstance(spec, (ExpectedRisk, CVaR)):
-        k = 0.0 if isinstance(spec, ExpectedRisk) else _cvar_gain(spec)
-        value = mu + k * sigma  # bit-equal to c_mu at k = 0 (c_sigma is finite)
-        if not grad:
-            return value, None, None
-        return value, np.ones(value.shape), np.full(value.shape, k)
+        return _linear_risk(mu, sigma, _linear_gain(spec), grad)
     if not isinstance(spec, CPT):
         raise TypeError(f"unknown risk spec {spec!r}")
-    g = lattice_coeffs(m)
     pi = cpt_pi_weights(m, spec.alpha, spec.beta)
-    # (N, m) outcome lattice, clamped and powered in place so a grid
+    return _cpt_risk(mu, sigma, m, (-1, 1), spec.gamma, spec.lam * spec.gamma, spec.lam, pi, grad)
+
+
+def _linear_risk(mu, sigma, k, grad: bool):
+    value = mu + k * sigma  # bit-equal to c_mu at k = 0 (c_sigma is finite)
+    if not grad:
+        return value, None, None
+    return value, np.ones(value.shape), np.full(value.shape, k)
+
+
+def _cpt_risk(mu, sigma, m: int, rows: tuple, gamma, scale, lam, pi, grad: bool, sqrt_rows=None):
+    """CPT on the outcome lattice of mu.reshape(rows) + sigma.reshape(rows)
+    * g; gamma broadcasts against the lattice, scale = lam * gamma and
+    lam against its contractions with the weights pi. sqrt_rows marks
+    the lattice rows whose gamma is 0.5, if an array gamma has any."""
+    g = lattice_coeffs(m)
+    # (..., m) outcome lattice, clamped and powered in place so a grid
     # allocates no further N*m temporaries
-    c = mu.reshape(-1, 1) + sigma.reshape(-1, 1) * g
+    c = mu.reshape(rows) + sigma.reshape(rows) * g
     d_mu = d_sigma = None
     if grad:
         # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0
         # for c < 0, so this is the exact derivative of the value below
         # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
-        t = np.power(c, spec.gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
-        scale = spec.lam * spec.gamma
+        t = np.power(c, gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
         d_mu = (scale * row_dot(t, pi)).reshape(mu.shape)
         d_sigma = (scale * row_dot(t, g * pi)).reshape(mu.shape)
     np.maximum(c, 0.0, out=c)
-    c **= spec.gamma
-    value = (spec.lam * row_dot(c, pi)).reshape(mu.shape)
+    if sqrt_rows is None:
+        c **= gamma
+    else:  # a one-spec call's c **= 0.5 is np.sqrt, which rounds unlike np.power
+        np.power(c, gamma, out=c, where=~sqrt_rows)
+        np.sqrt(c, out=c, where=sqrt_rows)
+    value = (lam * row_dot(c, pi)).reshape(mu.shape)
     return value, d_mu, d_sigma
+
+
+class _LaneParams(NamedTuple):
+    """moment_risk's parameters of S lanes, one row each: ER/CVaR lanes
+    read the gain k, CPT lanes (cpt) gamma, lam * gamma, lam and the
+    weights Pi, shaped for a (S, N, m) lattice; CPT's are placeholders
+    on the other lanes. any_linear and any_cpt say which models run."""
+
+    any_linear: bool
+    any_cpt: bool
+    gain: np.ndarray
+    cpt: np.ndarray
+    gamma: np.ndarray
+    scale: np.ndarray
+    lam: np.ndarray
+    pi: np.ndarray
+    sqrt_rows: Optional[np.ndarray]
+
+
+@lru_cache(maxsize=64)
+def _lane_params(specs: tuple, m: int) -> _LaneParams:
+    if not all(isinstance(s, (ExpectedRisk, CVaR, CPT)) for s in specs):
+        raise TypeError(f"unknown risk spec in {specs!r}")
+    cpt = np.array([isinstance(s, CPT) for s in specs])
+    gain = np.array([0.0 if isinstance(s, CPT) else _linear_gain(s) for s in specs])
+    gamma = np.array([s.gamma if isinstance(s, CPT) else 1.0 for s in specs])
+    lam = np.array([s.lam if isinstance(s, CPT) else 1.0 for s in specs])
+    pi = np.array([cpt_pi_weights(m, s.alpha, s.beta) if isinstance(s, CPT) else np.zeros(m) for s in specs])
+    sqrt_rows = (cpt & (gamma == 0.5))[:, None, None]
+    return _LaneParams(any_linear=not cpt.all(), any_cpt=bool(cpt.any()), gain=gain, cpt=cpt,
+                       gamma=gamma[:, None, None], scale=(lam * gamma)[:, None], lam=lam[:, None],
+                       pi=pi[:, None, :], sqrt_rows=sqrt_rows if sqrt_rows.any() else None)
+
+
+def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
+    lanes = len(p.cpt)
+    column = (lanes,) + (1,) * (mu.ndim - 1)
+    linear = _linear_risk(mu, sigma, p.gain.reshape(column), grad) if p.any_linear else None
+    if not p.any_cpt:
+        return linear
+    cpt = _cpt_risk(mu, sigma, m, (lanes, -1, 1), p.gamma, p.scale, p.lam, p.pi, grad, p.sqrt_rows)
+    if linear is None:
+        return cpt
+    is_cpt = p.cpt.reshape(column)
+    return tuple(None if c is None else np.where(is_cpt, c, x) for c, x in zip(cpt, linear))
 
 
 def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:

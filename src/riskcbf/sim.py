@@ -1,33 +1,32 @@
 """Closed-loop simulation of an agent avoiding uncertain moving obstacles.
 
-A proportional controller drives the agent to its goal; every step one risk
-evaluation gives every obstacle's barrier and affine constraint, and the
-safety filter minimally modifies the nominal control to meet the active
-(lowest-barrier) obstacle's constraint. The control is held over each step
-and the agent is stepped exactly. Each obstacle moves on a straight line at a
-fixed speed and then rests, so obstacle_motion gives its position and velocity
-at any t in closed form. Unicycle agents are controlled through the projected
-point a distance l ahead of the body, whose dynamics are the single integrator
-the filter assumes; goal arrival is measured at that controlled point.
+A proportional controller drives the agent to its goal, and a safety
+filter minimally modifies the nominal control to meet the active
+(lowest-barrier) obstacle's constraint. simulate runs one scenario under
+S risk specs as lanes, stepped in lockstep: every step makes one risk
+evaluation over all lanes' (S, K) barrier rows and one filter call over
+their active rows, and each lane's log has the bytes of a run of its spec
+alone. The control is held over each step and the agent is stepped
+exactly, one lane at a time. Each obstacle moves on a straight line at a
+fixed speed and then rests, so obstacle_motion gives its position and
+velocity at any t in closed form, for all lanes at once. Unicycle agents
+are controlled through the projected point a distance l ahead of the
+body, whose dynamics are the single integrator the filter assumes; goal
+arrival is measured at that controlled point.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .barrier import (
-    BarrierConfig,
-    InfeasibleConstraintError,
-    barrier_constraint,
-    qp_filter,
-    row_norm,
-)
+from .barrier import BarrierConfig, barrier_constraint, qp_filter, row_norm
 from .field import CostFieldParams
 from .risk import RiskSpec, spec_label
 
@@ -75,20 +74,22 @@ class Unicycle:
             raise ValueError("heading must be finite")
 
     def controlled_point(self) -> np.ndarray:
-        return self.position + self.offset_l * np.array(
-            [math.cos(self.heading), math.sin(self.heading)]
-        )
+        x, y = self.position.tolist()
+        return np.array([x + self.offset_l * math.cos(self.heading), y + self.offset_l * math.sin(self.heading)])
 
     def step(self, u: np.ndarray, dt: float) -> "Unicycle":
         # With u held over dt the point moves by exactly dt*u. The heading
         # error e to atan2(u) obeys edot = -(|u|/l) sin e, so tan(e/2) shrinks
         # by k = exp(-|u| dt / l); with turn = 1 - k the heading turns by
         # e0 - e = 2 atan2(turn sin e0, 2 - turn (1 - cos e0)), in (-pi, pi).
-        e0 = math.atan2(u[1], u[0]) - self.heading
-        turn = -math.expm1(-math.hypot(u[0], u[1]) * dt / self.offset_l)
+        (x, y), (ux, uy), l = self.position.tolist(), u.tolist(), self.offset_l
+        e0 = math.atan2(uy, ux) - self.heading
+        turn = -math.expm1(-math.hypot(ux, uy) * dt / l)
         phi = self.heading + 2.0 * math.atan2(turn * math.sin(e0), 2.0 - turn * (1.0 - math.cos(e0)))
-        moved = np.array([math.cos(self.heading) - math.cos(phi), math.sin(self.heading) - math.sin(phi)])
-        return Unicycle(self.position + dt * u + self.offset_l * moved, phi, self.offset_l)
+        # the bytes of position + dt * u + l * (d(heading) - d(phi)) on arrays
+        x = x + dt * ux + l * (math.cos(self.heading) - math.cos(phi))
+        y = y + dt * uy + l * (math.sin(self.heading) - math.sin(phi))
+        return Unicycle(np.array([x, y]), phi, l)
 
 
 AgentModel = Union[SingleIntegrator, Unicycle]
@@ -131,8 +132,9 @@ def obstacle_motion(start, goal, speed, t) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nominal_control(state_point, goal, gain) -> np.ndarray:
-    """Proportional control gain * (goal - state) on the controlled point."""
-    return np.asarray(gain, dtype=float) * (_vec2(goal) - _vec2(state_point))
+    """Proportional control gain * (goal - state) on controlled points of
+    shape (2,) or (..., 2)."""
+    return np.asarray(gain, dtype=float) * (np.asarray(goal, dtype=float) - np.asarray(state_point, dtype=float))
 
 
 def unicycle_transform(u, heading: float, l: float) -> tuple[float, float]:
@@ -167,7 +169,6 @@ class Scenario:
     nominal_gain: np.ndarray
     obstacles: tuple[ObstacleModel, ...]
     field: CostFieldParams
-    risk: RiskSpec
     barrier: BarrierConfig
     dt: float
     t_max: float
@@ -304,63 +305,78 @@ class SimLog:
             fh.write("\n")
 
 
-def run(scenario: Scenario) -> SimLog:
-    """Zero-order-hold closed loop; logs every step.
+def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
+    """Zero-order-hold closed loops of the scenario under each spec; one
+    log per spec, each row one step.
 
-    The agent is stepped exactly, and obstacle_motion places the obstacles
-    at each step's t in closed form. Raises ValueError when the start state
-    is already perceived unsafe. Infeasible filter states hold the previous
-    control, are logged, and flag the run; the loop still terminates on
-    goal arrival or t_max.
+    The specs run side by side as lanes, stepped in lockstep. At each
+    step all lanes share one obstacle_motion result (computed for a block
+    of steps at once), one barrier_constraint call over their (S, K)
+    rows and one qp_filter call over their active rows; each lane's agent
+    is then stepped exactly, on its own. A lane stops, and drops out of
+    the lockstep, on goal arrival or at t_max, so every log has the bytes
+    of a run of its spec alone. Raises ValueError naming every spec whose
+    start state is already perceived unsafe. Infeasible filter states
+    hold the lane's previous control, are logged, and flag its run.
     """
-    agent = scenario.agent
-    obstacles = scenario.obstacles
-    positions, h = np.empty((0, 2)), np.empty(0)
-    u_prev = np.zeros(2)
-    reached = False
-    n_steps = math.ceil(scenario.t_max / scenario.dt)
+    specs = tuple(specs)
+    if not specs:
+        return []
+    labels = [spec_label(spec) for spec in specs]
+    dt, goal, n_obs = scenario.dt, scenario.goal, len(scenario.obstacles)
+    live, lanes = np.arange(len(specs)), specs  # the lanes still running
+    agents = [scenario.agent] * len(specs)
+    u_prev = np.zeros((len(specs), 2))
+    last = np.zeros(len(specs), dtype=int)
+    reached = np.zeros(len(specs), dtype=bool)
+    h = np.empty(0)
+    n_steps = math.ceil(scenario.t_max / dt)
     # grown as a list would be: t_max / dt may be far more steps than run
-    records = np.empty(min(n_steps + 1, 256), _log_dtype(len(obstacles)))
+    records = np.empty((len(specs), min(n_steps + 1, 256)), _log_dtype(n_obs))
 
     for k in range(n_steps + 1):
-        t = k * scenario.dt
-        point = agent.controlled_point()
-        u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
+        j = k % 256
+        if j == 0:  # the obstacles depend on t alone: place them for 256 steps at once
+            times = np.arange(k, min(k + 256, n_steps + 1)) * dt
+            path_positions, path_velocities = obstacle_motion(*scenario.obstacle_paths, times[:, None])
+            if k == records.shape[1]:
+                records = np.concatenate([records, np.empty_like(records)], axis=1)
+            block = records[:, k : k + len(times)]
+            block["t"], block["obstacles"] = times, path_positions  # for every lane, running or not
+        points = np.array([agent.controlled_point() for agent in agents])
+        u = u_nom = nominal_control(points, goal, scenario.nominal_gain)
         feasible = True
-        if obstacles:
-            positions, velocities = obstacle_motion(*scenario.obstacle_paths, t)
-            h, a, b = barrier_constraint(scenario.risk, scenario.field, scenario.barrier, point, positions, velocities)
-            active_idx = int(np.argmin(h))  # ties go to the lowest index
-            if k == 0 and not h[active_idx] > 0:
-                raise ValueError(
-                    f"scenario starts perceived unsafe (h_min = {h[active_idx]:g})"
-                )
-            try:
-                u = qp_filter(u_nom, a[active_idx], b[active_idx])
-            except InfeasibleConstraintError:
-                u = u_prev
-                feasible = False
-        else:
-            u = u_nom
+        if n_obs:
+            h, a, b = barrier_constraint(lanes, scenario.field, scenario.barrier, points[:, None], path_positions[j],
+                                         path_velocities[j])
+            active = np.arange(len(live)), h.argmin(axis=1)  # ties go to the lowest index
+            if k == 0 and not (h[active] > 0).all():
+                unsafe = [f"{label} (h_min = {h_s:g})" for label, h_s in zip(labels, h[active].tolist())
+                          if not h_s > 0]
+                raise ValueError(f"scenario starts perceived unsafe for {', '.join(unsafe)}")
+            u, feasible = qp_filter(u_nom, a[active], b[active])
+            u = np.where(feasible[:, None], u, u_prev[live])
 
-        heading = agent.heading if isinstance(agent, Unicycle) else math.nan
-        if k == len(records):
-            records = np.concatenate([records, np.empty_like(records)])
-        records[k] = (t, agent.position, heading, point, positions, u_nom, u, h, feasible)
-        if float(np.linalg.norm(point - scenario.goal)) <= scenario.goal_tol:
-            reached = True
-            break
-        if k == n_steps:
-            break
-        agent = agent.step(u, scenario.dt)
-        u_prev = u
+        row, at = records[:, k], live if len(live) < len(specs) else slice(None)
+        for name, value in (("position", [agent.position for agent in agents]),
+                            ("heading", [getattr(agent, "heading", math.nan) for agent in agents]),
+                            ("point", points), ("u_nominal", u_nom), ("u_filtered", u), ("h", h),
+                            ("feasible", feasible)):
+            row[name][at] = value
+        arrived = row_norm(points - goal) <= scenario.goal_tol
+        done = arrived | (k == n_steps)
+        if done.any():
+            last[live[done]], reached[live[done]] = k, arrived[done]
+            live, u = live[~done], u[~done]
+            if not len(live):
+                break
+            lanes = tuple(specs[s] for s in live.tolist())
+            agents = [agent for agent, stop in zip(agents, done.tolist()) if not stop]
+        agents = [agent.step(u_s, dt) for agent, u_s in zip(agents, u)]
+        u_prev[live] = u
 
-    return SimLog(
-        label=spec_label(scenario.risk),
-        records=_readonly(records[: k + 1]),
-        dt=scenario.dt,
-        reached_goal=reached,
-    )
+    return [SimLog(label=label, records=_readonly(records[s, : last[s] + 1]), dt=dt, reached_goal=bool(reached[s]))
+            for s, label in enumerate(labels)]
 
 
 def comparison_to_csv(logs, path) -> None:

@@ -29,8 +29,8 @@ from riskcbf.risk import (
     moment_risk,
 )
 from riskcbf.barrier import qp_filter
-from riskcbf.sim import run
-from shipped import shipped_scenario
+from riskcbf.sim import simulate
+from shipped import run_spec, shipped_scenario
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -157,7 +157,7 @@ def test_criterion_05_qp_optimality():
         if norm2 < 1e-12:
             continue
         b = rng.uniform(-12.0, 12.0)
-        u = qp_filter(k, a, b)
+        u, _ = qp_filter(k, a, b)
         worst_violation = max(worst_violation, b - float(a @ u))
         closed = k + max(0.0, b - float(a @ k)) / norm2 * a
         cross_check = max(cross_check, float(np.linalg.norm(u - closed)))
@@ -183,7 +183,7 @@ def _invariance_sweep(number, name, rho, check_switching):
     failures = []
     for spec in SWEEPS:
         start = time.perf_counter()
-        log = run(shipped_scenario(name, spec))
+        log = run_spec(shipped_scenario(name), spec)
         wall = time.perf_counter() - start
         ok = log.reached_goal and log.min_h >= -1e-3 * rho and wall < 5.0
         if check_switching:
@@ -269,7 +269,7 @@ def test_criterion_10_deviation_ordering():
         + CVAR_SWEEP
         + [CPT(1.0, 1.0, 1.0, 1.0), CPT(1.05, 1.0, 0.98, 1.1), CPT(0.74, 1.0, 0.88, 1.5)]
     )
-    rows = [run(shipped_scenario("single_obstacle", spec)) for spec in specs]
+    rows = simulate(shipped_scenario("single_obstacle"), specs)
     er_max = next(r.max_delta for r in rows if r.label == "er")
     cvar_max = [r.max_delta for r in rows if r.label.startswith("cvar")]
     cpt_rows = [r for r in rows if r.label.startswith("cpt")]
@@ -290,7 +290,7 @@ def test_criterion_11_convergence_sanity():
     # by up to one step between step sizes
     at_2s = {}
     for dt in (0.05, 0.025):
-        log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
+        log = run_spec(shipped_scenario("single_obstacle", dt=dt), CPT(0.74, 1.0, 0.88, 2.25))
         at_2s[dt] = log.records["position"][round(2.0 / dt)]
     change = float(np.linalg.norm(at_2s[0.05] - at_2s[0.025]))
     report(11, change < 0.1, f"position change at t = 2 s {change:.4f} (<0.1) when halving dt")

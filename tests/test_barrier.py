@@ -5,7 +5,6 @@ import pytest
 
 from riskcbf.barrier import (
     BarrierConfig,
-    InfeasibleConstraintError,
     barrier_constraint,
     feasibility_margin,
     qp_filter,
@@ -74,7 +73,7 @@ def test_filtered_control_keeps_barrier_condition_along_flow():
             continue
         f_y = rng.uniform(-1.0, 1.0, 2)
         h0, a, b = barrier_constraint(spec, PARAMS, CONFIG, x, y, f_y)
-        u = qp_filter(rng.uniform(-5.0, 5.0, 2), a, b)
+        u, _ = qp_filter(rng.uniform(-5.0, 5.0, 2), a, b)
 
         def h_at(tau):
             return barrier_constraint(spec, PARAMS, CONFIG, x + tau * u, y + tau * f_y, f_y)[0]
@@ -88,12 +87,13 @@ def test_filtered_control_keeps_barrier_condition_along_flow():
 
 def test_qp_passthrough_when_feasible():
     k = np.array([5.0, -1.0])
-    assert np.array_equal(qp_filter(k, np.array([1.0, 0.0]), 2.0), k)
+    u, feasible = qp_filter(k, np.array([1.0, 0.0]), 2.0)
+    assert np.array_equal(u, k) and feasible
 
 
 def test_qp_hand_projection_with_grid_search_oracle():
-    u = qp_filter(np.zeros(2), np.array([1.0, 0.0]), 2.0)
-    assert np.allclose(u, [2.0, 0.0])
+    u, feasible = qp_filter(np.zeros(2), np.array([1.0, 0.0]), 2.0)
+    assert np.allclose(u, [2.0, 0.0]) and feasible
     # optimality: no boundary point beats the projection
     for s in np.linspace(-10.0, 10.0, 2001):
         assert np.linalg.norm(u) <= np.hypot(2.0, s) + 1e-12
@@ -107,7 +107,7 @@ def test_qp_random_instances_satisfy_and_beat_samples():
         if np.linalg.norm(a) < 1e-6:
             continue
         b = rng.uniform(-10, 10)
-        u = qp_filter(k, a, b)
+        u, _ = qp_filter(k, a, b)
         assert float(a @ u) >= b - 1e-12
         # random feasible candidates from the halfspace parameterization
         a_hat = a / np.linalg.norm(a)
@@ -120,15 +120,35 @@ def test_qp_random_instances_satisfy_and_beat_samples():
         assert np.linalg.norm(u - k) <= dists.min() + 1e-9
 
 
-def test_qp_infeasible_raises():
-    with pytest.raises(InfeasibleConstraintError):
-        qp_filter(np.zeros(2), np.zeros(2), 1.0)
+def test_qp_infeasible_row_is_masked():
+    # a = 0 with b > 0 admits no control: the row keeps k and is marked
+    u, feasible = qp_filter(np.zeros(2), np.zeros(2), 1.0)
+    assert np.array_equal(u, np.zeros(2)) and not feasible
+    # alone or among feasible rows
+    k = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    u, feasible = qp_filter(k, a, np.array([1.0, 0.0, 2.0]))
+    assert feasible.tolist() == [False, True, True]
+    assert np.array_equal(u, [[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
+
+
+def test_qp_rows_match_one_row_calls():
+    rng = np.random.default_rng(3)
+    k = rng.uniform(-10.0, 10.0, (200, 2))
+    a = rng.uniform(-3.0, 3.0, (200, 2))
+    b = rng.uniform(-10.0, 10.0, 200)
+    u, feasible = qp_filter(k, a, b)
+    assert u.shape == (200, 2) and feasible.all()
+    for i in range(200):
+        u_i, feasible_i = qp_filter(k[i], a[i], b[i])
+        assert u_i.tobytes() == u[i].tobytes() and feasible_i.shape == ()
 
 
 def test_qp_zero_normal_nonpositive_offset_passthrough():
     k = np.array([1.0, 2.0])
-    assert np.array_equal(qp_filter(k, np.zeros(2), 0.0), k)
-    assert np.array_equal(qp_filter(k, np.zeros(2), -3.0), k)
+    for b in (0.0, -3.0):
+        u, feasible = qp_filter(k, np.zeros(2), b)
+        assert np.array_equal(u, k) and feasible
 
 
 def test_qp_rejects_nonfinite_constraint():
@@ -263,17 +283,8 @@ def test_probe_er_subset_of_risk_insensitive_cpt():
 # --- obstacle batches ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "spec, rtol",
-    [
-        (ExpectedRisk(), 0.0),
-        (CVaR(0.0), 0.0),
-        (CVaR(0.3), 0.0),
-        (CVaR(1.0), 0.0),
-        (CPT(0.74, 1.0, 0.88, 2.25), 0.0),
-    ],
-)
-def test_barrier_constraint_batch_matches_single_obstacles(spec, rtol):
+@pytest.mark.parametrize("spec", [ExpectedRisk(), CVaR(0.0), CVaR(0.3), CVaR(1.0), CPT(0.74, 1.0, 0.88, 2.25)])
+def test_barrier_constraint_batch_matches_single_obstacles(spec):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, 5.0, 2)
     y = x + rng.uniform(-4.0, 4.0, (5, 2))
@@ -282,12 +293,28 @@ def test_barrier_constraint_batch_matches_single_obstacles(spec, rtol):
     assert (h.shape, a.shape, b.shape) == ((5,), (5, 2), (5,))
     singles = [barrier_constraint(spec, PARAMS, CONFIG, x, y[k], f_y[k]) for k in range(5)]
     for got, want in zip((h, a, b), zip(*singles)):
-        np.testing.assert_allclose(got, np.array(want), rtol=rtol, atol=0.0)
+        assert np.array_equal(got, np.array(want))
     for k, (h_k, a_k, b_k) in enumerate(singles):
         assert h_k.shape == () and a_k.shape == (2,) and b_k.shape == ()
         risk_k, g_k = evaluate(spec, PARAMS, y[k] - x)
         assert h_k == CONFIG.rho - risk_k and np.array_equal(a_k, g_k)
         assert b_k == pytest.approx(float(g_k @ f_y[k]) - CONFIG.eta1_gain * h_k, rel=1e-12)
+
+
+def test_barrier_constraint_lanes_match_one_spec_calls():
+    # S lanes of mixed models, each agent at its own x (S, 2), against
+    # one obstacle or a batch of K; each lane has the bytes of its spec alone
+    specs = (ExpectedRisk(), CVaR(0.3), CPT(0.74, 1.0, 0.88, 2.25), CVaR(1.0), CPT(0.74, 1.0, 0.5, 3.0))
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 5.0, (len(specs), 2))
+    y = rng.uniform(0.0, 5.0, (4, 2))
+    f_y = rng.uniform(-2.0, 2.0, (4, 2))
+    for lane_x, lane_y, lane_f_y, shape in ((x, y[0], f_y[0], (5,)), (x[:, None], y, f_y, (5, 4))):
+        rows = barrier_constraint(specs, PARAMS, CONFIG, lane_x, lane_y, lane_f_y)
+        assert [r.shape for r in rows] == [shape, shape + (2,), shape]
+        for s, spec in enumerate(specs):
+            alone = barrier_constraint(spec, PARAMS, CONFIG, lane_x[s], lane_y, lane_f_y)
+            assert all(r[s].tobytes() == r_s.tobytes() for r, r_s in zip(rows, alone))
 
 
 # --- perturbation ordering -----------------------------------------------------------
@@ -314,7 +341,7 @@ def test_unit_cpt_perturbs_no_more_than_er_and_cvar():
             if a @ k_nom >= b:
                 all_active = False
                 break
-            deltas[spec_label(spec)] = np.linalg.norm(qp_filter(k_nom, a, b) - k_nom)
+            deltas[spec_label(spec)] = np.linalg.norm(qp_filter(k_nom, a, b)[0] - k_nom)
         if not all_active:
             continue
         active_states += 1

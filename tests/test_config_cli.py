@@ -118,7 +118,7 @@ def test_missing_section_flagged(tmp_path):
     path = write_cfg(tmp_path, MINIMAL_FIELD)
     cfg = load_config(path)
     with pytest.raises(ConfigError) as err:
-        cfg.scenario(ExpectedRisk())
+        cfg.scenario()
     assert "[agent]" in str(err.value)
 
 
@@ -185,6 +185,20 @@ def test_cli_simulate_single_spec(tmp_path):
     payload = json.loads((out / "sim_cvar_q0p4.json").read_text())
     assert payload["summary"]["reached_goal"] is True
     assert payload["summary"]["min_h"] >= 0.0
+
+
+def test_cli_simulate_unsafe_start_names_the_specs_and_writes_nothing(tmp_path, capsys):
+    # every lane is checked at the first step, before any log is written
+    text = (CONFIGS / "multi_obstacle.cfg").read_text()
+    assert text.count("start = -15.0, -15.0") == 1
+    cfg = write_cfg(tmp_path, text.replace("start = -15.0, -15.0", "start = -16.0, 0.5"))
+    out = tmp_path / "sim"
+    out.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: scenario starts perceived unsafe for cpt_a0p74_b1_g0p88_l2p25 (h_min = -42.0532)" in err
+    assert ", er (h_min = " in err
+    assert list(out.iterdir()) == []
 
 
 def _summary_row(summary):
@@ -287,7 +301,7 @@ def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatc
     # probe, and each spec takes all states in one batch
     calls = {"nominal": 0, "states": 0, "margins": 0}
     in_run = []
-    evaluate, run, margin = riskcbf.barrier.evaluate, riskcbf.cli.run, riskcbf.cli.feasibility_margin
+    evaluate, simulate, margin = riskcbf.barrier.evaluate, riskcbf.cli.simulate, riskcbf.cli.feasibility_margin
 
     def counting_evaluate(*args, **kwargs):
         calls["nominal" if in_run else "states"] += 1
@@ -297,16 +311,16 @@ def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatc
         calls["margins"] += 1
         return margin(*args)
 
-    def flagged_run(scenario):
+    def flagged_run(scenario, specs):
         in_run.append(True)
         try:
-            return run(scenario)
+            return simulate(scenario, specs)
         finally:
             in_run.pop()
 
     for module in (riskcbf.barrier, riskcbf.field):
         monkeypatch.setattr(module, "evaluate", counting_evaluate)
-    monkeypatch.setattr(riskcbf.cli, "run", flagged_run)
+    monkeypatch.setattr(riskcbf.cli, "simulate", flagged_run)
     monkeypatch.setattr(riskcbf.cli, "feasibility_margin", counting_margin)
     out = tmp_path / "feas"
     args = ["feasibility", "--config", str(CONFIGS / "multi_obstacle.cfg"), "--out", str(out)]
@@ -327,7 +341,7 @@ def test_cli_feasibility_matches_one_state_rows(tmp_path):
     report = json.loads((out / "feasibility.json").read_text())
     cfg = load_config(config)
     specs = cfg.specs()
-    scenario = cfg.scenario(specs[0])
+    scenario = cfg.scenario()
     (obstacle,) = scenario.obstacles
     u_samples = np.random.default_rng(report["seed"]).uniform(
         -report["u_max"], report["u_max"], (report["n_samples"], 2)
@@ -358,7 +372,7 @@ def test_cli_feasibility_without_obstacles_reports_no_fraction(tmp_path, capsys)
     text = (CONFIGS / "single_obstacle.cfg").read_text()
     start = text.index("[obstacle.1]")
     cfg = write_cfg(tmp_path, text[:start] + text[text.index("\n[", start) + 1 :])
-    assert load_config(cfg).scenario(ExpectedRisk()).obstacles == ()
+    assert load_config(cfg).scenario().obstacles == ()
     out = tmp_path / "feas"
     assert main(["feasibility", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "feasibility.json").read_text())
@@ -370,7 +384,7 @@ def test_cli_feasibility_without_obstacles_reports_no_fraction(tmp_path, capsys)
 
 
 def test_cli_simulate_builds_the_scenario_once(tmp_path, monkeypatch):
-    # one scenario for all 15 specs; each run replaces only its risk spec
+    # one scenario for all 15 specs, which run on it side by side
     calls = {"field_params": 0, "barrier_config": 0, "obstacles": 0}
     for name in calls:
         method = getattr(riskcbf.config.Config, name)

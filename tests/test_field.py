@@ -198,6 +198,15 @@ def test_evaluate_batch_and_grid_match_pointwise():
                 v, g = evaluate(spec, PARAMS, xi[idx])
                 assert value[idx] == v and np.array_equal(grad[idx], g)
             assert np.array_equal(evaluate(spec, PARAMS, xi, grad=False)[0], value)
+    # nor on the specs beside it: a tuple of specs runs them as lanes
+    # along the leading axis (gamma = 0.5, where a scalar power is a sqrt)
+    lanes = (*specs, CPT(0.74, 1.0, 0.5, 3.0))
+    xi = rng.uniform(-6.0, 6.0, (len(lanes), 50, 2))
+    value, grad = evaluate(lanes, PARAMS, xi)
+    for s, spec in enumerate(lanes):
+        v, g = evaluate(spec, PARAMS, xi[s])
+        assert value[s].tobytes() == v.tobytes() and grad[s].tobytes() == g.tobytes()
+    assert np.array_equal(evaluate(lanes, PARAMS, xi, grad=False)[0], value)
 
 
 def test_cpt_clamped_cells_constrain_and_rasterize():

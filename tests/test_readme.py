@@ -7,7 +7,7 @@ import json
 import re
 from pathlib import Path
 
-from riskcbf import ExpectedRisk, load_config, run
+from riskcbf import ExpectedRisk, load_config, simulate
 from riskcbf.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -31,9 +31,10 @@ def test_readme_sim_csv_columns_match_the_log(tmp_path):
     text = README.read_text(encoding="utf-8")
     block = re.search(r"^Simulation logs \(CSV\).*?^```\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
     documented = [c for c in re.split(r"[,\s]+", block.strip()) if c != "..."]
-    scenario = load_config(README.parent / "configs" / "single_obstacle.cfg").scenario(ExpectedRisk())
+    scenario = load_config(README.parent / "configs" / "single_obstacle.cfg").scenario()
     assert len(scenario.obstacles) == 1
-    run(dataclasses.replace(scenario, t_max=0.1)).to_csv(tmp_path / "log.csv")
+    (log,) = simulate(dataclasses.replace(scenario, t_max=0.1), [ExpectedRisk()])
+    log.to_csv(tmp_path / "log.csv")
     header = (tmp_path / "log.csv").read_text(encoding="utf-8").splitlines()[0].split(",")
     assert documented == header
 

@@ -8,7 +8,7 @@ import pytest
 import riskcbf.barrier
 import riskcbf.field
 import riskcbf.sim
-from riskcbf.risk import CPT, CVaR, ExpectedRisk
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import (
     ObstacleModel,
     SingleIntegrator,
@@ -17,10 +17,11 @@ from riskcbf.sim import (
     default_obstacle_speed,
     nominal_control,
     obstacle_motion,
-    run,
+    simulate,
     unicycle_transform,
 )
-from shipped import shipped_scenario
+from riskcbf.config import load_config
+from shipped import CONFIGS, run_spec, shipped_scenario
 
 
 # --- nominal control -----------------------------------------------------------
@@ -116,7 +117,7 @@ def test_unicycle_step_anti_aligned_keeps_heading(flip):
 
 
 def test_logged_heading_has_no_wraps():
-    log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
+    log = run_spec(shipped_scenario("single_obstacle"), CPT(0.74, 1.0, 0.88, 2.25))
     headings = log.records["heading"]
     assert np.abs(np.diff(headings)).max() <= math.pi
 
@@ -175,6 +176,15 @@ def test_obstacle_batch_matches_single_obstacles():
             position, velocity = obstacle_motion(start[k], goal[k], speed[k], t[s])
             assert np.array_equal(positions[s, k], position)
             assert np.array_equal(velocities[s, k], velocity)
+    # a block of step times, as the closed loop computes them, against
+    # each step's own call at t = k * dt
+    dt, k0 = 0.02, 256
+    block = np.arange(k0, k0 + 256) * dt
+    positions, velocities = obstacle_motion(start, goal, speed, block[:, None])
+    for j, k in enumerate(range(k0, k0 + 256)):
+        position, velocity = obstacle_motion(start, goal, speed, k * dt)
+        assert positions[j].tobytes() == position.tobytes()
+        assert velocities[j].tobytes() == velocity.tobytes()
 
 
 def test_default_obstacle_speed_formula():
@@ -187,12 +197,11 @@ def test_default_obstacle_speed_formula():
 
 
 def obstacle_free_scenario(**kwargs):
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk(), **kwargs)
-    return dataclasses.replace(scenario, obstacles=())
+    return dataclasses.replace(shipped_scenario("single_obstacle", **kwargs), obstacles=())
 
 
 def test_run_without_obstacles_flies_nominal():
-    log = run(obstacle_free_scenario())
+    log = run_spec(obstacle_free_scenario(), ExpectedRisk())
     assert log.reached_goal
     assert log.total_deviation == 0.0
     assert log.max_delta == 0.0
@@ -204,8 +213,8 @@ def test_run_without_obstacles_flies_nominal():
 
 def test_run_is_deterministic():
     spec = CPT(0.74, 1.0, 0.88, 2.5)
-    a = run(shipped_scenario("single_obstacle", spec))
-    b = run(shipped_scenario("single_obstacle", spec))
+    a = run_spec(shipped_scenario("single_obstacle"), spec)
+    b = run_spec(shipped_scenario("single_obstacle"), spec)
     assert a.steps == b.steps
     for name in ("position", "u_filtered"):
         assert np.array_equal(a.records[name], b.records[name])
@@ -213,12 +222,12 @@ def test_run_is_deterministic():
 
 
 def test_run_with_huge_rho_matches_nominal_exactly():
-    scenario = shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 3.5))
+    scenario = shipped_scenario("single_obstacle")
     relaxed = dataclasses.replace(
         scenario, barrier=dataclasses.replace(scenario.barrier, rho=1e12)
     )
-    filtered = run(relaxed)
-    free = run(dataclasses.replace(scenario, obstacles=()))
+    filtered = run_spec(relaxed, CPT(0.74, 1.0, 0.88, 3.5))
+    free = run_spec(dataclasses.replace(scenario, obstacles=()), CPT(0.74, 1.0, 0.88, 3.5))
     assert filtered.total_deviation == 0.0
     assert filtered.steps == free.steps
     assert np.array_equal(filtered.records["position"], free.records["position"])
@@ -226,11 +235,11 @@ def test_run_with_huge_rho_matches_nominal_exactly():
 
 def test_unfiltered_nominal_path_enters_risky_set():
     # the default obstacle timing forces the crossing conflict
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle")
     relaxed = dataclasses.replace(
         scenario, barrier=dataclasses.replace(scenario.barrier, rho=1e12)
     )
-    log = run(relaxed)
+    log = run_spec(relaxed, ExpectedRisk())
     risky = min(
         scenario.barrier.rho
         - max(
@@ -243,35 +252,34 @@ def test_unfiltered_nominal_path_enters_risky_set():
 
 
 def test_run_rejects_initially_unsafe_start():
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle")
     bad = dataclasses.replace(
         scenario,
         obstacles=(ObstacleModel([5.2, 2.2], [2.0, 3.0], 0.5),),
     )
-    with pytest.raises(ValueError):
-        run(bad)
+    with pytest.raises(ValueError, match="unsafe for er "):
+        run_spec(bad, ExpectedRisk())
 
 
 def test_record_count_bounded():
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk(), dt=0.05, t_max=2.0)
-    log = run(scenario)
+    log = run_spec(shipped_scenario("single_obstacle", dt=0.05, t_max=2.0), ExpectedRisk())
     assert log.steps <= math.ceil(2.0 / 0.05) + 1
     assert not log.reached_goal
 
 
 def test_log_grows_with_the_steps_run_not_with_t_max():
     # 5e13 steps of t_max would not fit in memory; the run arrives in about 650
-    log = run(shipped_scenario("single_obstacle", ExpectedRisk(), t_max=1e12))
+    log = run_spec(shipped_scenario("single_obstacle", t_max=1e12), ExpectedRisk())
     assert log.reached_goal
     assert log.steps > 256  # past the first block of rows
-    short = run(shipped_scenario("single_obstacle", ExpectedRisk()))
+    short = run_spec(shipped_scenario("single_obstacle"), ExpectedRisk())
     assert log.records.tobytes() == short.records.tobytes()
 
 
 def test_total_deviation_grows_with_risk_aversion():
     devs = []
     for lam in (1.5, 2.0, 2.5, 3.0, 3.5):
-        log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, lam)))
+        log = run_spec(shipped_scenario("single_obstacle"), CPT(0.74, 1.0, 0.88, lam))
         assert log.reached_goal
         devs.append(log.total_deviation)
     assert all(a <= b + 1e-12 for a, b in zip(devs, devs[1:]))
@@ -284,7 +292,7 @@ def test_halving_dt_converges_first_order():
     # position, shifts by up to one step between step sizes.
     at_2s, finals = {}, {}
     for dt in (0.1, 0.05, 0.025):
-        log = run(shipped_scenario("single_obstacle", CPT(0.74, 1.0, 0.88, 2.25), dt=dt))
+        log = run_spec(shipped_scenario("single_obstacle", dt=dt), CPT(0.74, 1.0, 0.88, 2.25))
         record = log.records[round(2.0 / dt)]
         assert record["t"] == pytest.approx(2.0)
         at_2s[dt] = record["position"]
@@ -296,7 +304,7 @@ def test_halving_dt_converges_first_order():
 
 
 def test_scenario_validation():
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle")
     with pytest.raises(ValueError):
         dataclasses.replace(scenario, dt=-0.1)
     with pytest.raises(ValueError):
@@ -324,16 +332,15 @@ def test_scenario_validation():
 
 def test_scenario_rejects_bad_nominal_gain():
     # rejected when the scenario is built, not at the first step
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle")
     for gain in ([math.nan, 0.6], [0.6, 0.6, 0.6]):
         with pytest.raises(ValueError, match="finite 2-vector"):
             dataclasses.replace(scenario, nominal_gain=gain)
 
 
 def test_single_integrator_scenario_runs():
-    scenario = shipped_scenario("single_obstacle", CVaR(0.4))
-    integrator = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]))
-    log = run(integrator)
+    integrator = dataclasses.replace(shipped_scenario("single_obstacle"), agent=SingleIntegrator([5.0, 2.0]))
+    log = run_spec(integrator, CVaR(0.4))
     assert log.reached_goal
     assert log.min_h >= 0.0
     assert np.isnan(log.records["heading"]).all()
@@ -343,16 +350,16 @@ def test_single_integrator_scenario_runs():
 
 
 def test_run_deterministic_summary():
-    first, second = (run(shipped_scenario("single_obstacle", CVaR(0.4))) for _ in range(2))
+    first, second = (run_spec(shipped_scenario("single_obstacle"), CVaR(0.4)) for _ in range(2))
     assert first.summary_dict() == second.summary_dict()
 
 
 def test_cvar_deviation_spread_smaller_than_cpt():
     cvar_rows = [
-        run(shipped_scenario("single_obstacle", CVaR(q))) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)
+        run_spec(shipped_scenario("single_obstacle"), CVaR(q)) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)
     ]
     cpt_rows = [
-        run(shipped_scenario("single_obstacle", spec))
+        run_spec(shipped_scenario("single_obstacle"), spec)
         for spec in [CPT(0.74, 1.0, 0.88, lam) for lam in (1.5, 2.5, 3.5)]
         + [CPT(0.74, 1.0, g, 2.25) for g in (0.785, 0.9, 1.0)]
     ]
@@ -365,7 +372,7 @@ def test_cvar_deviation_spread_smaller_than_cpt():
 
 
 def test_simlog_csv_schema(tmp_path):
-    log = run(shipped_scenario("single_obstacle", CVaR(0.4), t_max=5.0))
+    log = run_spec(shipped_scenario("single_obstacle", t_max=5.0), CVaR(0.4))
     path = tmp_path / "log.csv"
     log.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -382,10 +389,10 @@ def test_simlog_csv_schema(tmp_path):
 
 
 def test_simlog_csv_writes_each_value_as_17g(tmp_path):
-    scenario = shipped_scenario("single_obstacle", CVaR(0.4), t_max=3.0)
+    scenario = shipped_scenario("single_obstacle", t_max=3.0)
     # a single integrator logs a NaN heading and no obstacles an inf h_min
     bare = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]), obstacles=())
-    for log in (run(scenario), run(bare)):
+    for log in (run_spec(scenario, CVaR(0.4)), run_spec(bare, CVaR(0.4))):
         path = tmp_path / "log.csv"
         log.to_csv(path)
         lines = path.read_text().splitlines()[1:]
@@ -402,7 +409,7 @@ def test_simlog_csv_writes_each_value_as_17g(tmp_path):
 
 
 def test_simlog_json_schema(tmp_path):
-    log = run(shipped_scenario("single_obstacle", CVaR(0.4), t_max=5.0))
+    log = run_spec(shipped_scenario("single_obstacle", t_max=5.0), CVaR(0.4))
     path = tmp_path / "log.json"
     log.to_json(path)
     payload = json.loads(path.read_text())
@@ -413,10 +420,10 @@ def test_simlog_json_schema(tmp_path):
 
 
 def test_simlog_json_records_are_the_rows(tmp_path):
-    scenario = shipped_scenario("single_obstacle", CVaR(0.4), t_max=3.0)
+    scenario = shipped_scenario("single_obstacle", t_max=3.0)
     # a single integrator logs a NaN heading and no obstacles an inf h_min
     bare = dataclasses.replace(scenario, agent=SingleIntegrator([5.0, 2.0]), obstacles=())
-    for log in (run(scenario), run(bare)):
+    for log in (run_spec(scenario, CVaR(0.4)), run_spec(bare, CVaR(0.4))):
         path = tmp_path / "log.json"
         log.to_json(path)
         records = json.loads(path.read_text())["records"]
@@ -442,7 +449,7 @@ def test_simlog_json_records_are_the_rows(tmp_path):
 
 def test_comparison_csv(tmp_path):
     specs = (CVaR(0.4), ExpectedRisk())
-    logs = [run(shipped_scenario("single_obstacle", spec, t_max=5.0)) for spec in specs]
+    logs = [run_spec(shipped_scenario("single_obstacle", t_max=5.0), spec) for spec in specs]
     path = tmp_path / "summary.csv"
     comparison_to_csv(logs, path)
     lines = path.read_text().strip().splitlines()
@@ -454,7 +461,7 @@ def test_comparison_csv(tmp_path):
 
 
 def test_single_scenario_constants():
-    scenario = shipped_scenario("single_obstacle", ExpectedRisk())
+    scenario = shipped_scenario("single_obstacle")
     assert isinstance(scenario.agent, Unicycle)
     assert np.allclose(scenario.agent.position, [5.0, 2.0])
     assert np.allclose(scenario.goal, [10.0, 10.0])
@@ -467,7 +474,7 @@ def test_single_scenario_constants():
 
 
 def test_multi_scenario_constants():
-    scenario = shipped_scenario("multi_obstacle", ExpectedRisk())
+    scenario = shipped_scenario("multi_obstacle")
     assert np.allclose(scenario.agent.position, [-15.0, -15.0])
     assert np.allclose(scenario.goal, [15.0, 15.0])
     assert np.allclose(scenario.nominal_gain, [1.6, 1.6])
@@ -479,9 +486,9 @@ def test_multi_scenario_constants():
 
 
 def test_identical_obstacles_tie_to_the_lowest_index():
-    scenario = shipped_scenario("single_obstacle", CVaR(0.4))
-    alone = run(scenario)
-    twins = run(dataclasses.replace(scenario, obstacles=scenario.obstacles * 2))
+    scenario = shipped_scenario("single_obstacle")
+    alone = run_spec(scenario, CVaR(0.4))
+    twins = run_spec(dataclasses.replace(scenario, obstacles=scenario.obstacles * 2), CVaR(0.4))
     assert (twins.active_index == 0).all()
     assert np.array_equal(twins.h_min, alone.h_min)
     assert twins.total_deviation == alone.total_deviation > 0.0
@@ -501,14 +508,17 @@ def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
     monkeypatch.setattr(riskcbf.field, "evaluate", evaluate)
     monkeypatch.setattr(riskcbf.barrier, "evaluate", evaluate)
     monkeypatch.setattr(riskcbf.sim, "qp_filter", counted("qp_filter", riskcbf.sim.qp_filter))
-    log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25), t_max=3.0))
-    assert log.records["obstacles"].shape[1:] == (3, 2)
-    assert counts == {"evaluate": log.steps, "qp_filter": log.steps}
+    # all 9 specs step in lockstep: one call per step of the longest lane
+    logs = simulate(shipped_scenario("multi_obstacle"), load_config(CONFIGS / "multi_obstacle.cfg").specs())
+    assert len(logs) == 9 and all(log.records["obstacles"].shape[1:] == (3, 2) for log in logs)
+    steps = [log.steps for log in logs]
+    assert len(set(steps)) > 1  # the lanes arrive on different steps
+    assert counts == {"evaluate": max(steps), "qp_filter": max(steps)}
 
 
 def test_run_logs_obstacle_motion_at_each_t():
-    scenario = shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25))
-    log = run(scenario)
+    scenario = shipped_scenario("multi_obstacle")
+    log = run_spec(scenario, CPT(0.74, 1.0, 0.88, 2.25))
     starts, goals, speeds = (np.array([getattr(o, name) for o in scenario.obstacles])
                              for name in ("start", "goal", "speed"))
     for t, logged in zip(log.records["t"].tolist(), log.records["obstacles"]):
@@ -516,7 +526,7 @@ def test_run_logs_obstacle_motion_at_each_t():
 
 
 def test_multi_obstacle_active_switching_keeps_h_min_continuous():
-    log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
+    log = run_spec(shipped_scenario("multi_obstacle"), CPT(0.74, 1.0, 0.88, 2.25))
     assert log.reached_goal
     h, active = log.h_min, log.active_index
     assert len(set(active.tolist())) > 1  # the worst-case obstacle changes
@@ -527,7 +537,7 @@ def test_multi_obstacle_active_switching_keeps_h_min_continuous():
 
 def test_log_views_match_per_row_loops():
     # the per-step loops the columnar views replaced, as the reference
-    log = run(shipped_scenario("multi_obstacle", CPT(0.74, 1.0, 0.88, 2.25)))
+    log = run_spec(shipped_scenario("multi_obstacle"), CPT(0.74, 1.0, 0.88, 2.25))
     rows = log.records["h"].tolist()
     assert log.h_min.tolist() == [min(row) for row in rows]
     assert log.active_index.tolist() == [row.index(min(row)) for row in rows]
@@ -536,3 +546,53 @@ def test_log_views_match_per_row_loops():
     assert log.max_delta == max(norms)
     assert log.feasibility_violations == sum(not f for f in log.records["feasible"].tolist())
     assert log.goal_time == log.records["t"][-1] == (log.steps - 1) * log.dt
+
+
+# --- lanes ------------------------------------------------------------------------
+
+
+def lane_case(name):
+    """A scenario and the specs that run on it side by side."""
+    single, multi = (load_config(CONFIGS / f"{n}.cfg") for n in ("single_obstacle", "multi_obstacle"))
+    mixed = (ExpectedRisk(), CVaR(0.4), CPT(0.74, 1.0, 0.88, 2.25), CPT(0.74, 1.0, 0.5, 3.0))
+    return {
+        "single_obstacle": (single.scenario(), single.specs()),
+        "multi_obstacle": (multi.scenario(), multi.specs()),
+        "single_integrator": (dataclasses.replace(multi.scenario(), agent=SingleIntegrator([-15.0, -15.0])), mixed),
+        "no_obstacles": (dataclasses.replace(single.scenario(), obstacles=()), mixed),
+        "t_max_cutoff": (dataclasses.replace(single.scenario(), t_max=2.0), single.specs()),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["single_obstacle", "multi_obstacle", "single_integrator", "no_obstacles",
+                                  "t_max_cutoff"])
+def test_lanes_reproduce_one_lane_runs(name):
+    scenario, specs = lane_case(name)
+    assert simulate(scenario, []) == []
+    logs = simulate(scenario, specs)
+    assert [log.label for log in logs] == [spec_label(spec) for spec in specs]
+    for log, spec in zip(logs, specs):
+        alone = run_spec(scenario, spec)
+        assert log.records.tobytes() == alone.records.tobytes()
+        assert log.reached_goal == alone.reached_goal
+    steps = {log.steps for log in logs}
+    if name == "t_max_cutoff":
+        assert steps == {101} and not any(log.reached_goal for log in logs)
+    else:
+        assert all(log.reached_goal for log in logs)
+    if name in ("single_obstacle", "multi_obstacle"):
+        assert len(steps) > 1  # lanes leave the lockstep on different steps
+    if name == "single_obstacle":
+        assert max(steps) > 256  # past the first log and obstacle block
+
+
+def test_lanes_name_every_spec_that_starts_unsafe():
+    # an obstacle beside the start: CPT at lambda = 3.5 perceives it as
+    # unsafe, ER does not
+    scenario = dataclasses.replace(shipped_scenario("single_obstacle"),
+                                   obstacles=(ObstacleModel([9.0, 2.0], [9.0, 2.0], 0.0),))
+    specs = (ExpectedRisk(), CPT(0.74, 1.0, 0.88, 3.5))
+    with pytest.raises(ValueError) as err:
+        simulate(scenario, specs)
+    assert "cpt_a0p74_b1_g0p88_l3p5 (h_min = -" in str(err.value)
+    assert "er (" not in str(err.value)
