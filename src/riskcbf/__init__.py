@@ -32,6 +32,7 @@ from .field import (
     inclusiveness_audit,
     level_set,
     rasterize,
+    rasterize_specs,
     safe_mask,
     versatility_audit,
 )

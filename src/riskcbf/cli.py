@@ -28,7 +28,8 @@ from .field import (
     inclusiveness_audit,
     level_set,
     polylines_to_json,
-    rasterize,
+    rasterize,  # noqa: F401 - perfbench/test_perfbench.py reaches it as riskcbf.cli.rasterize
+    rasterize_specs,
     safe_mask,
     sample_grid,
     versatility_audit,
@@ -66,9 +67,8 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
 
     _write_grid(sample_grid(partial(cost_mean, params), source, bounds, resolution), out, "c_mu", fmt)
     _write_grid(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
-    for spec in specs:
+    for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
         label = spec_label(spec)
-        grid = rasterize(spec, params, source, bounds, resolution)
         _write_grid(grid, out, f"risk_{label}", fmt)
         mask = safe_mask(grid, barrier.rho)
         _write_grid(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
@@ -84,14 +84,14 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     c_min, c_max = discretized_cost_range(params, source, bounds, resolution)
     cvar_family, cpt_family = cfg.audit_families(c_min, c_max, barrier.rho)
 
-    def safe_sets(family):
-        # one mask per distinct spec; the three families share no spec
-        return {
-            spec: safe_mask(rasterize(spec, params, source, bounds, resolution), barrier.rho)
-            for spec in dict.fromkeys(family)
-        }
-
-    er, cvar, cpt = safe_sets([ExpectedRisk()]), safe_sets(cvar_family), safe_sets(cpt_family)
+    # one mask per distinct spec, shared by every family that holds it
+    families = [ExpectedRisk()], cvar_family, cpt_family
+    specs = list(dict.fromkeys(spec for family in families for spec in family))
+    masks = {
+        spec: safe_mask(grid, barrier.rho)
+        for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution))
+    }
+    er, cvar, cpt = ({spec: masks[spec] for spec in family} for family in families)
 
     levels = cfg.levels()
     if not levels:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .distributions import lattice_coeffs
-from .risk import RiskSpec, moment_risk, spec_label
+from .risk import CPT, RiskSpec, moment_risk, spec_label
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,15 +91,24 @@ class FieldGrid:
         return self.ymin + (np.arange(self.ny) + 0.5) * self.dy
 
     def to_csv(self, path) -> None:
+        v = self.values
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("xmin,xmax,ymin,ymax,nx,ny\n")
             fh.write(
                 f"{self.xmin:.17g},{self.xmax:.17g},{self.ymin:.17g},"
                 f"{self.ymax:.17g},{self.nx},{self.ny}\n"
             )
+            if ((v == 1.0) | ((v == 0.0) & ~np.signbit(v))).all():
+                # a 0/1 grid (a safe mask): '%.17g' writes +0.0 and 1.0 as
+                # the digits 0 and 1, so the rows are one byte buffer
+                text = np.full((self.nx, 2 * self.ny), ord(","), dtype=np.uint8)
+                text[:, 0::2] = v + ord("0")
+                text[:, -1] = ord("\n")
+                fh.write(text.tobytes().decode("ascii"))
+                return
             # '%.17g' % v gives the bytes of f"{v:.17g}" for every float
             row = ",".join(["%.17g"] * self.ny) + "\n"
-            for values in self.values:
+            for values in v:
                 fh.write(row % tuple(values.tolist()))
 
     @classmethod
@@ -216,6 +225,32 @@ def rasterize(
     sequential row-major loop.
     """
     return sample_grid(lambda xi: evaluate(spec, params, xi, grad=False)[0], source, bounds, resolution)
+
+
+def rasterize_specs(specs, params: CostFieldParams, source, bounds, resolution):
+    """Yield ``rasterize(spec, params, source, bounds, resolution)`` for
+    each spec, in order, with the bytes of that one-spec call.
+
+    CPT's value lam * sum_i Pi_i * c_i**gamma applies lam last, so the
+    CPT specs that differ only in lam share one rasterize call at lam = 1,
+    and each yields lam times that grid: 1.0 * x == x, so the product has
+    the bytes of the direct call. A shared grid is held until the last
+    spec of its group.
+    """
+    specs = tuple(specs)
+    left = Counter(replace(s, lam=1.0) for s in specs if isinstance(s, CPT))
+    unit: dict[CPT, FieldGrid] = {}
+    for spec in specs:
+        if not isinstance(spec, CPT):
+            yield rasterize(spec, params, source, bounds, resolution)
+            continue
+        key = replace(spec, lam=1.0)
+        if key not in unit:
+            unit[key] = rasterize(key, params, source, bounds, resolution)
+        left[key] -= 1
+        grid = unit[key] if left[key] else unit.pop(key)
+        grid = replace(grid, values=spec.lam * grid.values)  # drops the reference to the shared grid
+        yield grid
 
 
 def discretized_cost_range(

@@ -247,6 +247,8 @@ def _cpt_risk(mu, sigma, m: int, rows: tuple, gamma, scale, lam, pi, grad: bool,
     else:  # a one-spec call's c **= 0.5 is np.sqrt, which rounds unlike np.power
         np.power(c, gamma, out=c, where=~sqrt_rows)
         np.sqrt(c, out=c, where=sqrt_rows)
+    # lam is applied last, and alone: field.rasterize_specs relies on
+    # lam * (the lam = 1 value) having the bytes of this value
     value = (lam * row_dot(c, pi)).reshape(mu.shape)
     return value, d_mu, d_sigma
 

@@ -242,24 +242,46 @@ def test_cli_simulate_summary_table(tmp_path):
         assert row == _summary_row(summary)
 
 
-def test_cli_audit(tmp_path, monkeypatch):
+@pytest.fixture
+def rasterize_calls(monkeypatch):
+    """The specs of every rasterize call; the commands reach it through
+    riskcbf.field.rasterize_specs."""
     calls = []
-    rasterize = riskcbf.cli.rasterize
+    rasterize = riskcbf.field.rasterize
 
     def counting_rasterize(spec, *args):
         calls.append(spec)
         return rasterize(spec, *args)
 
-    for module in (riskcbf.cli, riskcbf.field):
-        monkeypatch.setattr(module, "rasterize", counting_rasterize)
+    monkeypatch.setattr(riskcbf.field, "rasterize", counting_rasterize)
+    return calls
+
+
+def test_cli_field_rasterizes_specs_that_differ_only_in_lambda_once(tmp_path, rasterize_calls):
+    assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(tmp_path)]) == 0
+    # ER and 6 CVaR, plus 3 CPT (alpha, beta, gamma) groups at lambda = 1:
+    # the five cpt(0.74, 1.0, 0.95, lambda) specs share one
+    assert len(rasterize_calls) == 10
+    assert set(rasterize_calls) == {
+        ExpectedRisk(),
+        *(CVaR(q) for q in (0.001, 0.1, 0.4, 0.8, 0.95, 0.999)),
+        *(CPT(0.74, 1.0, g, 1.0) for g in (0.95, 0.45, 0.88)),
+    }
+    assert len(list(tmp_path.glob("risk_*.csv"))) == 14
+
+
+def test_cli_audit(tmp_path, rasterize_calls):
     out = tmp_path / "audit"
     code = main(
         ["audit", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out)]
     )
     assert code == 0
-    # one mask per distinct spec: 7 CVaR, 30 CPT grid + 2 extremes, ER
-    assert len(calls) == 40
-    assert len(set(calls)) == 40
+    # one grid per distinct ER/CVaR spec (ER and 7 CVaR) and per distinct
+    # CPT (alpha, beta, gamma): the 6 gammas of the 6 x 5 family and the
+    # 2 extremes
+    assert len(rasterize_calls) == 16
+    assert len(set(rasterize_calls)) == 16
+    assert sum(isinstance(spec, CPT) for spec in rasterize_calls) == 8
     report = json.loads((out / "audit.json").read_text())
     assert report["inclusiveness"]["cpt_vs_cvar"]["verdict"] == "strictly more inclusive"
     assert report["inclusiveness"]["cpt_vs_er"]["verdict"] == "strictly more inclusive"

@@ -1,9 +1,11 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import riskcbf.field
 from riskcbf.field import (
     _SEG_TABLE,
     _chain_segments,
@@ -18,6 +20,7 @@ from riskcbf.field import (
     level_set,
     polylines_to_json,
     rasterize,
+    rasterize_specs,
     safe_mask,
     sample_grid,
     versatility_audit,
@@ -254,6 +257,48 @@ def test_rasterize_matches_rowmajor_pointwise_loop():
                 center = np.array([grid.x_centers()[i], grid.y_centers()[j]])
                 expected, _ = evaluate(spec, PARAMS, SOURCE - center, grad=False)
                 assert grid.values[i, j] == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
+
+
+def test_rasterize_specs_match_one_spec_calls(monkeypatch):
+    specs = (
+        ExpectedRisk(),
+        CPT(0.74, 1.0, 0.5, 2.0),  # gamma = 0.5: the one-spec c **= 0.5 is np.sqrt
+        CVaR(0.0),
+        CPT(0.74, 1.0, 1.0, 3.0),
+        CPT(0.74, 1.0, 0.5, 3.5),  # the lambda-group of specs[1], not adjacent to it
+        CVaR(1.0),
+        CPT(0.74, 1.0, 0.88, 1.0),  # lambda = 1 alone
+        CPT(0.74, 1.0, 1.0, 3.0),  # a repeated spec
+        CPT(0.74, 1.0, 0.5, 2.0),
+        CPT(0.5, 2.0, 1.0, 2.0),  # gamma = 1 of another (alpha, beta)
+    )
+    res = (30, 20)
+    expected = [rasterize(spec, PARAMS, SOURCE, BOUNDS, res) for spec in specs]
+    calls, units = [], {}
+
+    def counting_rasterize(spec, *args):
+        calls.append(spec)
+        grid = rasterize(spec, *args)
+        if isinstance(spec, CPT):
+            units[spec] = weakref.ref(grid)
+        return grid
+
+    monkeypatch.setattr(riskcbf.field, "rasterize", counting_rasterize)
+    keys = [CPT(s.alpha, s.beta, s.gamma, 1.0) if isinstance(s, CPT) else None for s in specs]
+    grids = rasterize_specs(specs, PARAMS, SOURCE, BOUNDS, res)
+    for i, (grid, want) in enumerate(zip(grids, expected, strict=True)):
+        assert (grid.xmin, grid.xmax, grid.ymin, grid.ymax, grid.nx, grid.ny) == (
+            want.xmin, want.xmax, want.ymin, want.ymax, want.nx, want.ny
+        )
+        assert grid.values.tobytes() == want.values.tobytes()
+        # a group's lambda = 1 grid is dropped once its last spec is out
+        for key, unit in units.items():
+            assert (unit() is None) == (key not in keys[i + 1:])
+    # one call per ER/CVaR spec and one per CPT (alpha, beta, gamma), at lambda = 1
+    assert [s for s in calls if not isinstance(s, CPT)] == [s for s in specs if not isinstance(s, CPT)]
+    cpt_calls = [s for s in calls if isinstance(s, CPT)]
+    assert len(cpt_calls) == len(set(cpt_calls)) == 4
+    assert set(cpt_calls) == set(keys) - {None}
 
 
 def test_sample_grid_shares_one_read_only_offset_array():
@@ -581,6 +626,25 @@ def test_grid_csv_writes_each_value_as_17g(tmp_path):
     rows = path.read_text().splitlines()[2:]
     assert rows == [",".join(format(v, ".17g") for v in row) for row in values.tolist()]
     assert rows[0].startswith("-0,4.9406564584124654e-324,")
+    back = FieldGrid.from_csv(path)
+    assert back.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("odd", [None, -0.0, 0.5, 2.0])
+def test_grid_csv_of_a_01_grid_is_its_17g_text(tmp_path, odd):
+    # a 0/1 grid (a safe mask) is written from one byte buffer; a -0.0 or
+    # any value other than 0 and 1 sends the grid through float formatting
+    values = safe_mask(rasterize(ExpectedRisk(), PARAMS, SOURCE, BOUNDS, (12, 9)), 120.0).astype(float)
+    assert 0.0 < values.mean() < 1.0
+    if odd is not None:
+        values[3, 4] = odd
+    grid = FieldGrid(0.0, 1.5, -1.0, 1.0, 12, 9, values)
+    path = tmp_path / "grid.csv"
+    grid.to_csv(path)
+    rows = path.read_text().split("\n", 2)[2]
+    assert rows == "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    if odd is not None:
+        assert rows.splitlines()[3].split(",")[4] == {-0.0: "-0", 0.5: "0.5", 2.0: "2"}[odd]
     back = FieldGrid.from_csv(path)
     assert back.values.tobytes() == values.tobytes()
 
