@@ -72,7 +72,8 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
         _write_grid(grid, out, f"risk_{label}", fmt)
         mask = safe_mask(grid, barrier.rho)
         _write_grid(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
-        polylines_to_json(level_set(grid, barrier.rho), out / f"levelset_{label}.json")
+        polylines = level_set(spec, params, source, bounds, resolution, barrier.rho)
+        polylines_to_json(polylines, out / f"levelset_{label}.json")
         print(f"field: wrote grids for {label}")
     return 0
 

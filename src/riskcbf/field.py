@@ -6,13 +6,15 @@ c_mu(r_bar) * p_N(xi, I), the bivariate standard normal density scaled
 by the mean cost at the localization radius. Risk models from
 :mod:`riskcbf.risk` turn the (mean, deviation) pair into a scalar
 perceived-risk field whose sublevel sets are the perceived-safe sets.
+Both moments depend on |xi| alone, so every field is radial about its
+source, and each level set is the circles at the roots of its profile.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
@@ -271,126 +273,73 @@ def safe_mask(grid: FieldGrid, rho: float) -> np.ndarray:
     return grid.values <= rho
 
 
-# Marching-squares segment table. Corners of a marching cell between
-# grid nodes (i, j) and (i+1, j+1): A=(i,j), B=(i+1,j), C=(i+1,j+1),
-# D=(i,j+1); bit set means the corner is above the level. Edges are
-# named by the corner pair they join.
-_SEG_TABLE = {
-    1: (("AB", "AD"),),
-    2: (("AB", "BC"),),
-    3: (("AD", "BC"),),
-    4: (("BC", "DC"),),
-    6: (("AB", "DC"),),
-    7: (("AD", "DC"),),
-    8: (("AD", "DC"),),
-    9: (("AB", "DC"),),
-    11: (("BC", "DC"),),
-    12: (("AD", "BC"),),
-    13: (("AB", "BC"),),
-    14: (("AB", "AD"),),
-}
+# Level sets sample the radial profile every eighth of the smaller cell
+# side, finer than the grid can separate two roots, and keep each chord of
+# a circle within a hundredth of that side of its arc, far below the grid.
+_PROFILE_STEP = 1 / 8
+_CHORD_FRACTION = 0.01
 
 
-def level_set(grid: FieldGrid, rho: float) -> list[np.ndarray]:
-    """Marching-squares contour of the level {value == rho}.
+def _root_radii(spec, params, rho: float, r_max: float, step: float) -> np.ndarray:
+    """Ascending radii in [0, r_max] at which ``R > rho`` changes on the
+    radial profile sampled at most step apart, each within step / 64**4."""
 
-    Runs on the cell-center lattice with linear interpolation along
-    edges; saddle cells (ambiguous diagonal cases) are resolved by the
-    sign of the four-corner mean, a cell-center sample of the field.
-    Returns polylines as (K, 2) arrays; closed contours repeat their
-    first vertex. Returns [] when rho lies outside the value range.
+    def above(r):
+        return evaluate(spec, params, r[..., None] * (1.0, 0.0), grad=False)[0] > rho
+
+    lo, hi = np.zeros(1), np.full(1, r_max)
+    # the profile, then four rounds that cut every bracket into 64, each one call
+    for n in (math.ceil(r_max / step), 64, 64, 64, 64):
+        t = lo[:, None] + (hi - lo)[:, None] * (np.arange(n + 1) / n)
+        t[:, -1] = hi  # so that each bracket keeps the sides of its ends
+        i, j = np.nonzero(np.diff(above(t), axis=1))
+        lo, hi = t[i, j], t[i, j + 1]
+    return 0.5 * (lo + hi)
+
+
+def level_set(spec: RiskSpec, params: CostFieldParams, source, bounds, resolution, rho: float) -> list[np.ndarray]:
+    """Polylines, as (K, 2) arrays, of the level {R = rho} of ``rasterize(
+    spec, params, source, bounds, resolution)`` over its cell-center window
+    [x_0, x_{nx-1}] x [y_0, y_{ny-1}]: the circles about source at the radii
+    where ``R > rho`` changes out to the window's farthest corner. Roots
+    closer together than the profile step may merge, as the grid cannot
+    resolve them either. A circle inside the window is one closed polyline
+    that repeats its first vertex; one that crosses its edge gives an open
+    arc per inside run, ending exactly on the edge. Polylines come by
+    ascending radius, each counter-clockwise.
     """
-    v = grid.values
-    if rho < v.min() or rho > v.max():
-        return []
-    s = v - rho
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    points: dict[tuple, tuple[float, float]] = {}
-
-    def edge_key(name: str, i: int, j: int) -> tuple:
-        if name == "AB":
-            key = ("h", i, j)
-            n0, n1 = (i, j), (i + 1, j)
-        elif name == "DC":
-            key = ("h", i, j + 1)
-            n0, n1 = (i, j + 1), (i + 1, j + 1)
-        elif name == "AD":
-            key = ("v", i, j)
-            n0, n1 = (i, j), (i, j + 1)
-        else:  # BC
-            key = ("v", i + 1, j)
-            n0, n1 = (i + 1, j), (i + 1, j + 1)
-        if key not in points:
-            s0, s1 = s[n0], s[n1]
-            t = s0 / (s0 - s1)
-            x0, y0 = xs[n0[0]], ys[n0[1]]
-            x1, y1 = xs[n1[0]], ys[n1[1]]
-            points[key] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-        return key
-
-    # case of every cell at once; only the cells the level crosses
-    # (case neither 0 nor 15) are visited, in row-major order
-    a = (s > 0).astype(np.int8)
-    cases = a[:-1, :-1] | a[1:, :-1] << 1 | a[1:, 1:] << 2 | a[:-1, 1:] << 3
-    crossing = np.nonzero((cases != 0) & (cases != 15))
-    segments: list[tuple[tuple, tuple]] = []
-    for i, j, case in zip(*(idx.tolist() for idx in crossing), cases[crossing].tolist()):
-        if case in (5, 10):
-            center_above = (
-                s[i, j] + s[i + 1, j] + s[i + 1, j + 1] + s[i, j + 1]
-            ) > 0
-            if (case == 5) == center_above:
-                pairs = (("AB", "BC"), ("AD", "DC"))
-            else:
-                pairs = (("AB", "AD"), ("BC", "DC"))
-        else:
-            pairs = _SEG_TABLE[case]
-        for e0, e1 in pairs:
-            segments.append((edge_key(e0, i, j), edge_key(e1, i, j)))
-
-    return _chain_segments(segments, points)
-
-
-def _chain_segments(segments, points) -> list[np.ndarray]:
-    adjacency: dict[tuple, list] = defaultdict(list)
-    for idx, (k0, k1) in enumerate(segments):
-        adjacency[k0].append((k1, idx))
-        adjacency[k1].append((k0, idx))
-    used = [False] * len(segments)
-
-    def walk(start):
-        keys = [start]
-        cur = start
-        while True:
-            step = None
-            for other, idx in adjacency[cur]:
-                if not used[idx]:
-                    used[idx] = True
-                    step = other
-                    break
-            if step is None:
-                return keys
-            keys.append(step)
-            cur = step
-
+    grid = FieldGrid(*bounds, *resolution, values=np.empty(tuple(resolution)))
+    (x0, x1), (y0, y1) = grid.x_centers()[[0, -1]], grid.y_centers()[[0, -1]]
+    cx, cy = np.asarray(source, dtype=float).tolist()
+    r_max = max(math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1))
+    cell = min(grid.dx, grid.dy)
     polylines = []
-    endpoints = [k for k, lst in adjacency.items() if len(lst) == 1]
-    for start in endpoints:
-        if all(used[idx] for _, idx in adjacency[start]):
-            continue
-        polylines.append(walk(start))
-    for start in adjacency:
-        if any(not used[idx] for _, idx in adjacency[start]):
-            polylines.append(walk(start))
-    return [np.array([points[k] for k in keys]) for keys in polylines]
+    for r in _root_radii(spec, params, rho, r_max, _PROFILE_STEP * cell).tolist():
+        cuts = []  # (angle, axis, edge) where the circle meets each window edge
+        for axis, center, edge in ((0, cx, x0), (0, cx, x1), (1, cy, y0), (1, cy, y1)):
+            d = (edge - center) / r
+            if -1.0 <= d <= 1.0:
+                cuts += [((axis * math.pi / 2 + s * math.acos(d)) % TWO_PI, axis, edge) for s in (1, -1)]
+        # a circle that meets no edge is one span from angle 0 round to
+        # 2pi, and setting y = cy at both its ends makes them (cx + r, cy)
+        cuts = sorted(cuts) or [(0.0, 1, cy)]
+        step = 2.0 * math.acos(max(1.0 - _CHORD_FRACTION * cell / r, -1.0))  # the widest angle within the chord bound
+        # the spans between consecutive cuts alternate in and out of the
+        # window, and the last one passes angle 0
+        for (a, axis0, edge0), (b, axis1, edge1) in zip(cuts, cuts[1:] + [(cuts[0][0] + TWO_PI, *cuts[0][1:])]):
+            x, y = cx + r * math.cos(0.5 * (a + b)), cy + r * math.sin(0.5 * (a + b))
+            if b > a and x0 <= x <= x1 and y0 <= y <= y1:
+                theta = np.linspace(a, b, math.ceil((b - a) / step) + 1)
+                poly = np.column_stack([cx + r * np.cos(theta), cy + r * np.sin(theta)])
+                poly[0, axis0], poly[-1, axis1] = edge0, edge1
+                polylines.append(poly)
+    return polylines
 
 
 def polylines_to_json(polylines, path) -> None:
     """Write level-set polylines as a JSON list of [x, y] point lists."""
-    payload = [[[float(x), float(y)] for x, y in poly] for poly in polylines]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump([poly.tolist() for poly in polylines], fh)
         fh.write("\n")
 
 

@@ -145,6 +145,25 @@ def test_cli_field_outputs_and_determinism(tmp_path):
     assert (out1 / "risk_er.csv").read_bytes() == (out1 / "c_mu.csv").read_bytes()
 
 
+def test_cli_field_level_sets_are_circles_in_the_cell_center_window(tmp_path):
+    assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(tmp_path)]) == 0
+    cfg = load_config(CONFIGS / "field_default.cfg")
+    (xmin, xmax, ymin, ymax), (nx, ny), source = cfg.grid_geometry()
+    dx, dy = (xmax - xmin) / nx, (ymax - ymin) / ny
+    files = sorted(tmp_path.glob("levelset_*.json"))
+    assert len(files) == len(cfg.specs())
+    n_polylines = 0
+    for path in files:
+        for poly in json.loads(path.read_text()):
+            pts = np.array(poly)
+            r = np.linalg.norm(pts - np.asarray(source), axis=1)
+            assert r.max() - r.min() <= 1e-12 * r.max(), path.name
+            assert (pts >= (xmin + 0.5 * dx, ymin + 0.5 * dy)).all(), path.name
+            assert (pts <= (xmin + (nx - 0.5) * dx, ymin + (ny - 0.5) * dy)).all(), path.name
+            n_polylines += 1
+    assert n_polylines > len(files) // 2
+
+
 def test_cli_field_json_format(tmp_path):
     out = tmp_path / "json_out"
     code = main(

@@ -1,14 +1,13 @@
 import json
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import riskcbf.field
 from riskcbf.field import (
-    _SEG_TABLE,
-    _chain_segments,
     CostFieldParams,
     FieldGrid,
     cost_gradients,
@@ -26,7 +25,8 @@ from riskcbf.field import (
     versatility_audit,
 )
 from riskcbf.barrier import BarrierConfig, barrier_constraint
-from riskcbf.risk import CPT, CVaR, ExpectedRisk
+from riskcbf.config import load_config
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -336,157 +336,155 @@ def test_safe_mask_partitions_grid():
 
 
 def test_level_set_single_closed_contour():
-    grid = rasterize(ExpectedRisk(), PARAMS, SOURCE, (0.0, 20.0, 0.0, 20.0), (160, 160))
-    polys = level_set(grid, 150.0)
+    polys = level_set(ExpectedRisk(), PARAMS, SOURCE, (0.0, 20.0, 0.0, 20.0), (160, 160), 150.0)
     assert len(polys) == 1
     poly = polys[0]
-    assert np.allclose(poly[0], poly[-1])
+    assert np.array_equal(poly[0], poly[-1])
     radii = np.linalg.norm(poly - SOURCE, axis=1)
     expected_r = math.sqrt(math.log(200.0 / 150.0) / 0.01)
-    assert radii.min() == pytest.approx(expected_r, abs=0.15)
-    assert radii.max() == pytest.approx(expected_r, abs=0.15)
+    assert radii.min() == pytest.approx(expected_r, rel=1e-9)
+    assert radii.max() == pytest.approx(expected_r, rel=1e-9)
 
 
 def test_level_set_vertices_track_level():
-    # re-evaluation oracle: the true field value at each vertex stays
-    # within the value range of the cell the vertex lies in
+    # re-evaluation oracle: the true field value at each vertex is rho
     spec = CPT(0.74, 1.0, 0.88, 2.0)
-    grid = rasterize(spec, PARAMS, SOURCE, (0.0, 20.0, 0.0, 20.0), (120, 120))
     rho = 150.0
-    polys = level_set(grid, rho)
+    polys = level_set(spec, PARAMS, SOURCE, (0.0, 20.0, 0.0, 20.0), (120, 120), rho)
     assert polys
     for poly in polys:
-        for x, y in poly:
-            i = min(int((x - grid.xmin) / grid.dx), grid.nx - 2)
-            j = min(int((y - grid.ymin) / grid.dy), grid.ny - 2)
-            block = grid.values[i : i + 2, j : j + 2]
-            span = block.max() - block.min()
-            value, _ = evaluate(spec, PARAMS, SOURCE - np.array([x, y]), grad=False)
-            assert abs(value - rho) <= span + 1e-9
+        value, _ = evaluate(spec, PARAMS, SOURCE - poly, grad=False)
+        assert value == pytest.approx(np.full(len(poly), rho), rel=1e-9)
 
 
 def test_level_set_area_grows_with_lambda():
     rho = PARAMS.sigma_peak
     areas = []
     for lam in (1.5, 2.0, 2.5, 3.0, 3.5):
-        grid = rasterize(
-            CPT(0.74, 1.0, 0.95, lam), PARAMS, SOURCE, (-20.0, 40.0, -20.0, 40.0), (200, 200)
+        polys = level_set(
+            CPT(0.74, 1.0, 0.95, lam), PARAMS, SOURCE, (-20.0, 40.0, -20.0, 40.0), (200, 200), rho
         )
-        polys = level_set(grid, rho)
         areas.append(sum(polygon_area(p) for p in polys))
     assert all(a < b for a, b in zip(areas, areas[1:]))
 
 
 def test_level_set_empty_outside_range():
-    grid = rasterize(ExpectedRisk(), PARAMS, SOURCE, BOUNDS, (40, 40))
-    assert level_set(grid, grid.values.max() + 10.0) == []
-    assert level_set(grid, grid.values.min() - 10.0) == []
+    values = rasterize(ExpectedRisk(), PARAMS, SOURCE, BOUNDS, (40, 40)).values
+    for rho in (values.max() + 10.0, values.min() - 10.0):
+        assert level_set(ExpectedRisk(), PARAMS, SOURCE, BOUNDS, (40, 40), rho) == []
 
 
-def full_scan_level_set(grid, rho):
-    """Reference marching squares: a Python double loop over every cell."""
-    v = grid.values
-    if rho < v.min() or rho > v.max():
-        return []
-    s = v - rho
-    xs = grid.x_centers()
-    ys = grid.y_centers()
-    points = {}
-
-    def edge_key(name, i, j):
-        if name == "AB":
-            key = ("h", i, j)
-            n0, n1 = (i, j), (i + 1, j)
-        elif name == "DC":
-            key = ("h", i, j + 1)
-            n0, n1 = (i, j + 1), (i + 1, j + 1)
-        elif name == "AD":
-            key = ("v", i, j)
-            n0, n1 = (i, j), (i, j + 1)
-        else:  # BC
-            key = ("v", i + 1, j)
-            n0, n1 = (i + 1, j), (i + 1, j + 1)
-        if key not in points:
-            s0, s1 = s[n0], s[n1]
-            t = s0 / (s0 - s1)
-            x0, y0 = xs[n0[0]], ys[n0[1]]
-            x1, y1 = xs[n1[0]], ys[n1[1]]
-            points[key] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-        return key
-
-    segments = []
-    for i in range(grid.nx - 1):
-        for j in range(grid.ny - 1):
-            case = (
-                (s[i, j] > 0)
-                | (s[i + 1, j] > 0) << 1
-                | (s[i + 1, j + 1] > 0) << 2
-                | (s[i, j + 1] > 0) << 3
-            )
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                center_above = (
-                    s[i, j] + s[i + 1, j] + s[i + 1, j + 1] + s[i, j + 1]
-                ) > 0
-                if (case == 5) == center_above:
-                    pairs = (("AB", "BC"), ("AD", "DC"))
-                else:
-                    pairs = (("AB", "AD"), ("BC", "DC"))
-            else:
-                pairs = _SEG_TABLE[case]
-            for e0, e1 in pairs:
-                segments.append((edge_key(e0, i, j), edge_key(e1, i, j)))
-    return _chain_segments(segments, points)
+def window_of(bounds, resolution):
+    grid = FieldGrid(*bounds, *resolution, values=np.zeros(resolution))
+    xs, ys = grid.x_centers(), grid.y_centers()
+    return (xs[0], xs[-1], ys[0], ys[-1]), min(grid.dx, grid.dy)
 
 
-def assert_same_polylines(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+def assert_clipped_circles(polys, source, bounds, resolution):
+    """Each polyline lies on one circle about source, counter-clockwise,
+    with chords within a hundredth of a cell of the arc, inside the
+    cell-center window; open ones end exactly on its edge. Returns the
+    radii, one per polyline."""
+    (x0, x1, y0, y1), cell = window_of(bounds, resolution)
+    radii = []
+    for poly in polys:
+        assert poly.ndim == 2 and poly.shape[1] == 2 and len(poly) >= 2
+        offsets = poly - source
+        r = np.linalg.norm(offsets, axis=1)
+        assert r.max() - r.min() <= 1e-12 * r.max()
+        radii.append(r.mean())
+        # the sagitta of each chord: its arc's distance from its midpoint
+        sagitta = r.mean() - np.linalg.norm(0.5 * (offsets[1:] + offsets[:-1]), axis=1)
+        assert sagitta.max() <= 0.01 * cell * (1 + 1e-9)
+        turn = np.diff(np.unwrap(np.arctan2(offsets[:, 1], offsets[:, 0])))
+        assert (turn > 0).all()
+        assert ((x0 <= poly[:, 0]) & (poly[:, 0] <= x1) & (y0 <= poly[:, 1]) & (poly[:, 1] <= y1)).all()
+        if not np.array_equal(poly[0], poly[-1]):
+            for x, y in poly[[0, -1]]:
+                assert x in (x0, x1) or y in (y0, y1)
+    # by ascending radius; arcs of one circle may differ in the last digit
+    assert all(a < b * (1 + 1e-12) for a, b in zip(radii, radii[1:]))
+    return radii
 
 
-def random_smooth_grid(seed, nx=41, ny=33):
-    """Sum of eight random plane waves; dense enough in saddles at 0."""
-    rng = np.random.default_rng(seed)
-    x = np.linspace(0.0, 1.0, nx)[:, None]
-    y = np.linspace(0.0, 1.0, ny)[None, :]
-    values = np.zeros((nx, ny))
-    for _ in range(8):
-        fx, fy = rng.uniform(-40.0, 40.0, 2)
-        values += rng.normal() * np.sin(fx * x + fy * y + rng.uniform(0.0, 2 * math.pi))
-    return FieldGrid(-2.0, 3.0, 1.0, 2.5, nx, ny, values)
-
-
-def test_level_set_matches_full_scan_on_saddle_fields():
-    saddles = set()
-    for seed in range(8):
-        grid = random_smooth_grid(seed)
-        s = grid.values
-        a = (s > 0).astype(int)
-        cases = a[:-1, :-1] | a[1:, :-1] << 1 | a[1:, 1:] << 2 | a[:-1, 1:] << 3
-        center_above = (s[:-1, :-1] + s[1:, :-1] + s[1:, 1:] + s[:-1, 1:]) > 0
-        for case in (5, 10):
-            saddles.update((case, bool(c)) for c in center_above[cases == case])
-        assert_same_polylines(level_set(grid, 0.0), full_scan_level_set(grid, 0.0))
-    # both saddle cases, each with both signs of the center, were resolved
-    assert saddles == {(5, False), (5, True), (10, False), (10, True)}
-
-
-@pytest.mark.parametrize("case", ["values_at_level", "shipped_cpt_grid"])
-def test_level_set_matches_full_scan(case):
-    if case == "values_at_level":
-        # nodes exactly at rho count as below it, in both implementations
-        values = np.random.default_rng(3).integers(0, 3, (23, 17)).astype(float)
-        grid, rho = FieldGrid(0.0, 1.0, 0.0, 1.0, 23, 17, values), 1.0
-        assert (values == rho).any()
-    else:  # the field_default.cfg geometry
-        grid = rasterize(CPT(0.74, 1.0, 0.95, 2.0), PARAMS, SOURCE, BOUNDS, RES)
-        rho = PARAMS.sigma_peak
-    polys = level_set(grid, rho)
+@pytest.mark.parametrize(
+    "source, r",
+    [
+        ((10.0, 10.0), 3.0),  # inside the window: one closed circle
+        ((10.0, 10.0), 6.7),  # cut by two edges near a corner
+        ((10.0, 10.0), 10.3),  # cut by three edges
+        ((-3.0, 7.0), 5.0),  # about a source outside the window
+        ((7.5, -1.0), 8.0),  # about a source below the window
+    ],
+)
+def test_level_set_circles_are_clipped_to_the_window(source, r):
+    rho = cost_mean(PARAMS, [r, 0.0])
+    polys = level_set(ExpectedRisk(), PARAMS, source, BOUNDS, RES, rho)
     assert polys
-    assert_same_polylines(polys, full_scan_level_set(grid, rho))
+    radii = assert_clipped_circles(polys, np.array(source), BOUNDS, RES)
+    assert radii == pytest.approx([r] * len(polys), rel=1e-9)
+
+
+def test_level_set_arc_through_angle_zero_is_one_polyline():
+    # about a source near the left edge, the circle's inside run passes
+    # angle 0 and its outside run angle pi
+    source = np.array([1.0, 7.5])
+    polys = level_set(ExpectedRisk(), PARAMS, source, BOUNDS, RES, cost_mean(PARAMS, [3.0, 0.0]))
+    assert len(polys) == 1
+    (poly,) = polys
+    assert not np.array_equal(poly[0], poly[-1])
+    assert poly[0, 0] == poly[-1, 0] == 0.05
+    assert poly[0, 1] < source[1] < poly[-1, 1]
+    assert_clipped_circles(polys, source, BOUNDS, RES)
+
+
+def test_level_set_circle_outside_the_window_is_empty():
+    # a radius beyond the window's farthest corner from the source
+    assert level_set(ExpectedRisk(), PARAMS, SOURCE, BOUNDS, RES, cost_mean(PARAMS, [15.0, 0.0])) == []
+    # and one that surrounds no cell center about a source outside
+    assert level_set(ExpectedRisk(), PARAMS, (-3.0, 7.0), BOUNDS, RES, cost_mean(PARAMS, [2.0, 0.0])) == []
+
+
+def test_level_set_of_a_constant_field_is_empty():
+    spec = CPT(0.74, 1.0, 0.0, 2.0)
+    values = rasterize(spec, PARAMS, SOURCE, BOUNDS, (20, 20)).values
+    assert (values == values[0, 0]).all()
+    for rho in (0.5 * values[0, 0], values[0, 0], 2.0 * values[0, 0]):
+        assert level_set(spec, PARAMS, SOURCE, BOUNDS, RES, rho) == []
+
+
+def test_level_set_two_roots_give_two_closed_circles():
+    polys = level_set(CPT(0.74, 1.0, 0.8, 3.0), PARAMS, SOURCE, BOUNDS, RES, PARAMS.sigma_peak)
+    assert len(polys) == 2
+    assert all(np.array_equal(p[0], p[-1]) for p in polys)
+    radii = assert_clipped_circles(polys, SOURCE, BOUNDS, RES)
+    assert radii == pytest.approx([0.7375, 2.1408], abs=1e-4)
+
+
+def test_safe_mask_agrees_with_level_set_radii_off_the_circles():
+    # radial oracle: a cell center more than a cell diagonal from every
+    # level-set circle is safe exactly when the number of circles inside
+    # its radius flips the source's side an even number of times
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "field_default.cfg")
+    params = cfg.field_params()
+    rho = cfg.barrier_config(params).rho
+    bounds, resolution, source = cfg.grid_geometry()
+    source = np.asarray(source, dtype=float)
+    cvar, cpt = cfg.audit_families(*discretized_cost_range(params, source, bounds, resolution), rho)
+    specs = list(dict.fromkeys([*cfg.specs(), *cvar, *cpt, CPT(0.74, 1.0, 0.8, 3.0), CPT(0.74, 1.0, 0.0, 2.0)]))
+    for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
+        polys = level_set(spec, params, source, bounds, resolution, rho)
+        radii = np.unique(np.round(assert_clipped_circles(polys, source, bounds, resolution), 9))
+        r = np.hypot(*np.meshgrid(grid.x_centers() - source[0], grid.y_centers() - source[1], indexing="ij"))
+        diagonal = math.hypot(grid.dx, grid.dy)
+        # a circle just past the farthest cell center meets no cell, so no
+        # polyline shows it: the extreme CPT(1, 1, 1, rho / c_min) has its
+        # root at that cell, its one cell with R <= rho
+        far = (np.abs(r[..., None] - radii) > diagonal).all(axis=-1) & (r < r.max() - diagonal)
+        source_safe = evaluate(spec, params, np.zeros(2), grad=False)[0] <= rho
+        expected = source_safe ^ ((r[..., None] > radii).sum(axis=-1) % 2 == 1)
+        assert np.array_equal(safe_mask(grid, rho)[far], expected[far]), spec_label(spec)
+        assert far.mean() > 0.5
 
 
 # --- audits ---------------------------------------------------------------------
@@ -663,13 +661,13 @@ def test_grid_json_schema(tmp_path):
 
 
 def test_polylines_json(tmp_path):
-    grid = rasterize(ExpectedRisk(), PARAMS, SOURCE, (0.0, 20.0, 0.0, 20.0), (60, 60))
-    polys = level_set(grid, 150.0)
+    polys = level_set(CPT(0.74, 1.0, 0.8, 3.0), PARAMS, SOURCE, BOUNDS, (60, 60), PARAMS.sigma_peak)
     path = tmp_path / "ls.json"
     polylines_to_json(polys, path)
     payload = json.loads(path.read_text())
-    assert len(payload) == len(polys)
+    assert len(payload) == len(polys) == 2
     assert all(len(pt) == 2 for poly in payload for pt in poly)
+    assert all(np.array_equal(a, b) for a, b in zip(payload, polys))
 
 
 def test_cpt_safe_sets_nested_decreasing_in_lambda():
