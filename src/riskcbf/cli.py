@@ -35,7 +35,7 @@ from .field import (
     versatility_audit,
 )
 from .risk import ExpectedRisk, spec_label
-from .sim import comparison_to_csv, obstacle_motion, simulate
+from .sim import SimLog, comparison_to_csv, obstacle_motion, simulate
 
 
 def _select_specs(specs, selector: str | None):
@@ -52,33 +52,33 @@ def _select_specs(specs, selector: str | None):
     return chosen
 
 
-def _write_grid(grid: FieldGrid, out: Path, stem: str, fmt: str) -> None:
+def _write(output: FieldGrid | SimLog, out: Path, stem: str, fmt: str) -> None:
     if fmt in ("csv", "both"):
-        grid.to_csv(out / f"{stem}.csv")
+        output.to_csv(out / f"{stem}.csv")
     if fmt in ("json", "both"):
-        grid.to_json(out / f"{stem}.json")
+        output.to_json(out / f"{stem}.json")
 
 
-def cmd_field(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
+def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
     params = cfg.field_params()
     barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
     specs = _select_specs(cfg.specs(), selector)
 
-    _write_grid(sample_grid(partial(cost_mean, params), source, bounds, resolution), out, "c_mu", fmt)
-    _write_grid(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
+    _write(sample_grid(partial(cost_mean, params), source, bounds, resolution), out, "c_mu", fmt)
+    _write(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
     for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
         label = spec_label(spec)
-        _write_grid(grid, out, f"risk_{label}", fmt)
+        _write(grid, out, f"risk_{label}", fmt)
         mask = safe_mask(grid, barrier.rho)
-        _write_grid(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
+        _write(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
         polylines = level_set(spec, params, source, bounds, resolution, barrier.rho)
         polylines_to_json(polylines, out / f"levelset_{label}.json")
         print(f"field: wrote grids for {label}")
     return 0
 
 
-def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
+def cmd_audit(cfg: Config, out: Path) -> int:
     params = cfg.field_params()
     barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
@@ -124,13 +124,10 @@ def cmd_audit(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     return 0
 
 
-def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
+def cmd_simulate(cfg: Config, out: Path, selector, fmt: str) -> int:
     logs = simulate(cfg.scenario(), _select_specs(cfg.specs(), selector))
     for log in logs:
-        if fmt in ("csv", "both"):
-            log.to_csv(out / f"sim_{log.label}.csv")
-        if fmt in ("json", "both"):
-            log.to_json(out / f"sim_{log.label}.json")
+        _write(log, out, f"sim_{log.label}", fmt)
         flag = "" if log.feasibility_violations == 0 else f" [feasibility violations: {log.feasibility_violations}]"
         print(
             f"simulate: {log.label}: reached={log.reached_goal} "
@@ -142,8 +139,8 @@ def cmd_simulate(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
     return 0
 
 
-def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> int:
-    specs = _select_specs(cfg.specs(), selector)
+def cmd_feasibility(cfg: Config, out: Path, selector, seed: int) -> int:
+    specs = tuple(_select_specs(cfg.specs(), selector))
     settings = cfg.feasibility_settings()
     scenario = cfg.scenario()
     params, barrier = scenario.field, scenario.barrier
@@ -165,12 +162,18 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
     rng = np.random.default_rng(seed)
     u_samples = rng.uniform(-settings["u_max"], settings["u_max"], (settings["n_samples"], 2))
 
-    margins, probes, summary = {}, {}, {}
-    for spec in specs:
-        label = spec_label(spec)
-        h, a, b = barrier_constraint(spec, params, barrier, points, ys, f_ys)
-        lhs, eta, feasible, angle_defined = feasibility_margin(h, a, f_ys - u_nom, barrier.eta1_gain)
-        margins[label] = [
+    # the specs run as lanes: (S, N) rows of every spec at every state
+    h, a, b = barrier_constraint(specs, params, barrier, np.broadcast_to(points, (len(specs), *points.shape)), ys, f_ys)
+    lhs, eta, feasible, angle_defined = feasibility_margin(h, a, f_ys - u_nom, barrier.eta1_gain)
+    probes = np.empty(b.shape + (len(u_samples),), dtype=bool)
+    for row in np.ndindex(b.shape):
+        # one gemv per row: a gemm over all rows rounds differently
+        np.greater_equal(u_samples @ a[row], b[row], out=probes[row])
+
+    labels = [spec_label(spec) for spec in specs]
+    summary, margins = {}, []
+    for label, lhs_s, eta_s, h_s, feasible_s, defined_s in zip(labels, lhs, eta, h, feasible, angle_defined):
+        margins.append([
             {
                 "lhs": lhs_i,
                 "rhs": None if math.isinf(eta_i) else -eta_i,
@@ -180,31 +183,27 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
                 "angle_defined": defined_i,
             }
             for lhs_i, eta_i, h_i, feasible_i, defined_i in zip(
-                lhs.tolist(), eta.tolist(), h.tolist(), feasible.tolist(), angle_defined.tolist()
+                lhs_s.tolist(), eta_s.tolist(), h_s.tolist(), feasible_s.tolist(), defined_s.tolist()
             )
-        ]
-        # one gemv per state: a gemm over all states rounds differently
-        probes[label] = np.array([u_samples @ a_i for a_i in a]) >= b[:, None]
-        etas = eta[np.isfinite(eta)]
+        ])
+        etas = eta_s[np.isfinite(eta_s)]
         summary[label] = {
-            "feasible_fraction": float(np.mean(feasible)) if feasible.size else None,
+            "feasible_fraction": float(np.mean(feasible_s)) if feasible_s.size else None,
             "mean_eta": float(np.mean(etas)) if etas.size else None,
             "min_eta": float(np.min(etas)) if etas.size else None,
         }
 
-    er_feasible = probes.get(spec_label(ExpectedRisk()))
-    counts = {label: probe.sum(axis=1).tolist() for label, probe in probes.items()}
-    not_in = {} if er_feasible is None else {
-        label: (er_feasible & ~probe).sum(axis=1).tolist() for label, probe in probes.items()
-    }
+    counts = probes.sum(axis=2).tolist()
+    er_feasible = probes[specs.index(ExpectedRisk())] if ExpectedRisk() in specs else None
+    not_in = [] if er_feasible is None else (er_feasible & ~probes).sum(axis=2).tolist()
     states = [
         {
             "t": t,
             "point": point,
             "obstacle": y,
-            "margins": {label: rows[i] for label, rows in margins.items()},
-            "probe_counts": {label: rows[i] for label, rows in counts.items()},
-            "er_feasible_not_in": {label: rows[i] for label, rows in not_in.items()},
+            "margins": {label: rows[i] for label, rows in zip(labels, margins)},
+            "probe_counts": {label: rows[i] for label, rows in zip(labels, counts)},
+            "er_feasible_not_in": {label: rows[i] for label, rows in zip(labels, not_in)},
         }
         for i, (t, point, y) in enumerate(zip(sampled["t"].tolist(), points.tolist(), ys.tolist()))
     ]
@@ -227,11 +226,18 @@ def cmd_feasibility(cfg: Config, out: Path, selector, fmt: str, seed: int) -> in
     return 0
 
 
+_OPTIONS = {
+    "--spec": {"dest": "selector", "metavar": "SPEC", "help": "spec selector: label substring or 1-based index"},
+    "--seed": {"type": int, "default": 0, "help": "seed for sampled probes"},
+    "--format": {"dest": "fmt", "choices": ("csv", "json", "both"), "default": "csv"},
+}
+
+# each command, its help and the options it reads
 _COMMANDS = {
-    "field": cmd_field,
-    "audit": cmd_audit,
-    "simulate": cmd_simulate,
-    "feasibility": cmd_feasibility,
+    "field": (cmd_field, "rasterize cost and perceived-risk grids, masks and level sets", ("--spec", "--format")),
+    "audit": (cmd_audit, "run inclusiveness and versatility audits", ()),
+    "simulate": (cmd_simulate, "run closed-loop scenarios per risk spec", ("--spec", "--format")),
+    "feasibility": (cmd_feasibility, "feasibility margins and control-set probes", ("--spec", "--seed")),
 }
 
 
@@ -241,29 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perceived-risk fields, safety audits and safe-control simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("field", "rasterize cost and perceived-risk grids, masks and level sets"),
-        ("audit", "run inclusiveness and versatility audits"),
-        ("simulate", "run closed-loop scenarios per risk spec"),
-        ("feasibility", "feasibility margins and control-set probes"),
-    ):
+    for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the scenario config file")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
-        p.add_argument("--spec", default=None, help="spec selector: label substring or 1-based index")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled probes")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out = Path(args.out)
+    options = vars(build_parser().parse_args(argv))
+    command, config, out = options.pop("command"), options.pop("config"), Path(options.pop("out"))
     created = not out.exists()
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(config)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.spec, args.format, args.seed)
+        return _COMMANDS[command][0](cfg, out, **options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

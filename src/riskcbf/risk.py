@@ -200,7 +200,8 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
 
     spec is one RiskSpec, or a tuple of S specs evaluated side by side
     as lanes along the leading axis of c_mu and c_sigma; each lane's
-    rows have the bytes of a call with its spec alone.
+    rows have the bytes of a call with its spec alone. A lone spec is a
+    one-lane call.
 
     With grad=False both partials are None and no partial is computed;
     grid callers use this route.
@@ -209,48 +210,8 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
     sigma = np.asarray(c_sigma, dtype=float)
     if isinstance(spec, tuple):
         return _lane_risk(_lane_params(spec, m), mu, sigma, m, grad)
-    if isinstance(spec, (ExpectedRisk, CVaR)):
-        return _linear_risk(mu, sigma, _linear_gain(spec), grad)
-    if not isinstance(spec, CPT):
-        raise TypeError(f"unknown risk spec {spec!r}")
-    pi = cpt_pi_weights(m, spec.alpha, spec.beta)
-    return _cpt_risk(mu, sigma, m, (-1, 1), spec.gamma, spec.lam * spec.gamma, spec.lam, pi, grad)
-
-
-def _linear_risk(mu, sigma, k, grad: bool):
-    value = mu + k * sigma  # bit-equal to c_mu at k = 0 (c_sigma is finite)
-    if not grad:
-        return value, None, None
-    return value, np.ones(value.shape), np.full(value.shape, k)
-
-
-def _cpt_risk(mu, sigma, m: int, rows: tuple, gamma, scale, lam, pi, grad: bool, sqrt_rows=None):
-    """CPT on the outcome lattice of mu.reshape(rows) + sigma.reshape(rows)
-    * g; gamma broadcasts against the lattice, scale = lam * gamma and
-    lam against its contractions with the weights pi. sqrt_rows marks
-    the lattice rows whose gamma is 0.5, if an array gamma has any."""
-    g = lattice_coeffs(m)
-    # (..., m) outcome lattice, clamped and powered in place so a grid
-    # allocates no further N*m temporaries
-    c = mu.reshape(rows) + sigma.reshape(rows) * g
-    d_mu = d_sigma = None
-    if grad:
-        # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0
-        # for c < 0, so this is the exact derivative of the value below
-        # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
-        t = np.power(c, gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
-        d_mu = (scale * row_dot(t, pi)).reshape(mu.shape)
-        d_sigma = (scale * row_dot(t, g * pi)).reshape(mu.shape)
-    np.maximum(c, 0.0, out=c)
-    if sqrt_rows is None:
-        c **= gamma
-    else:  # a one-spec call's c **= 0.5 is np.sqrt, which rounds unlike np.power
-        np.power(c, gamma, out=c, where=~sqrt_rows)
-        np.sqrt(c, out=c, where=sqrt_rows)
-    # lam is applied last, and alone: field.rasterize_specs relies on
-    # lam * (the lam = 1 value) having the bytes of this value
-    value = (lam * row_dot(c, pi)).reshape(mu.shape)
-    return value, d_mu, d_sigma
+    lane = _lane_risk(_lane_params((spec,), m), mu[None], sigma[None], m, grad)
+    return tuple(None if r is None else r[0] for r in lane)
 
 
 class _LaneParams(NamedTuple):
@@ -286,16 +247,44 @@ def _lane_params(specs: tuple, m: int) -> _LaneParams:
 
 
 def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
-    lanes = len(p.cpt)
-    column = (lanes,) + (1,) * (mu.ndim - 1)
-    linear = _linear_risk(mu, sigma, p.gain.reshape(column), grad) if p.any_linear else None
-    if not p.any_cpt:
-        return linear
-    cpt = _cpt_risk(mu, sigma, m, (lanes, -1, 1), p.gamma, p.scale, p.lam, p.pi, grad, p.sqrt_rows)
-    if linear is None:
+    """moment_risk of the lanes p along the leading axis of mu and sigma."""
+    column = (len(p.cpt),) + (1,) * (mu.ndim - 1)
+    if p.any_linear:
+        k = p.gain.reshape(column)
+        value = mu + k * sigma  # bit-equal to c_mu at k = 0 (c_sigma is finite)
+        linear = (value, np.ones(value.shape), np.full(value.shape, k)) if grad else (value, None, None)
+        if not p.any_cpt:
+            return linear
+    g = lattice_coeffs(m)
+    # (S, N, m) outcome lattice, clamped and powered in place so a grid
+    # allocates no further N*m temporaries
+    lattice = (len(p.cpt), -1, 1)
+    c = mu.reshape(lattice) + sigma.reshape(lattice) * g
+    d_mu = d_sigma = None
+    if grad:
+        # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0
+        # for c < 0, so this is the exact derivative of the value below
+        # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
+        t = np.power(c, p.gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
+        d_mu = (p.scale * row_dot(t, p.pi)).reshape(mu.shape)
+        d_sigma = (p.scale * row_dot(t, g * p.pi)).reshape(mu.shape)
+    np.maximum(c, 0.0, out=c)
+    if p.sqrt_rows is None:
+        c **= p.gamma
+    else:
+        # NumPy raises to a one-element exponent of 0.5, as a one-lane
+        # call has, by its sqrt path, but a gamma = 0.5 lane among several
+        # by pow, which differs by an ulp on some outcomes (NumPy 2.4);
+        # so each gamma = 0.5 lane takes np.sqrt, however many lanes run
+        np.power(c, p.gamma, out=c, where=~p.sqrt_rows)
+        np.sqrt(c, out=c, where=p.sqrt_rows)
+    # lam is applied last, and alone: field.rasterize_specs relies on
+    # lam * (the lam = 1 value) having the bytes of this value
+    cpt = (p.lam * row_dot(c, p.pi)).reshape(mu.shape), d_mu, d_sigma
+    if not p.any_linear:
         return cpt
     is_cpt = p.cpt.reshape(column)
-    return tuple(None if c is None else np.where(is_cpt, c, x) for c, x in zip(cpt, linear))
+    return tuple(None if r is None else np.where(is_cpt, r, x) for r, x in zip(cpt, linear))
 
 
 def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:

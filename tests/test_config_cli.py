@@ -337,9 +337,9 @@ def test_cli_feasibility(tmp_path):
     assert counts["cpt_a0p74_b1_g0p785_l2p25"] >= counts["er"]
 
 
-def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatch):
+def test_cli_feasibility_evaluates_all_specs_in_one_call(tmp_path, monkeypatch):
     # one barrier row per spec and state feeds both its margins and its
-    # probe, and each spec takes all states in one batch
+    # probe, and all specs take all states in one evaluation
     calls = {"nominal": 0, "states": 0, "margins": 0}
     in_run = []
     evaluate, simulate, margin = riskcbf.barrier.evaluate, riskcbf.cli.simulate, riskcbf.cli.feasibility_margin
@@ -368,20 +368,27 @@ def test_cli_feasibility_evaluates_each_spec_once_per_state(tmp_path, monkeypatc
     assert main(args) == 0
     report = json.loads((out / "feasibility.json").read_text())
     assert len(report["states"]) == 20 and len(report["summary"]) == 9
-    assert calls["states"] == 9 and calls["margins"] == 9
+    assert calls["states"] == 1 and calls["margins"] == 1
     # the nominal path is an obstacle-free run, which evaluates no risk
     assert calls["nominal"] == 0
 
 
 def test_cli_feasibility_matches_one_state_rows(tmp_path):
     # every state's margins and probe counts are those of a one-state
-    # barrier row on that state's point and obstacle, bit for bit
+    # barrier row on that state's point and obstacle, bit for bit; the
+    # specs run as lanes, among them gamma = 0.5, where a one-lane power
+    # takes NumPy's sqrt path (100 states: at 20, no state's row shows
+    # whether the gamma = 0.5 lane took sqrt or pow)
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    assert text.count("cvar(0.999), er\n") == 1 and text.count("n_states = 20") == 1
+    text = text.replace("cvar(0.999), er\n", "cvar(0.999), er, cpt(0.74, 1.0, 0.5, 3.0)\n")
+    config = write_cfg(tmp_path, text.replace("n_states = 20", "n_states = 100"))
     out = tmp_path / "feas"
-    config = CONFIGS / "single_obstacle.cfg"
     assert main(["feasibility", "--config", str(config), "--out", str(out)]) == 0
     report = json.loads((out / "feasibility.json").read_text())
     cfg = load_config(config)
     specs = cfg.specs()
+    assert CPT(0.74, 1.0, 0.5, 3.0) in specs and len(report["summary"]) == len(specs) == 16
     scenario = cfg.scenario()
     (obstacle,) = scenario.obstacles
     u_samples = np.random.default_rng(report["seed"]).uniform(
@@ -393,6 +400,7 @@ def test_cli_feasibility_matches_one_state_rows(tmp_path):
         y, f_y = obstacle_motion(obstacle.start, obstacle.goal, obstacle.speed, state["t"])
         assert state["obstacle"] == y.tolist()
         u_nom = nominal_control(point, scenario.goal, scenario.nominal_gain)
+        probes = {}
         for spec in specs:
             h, a, b = barrier_constraint(spec, scenario.field, scenario.barrier, point, y, f_y)
             lhs, eta, feasible, angle_defined = feasibility_margin(h, a, f_y - u_nom, scenario.barrier.eta1_gain)
@@ -405,7 +413,11 @@ def test_cli_feasibility_matches_one_state_rows(tmp_path):
                 "feasible": bool(feasible),
                 "angle_defined": bool(angle_defined),
             }
-            assert state["probe_counts"][spec_label(spec)] == int(np.sum(u_samples @ a >= b))
+            probes[spec_label(spec)] = u_samples @ a >= b
+            assert state["probe_counts"][spec_label(spec)] == int(np.sum(probes[spec_label(spec)]))
+        assert state["er_feasible_not_in"] == {
+            label: int(np.sum(probes["er"] & ~probe)) for label, probe in probes.items()
+        }
 
 
 def test_cli_feasibility_without_obstacles_reports_no_fraction(tmp_path, capsys):
@@ -483,7 +495,8 @@ def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, n
     assert text.count(old) == 1
     text = text.replace(old, new)
     cfg = write_cfg(tmp_path, text)
-    code = main([command, "--config", str(cfg), "--spec", "er", "--out", str(tmp_path / "o")])
+    selector = [] if command == "audit" else ["--spec", "er"]  # audit runs no configured spec
+    code = main([command, "--config", str(cfg), *selector, "--out", str(tmp_path / "o")])
     assert code == 2
     assert f":{line_of(text, new)}:" in capsys.readouterr().err
 
@@ -555,6 +568,26 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("audit", ["--seed", "1"]),
+        ("audit", ["--spec", "er"]),
+        ("audit", ["--format", "json"]),
+        ("field", ["--seed", "1"]),
+        ("simulate", ["--seed", "1"]),
+        ("feasibility", ["--format", "json"]),
+    ],
+)
+def test_cli_rejects_options_its_command_does_not_read(tmp_path, capsys, command, option):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(CONFIGS / "single_obstacle.cfg"), "--out", str(out), *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unmatched_spec_selector(tmp_path):
     code = main(
         [
@@ -589,7 +622,8 @@ def test_cli_runs_where_cpt_outcomes_clamp(tmp_path, command):
     assert text.count("k2 = 0.01") == 1
     cfg = write_cfg(tmp_path, text.replace("k2 = 0.01", "k2 = 1.0"))
     out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
+    fmt = ["--format", "json"] if command == "simulate" else []  # feasibility writes one JSON report
+    assert main([command, "--config", str(cfg), "--out", str(out), *fmt]) == 0
     if command == "simulate":
         logs = sorted(out.glob("sim_*.json"))
         assert len(logs) == len(load_config(cfg).specs())
