@@ -1,17 +1,27 @@
 """Command-line front end: field rasterization, audits, simulation and
 feasibility diagnostics, all driven by a single config file.
 
-Exit codes: 0 on success, 2 on config errors, 3 on runtime errors.
-Outputs are deterministic for a given config (the probe sampling is
-seeded via --seed).
+Exit codes: 0 on success, 2 on config and usage errors, 3 on runtime
+errors. Outputs are deterministic for a given config (the probe sampling
+is seeded via --seed).
+
+``field`` writes each float grid from a child process made with the
+POSIX ``os.fork`` while it goes on to the next grid, at most two
+children per usable CPU (``os.sched_getaffinity``) at a time. Every
+child is joined before the command returns, also on an error, and the
+bytes are those of a write in one process. A risk grid with the bits of
+the mean-cost grid is written as a copy of that grid's files.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import shutil
 import sys
 from functools import partial
 from pathlib import Path
@@ -59,22 +69,99 @@ def _write(output: FieldGrid | SimLog, out: Path, stem: str, fmt: str) -> None:
         output.to_json(out / f"{stem}.json")
 
 
+# Writer children per usable CPU: on a 2-core host one per CPU kept the
+# parent waiting (field_maps 0.52 s against 0.45 s), two ran as fast as
+# no limit.
+_CHILDREN_PER_CPU = 2
+# A child reports at most this much of its error, well inside one pipe
+# buffer, so it never blocks on a parent that is waiting for it to exit.
+_MESSAGE_BYTES = 1024
+
+
+@contextlib.contextmanager
+def _forked_writes():
+    """Yield write(output, out, stem, fmt), which runs _write in a forked
+    child and returns at once. Every child is reaped on leaving, also on
+    an error; then a child that failed raises RuntimeError naming its
+    file. The child ends with os._exit, so it flushes none of the
+    parent's buffers and runs none of its exit handlers."""
+    limit = _CHILDREN_PER_CPU * len(os.sched_getaffinity(0))
+    children = {}  # pid -> (stem, read end of the pipe for its error)
+    failures = []
+
+    def reap(pid, flags=0):
+        done, status = os.waitpid(pid, flags)
+        if not done:
+            return
+        child_stem, fd = children.pop(pid)
+        with open(fd, "rb") as pipe:
+            message = pipe.read().decode(errors="replace")
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            failures.append(f"writing {child_stem}: {message or f'writer exited with status {code}'}")
+
+    def write(output, out, stem, fmt):
+        for pid in list(children):
+            reap(pid, os.WNOHANG)
+        while len(children) >= limit:
+            reap(next(iter(children)))
+        fd, child_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(fd)
+            os.close(child_fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(fd)
+                _write(output, out, stem, fmt)
+                code = 0
+            except Exception as exc:  # noqa: BLE001 - reported through the pipe
+                os.write(child_fd, str(exc).encode(errors="replace")[:_MESSAGE_BYTES])
+            finally:
+                # also on an interrupt: the child never returns into the caller
+                os._exit(code)
+        os.close(child_fd)
+        children[pid] = (stem, fd)
+
+    try:
+        yield write
+    finally:
+        while children:
+            reap(next(iter(children)))
+    if failures:
+        raise RuntimeError("; ".join(failures))
+
+
 def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
     params = cfg.field_params()
     barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
     specs = _select_specs(cfg.specs(), selector)
 
-    _write(sample_grid(partial(cost_mean, params), source, bounds, resolution), out, "c_mu", fmt)
-    _write(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
-    for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
-        label = spec_label(spec)
-        _write(grid, out, f"risk_{label}", fmt)
-        mask = safe_mask(grid, barrier.rho)
-        _write(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
-        polylines = level_set(spec, params, source, bounds, resolution, barrier.rho)
-        polylines_to_json(polylines, out / f"levelset_{label}.json")
-        print(f"field: wrote grids for {label}")
+    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution)
+    copies = []  # stems whose grid has the bits, hence the files, of c_mu
+    with _forked_writes() as write:
+        write(mu, out, "c_mu", fmt)
+        write(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
+        for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
+            label = spec_label(spec)
+            # compared as bits: -0.0 == 0.0, but the two format differently
+            if np.array_equal(grid.values.view(np.int64), mu.values.view(np.int64)):
+                copies.append(f"risk_{label}")
+            else:
+                write(grid, out, f"risk_{label}", fmt)
+            mask = safe_mask(grid, barrier.rho)
+            _write(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
+            polylines = level_set(spec, params, source, bounds, resolution, barrier.rho)
+            polylines_to_json(polylines, out / f"levelset_{label}.json")
+            print(f"field: wrote grids for {label}")
+    for stem in copies:
+        for suffix in ("csv", "json"):
+            if fmt in (suffix, "both"):
+                shutil.copyfile(out / f"c_mu.{suffix}", out / f"{stem}.{suffix}")
     return 0
 
 
@@ -82,7 +169,9 @@ def cmd_audit(cfg: Config, out: Path) -> int:
     params = cfg.field_params()
     barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
-    c_min, c_max = discretized_cost_range(params, source, bounds, resolution)
+    # the mean-cost grid, sampled once for the cost range and the levels
+    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
+    c_min, c_max = discretized_cost_range(params, source, bounds, resolution, mu=mu)
     cvar_family, cpt_family = cfg.audit_families(c_min, c_max, barrier.rho)
 
     # one mask per distinct spec, shared by every family that holds it
@@ -96,7 +185,6 @@ def cmd_audit(cfg: Config, out: Path) -> int:
 
     levels = cfg.levels()
     if not levels:
-        mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
         levels = list(np.linspace(float(mu.min()), float(mu.max()), 8))
 
     args = (params, source, bounds, resolution, barrier.rho)
@@ -109,9 +197,9 @@ def cmd_audit(cfg: Config, out: Path) -> int:
             "cvar_vs_er": dataclasses.asdict(inclusiveness_audit(cvar, er, *args)),
         },
         "versatility": {
-            "er": dataclasses.asdict(versatility_audit(er, *args, levels)),
-            "cvar": dataclasses.asdict(versatility_audit(cvar, *args, levels)),
-            "cpt": dataclasses.asdict(versatility_audit(cpt, *args, levels)),
+            "er": dataclasses.asdict(versatility_audit(er, *args, levels, mu=mu)),
+            "cvar": dataclasses.asdict(versatility_audit(cvar, *args, levels, mu=mu)),
+            "cpt": dataclasses.asdict(versatility_audit(cpt, *args, levels, mu=mu)),
         },
     }
     path = out / "audit.json"
@@ -249,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(parser=p)
         p.add_argument("--config", required=True, help="path to the scenario config file")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
         for option in options:
@@ -257,7 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    options = vars(build_parser().parse_args(argv))
+    options, unknown = build_parser().parse_known_args(argv)
+    options = vars(options)
+    parser = options.pop("parser")
+    if unknown:
+        # the subcommand's usage lists the options it does take
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     command, config, out = options.pop("command"), options.pop("config"), Path(options.pop("out"))
     created = not out.exists()
     try:

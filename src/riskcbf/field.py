@@ -256,10 +256,12 @@ def rasterize_specs(specs, params: CostFieldParams, source, bounds, resolution):
 
 
 def discretized_cost_range(
-    params: CostFieldParams, source, bounds, resolution
+    params: CostFieldParams, source, bounds, resolution, *, mu: np.ndarray | None = None
 ) -> tuple[float, float]:
-    """(min, max) over the grid of the discretized cost outcomes."""
-    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
+    """(min, max) over the grid of the discretized cost outcomes. mu, if
+    given, is the mean-cost grid's values, which are then not sampled."""
+    if mu is None:
+        mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
     sigma = sample_grid(partial(cost_sigma, params), source, bounds, resolution).values
     g = lattice_coeffs(params.m)
     low = np.maximum(mu + g[0] * sigma, 0.0)
@@ -465,17 +467,22 @@ def versatility_audit(
     resolution,
     rho: float,
     c_levels,
+    *,
+    mu: np.ndarray | None = None,
 ) -> VersatilityReport:
     """Report the interval of mean-cost levels whose sublevel sets some
     family member certifies as safe at tolerance rho.
 
     family maps member specs to their safe masks at rho on the grid of
     params, source, bounds and resolution, as in inclusiveness_audit.
+    mu, if given, is that grid's mean-cost values, which are then not
+    sampled.
     """
     if not family:
         raise ValueError("family must be non-empty")
     levels = sorted(float(c) for c in c_levels)
-    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
+    if mu is None:
+        mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
 
     achieved = []
     achieved_by: list[str | None] = []

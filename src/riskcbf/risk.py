@@ -256,10 +256,12 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
         if not p.any_cpt:
             return linear
     g = lattice_coeffs(m)
-    # (S, N, m) outcome lattice, clamped and powered in place so a grid
-    # allocates no further N*m temporaries
+    # (S, N, m) outcome lattice, built, clamped and powered in place so a
+    # grid allocates no further N*m temporaries; sigma * g + mu has the
+    # bits of mu + sigma * g, as IEEE addition commutes
     lattice = (len(p.cpt), -1, 1)
-    c = mu.reshape(lattice) + sigma.reshape(lattice) * g
+    c = sigma.reshape(lattice) * g
+    c += mu.reshape(lattice)
     d_mu = d_sigma = None
     if grad:
         # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0

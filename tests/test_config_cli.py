@@ -182,6 +182,67 @@ def test_cli_field_json_format(tmp_path):
     assert code == 0
     payload = json.loads((out / "risk_er.json").read_text())
     assert payload["resolution"] == [150, 150]
+    assert (out / "risk_er.json").read_bytes() == (out / "c_mu.json").read_bytes()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_field_joins_its_writers(tmp_path, monkeypatch, capsys):
+    args = ["field", "--config", str(CONFIGS / "field_default.cfg")]
+    assert main([*args, "--out", str(tmp_path / "ok")]) == 0
+    assert_no_child_left()
+    assert len(list((tmp_path / "ok").glob("risk_*.csv"))) == 14
+
+    # an error in the parent while writers run still joins every one
+    level_set = riskcbf.cli.level_set
+    calls = []
+
+    def failing_level_set(*a):
+        calls.append(a)
+        if len(calls) == 3:
+            raise RuntimeError("level set failed")
+        return level_set(*a)
+
+    monkeypatch.setattr(riskcbf.cli, "level_set", failing_level_set)
+    assert main([*args, "--out", str(tmp_path / "failed")]) == 3
+    assert "level set failed" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("stem", ["risk_er", "c_sigma", "risk_cvar_q0p1"])
+def test_cli_field_reports_a_grid_it_cannot_write(tmp_path, capsys, stem):
+    # risk_er is copied from c_mu's files in the parent; the others are
+    # written by forked children
+    out = tmp_path / "o"
+    (out / f"{stem}.csv").mkdir(parents=True)
+    assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and stem in err
+    assert_no_child_left()
+
+
+def test_cli_field_children_flush_no_parent_output(tmp_path):
+    # stdout to a pipe is block-buffered: a child that flushed the
+    # parent's buffer on exit would repeat lines printed before its fork
+    package_root = str(Path(riskcbf.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "riskcbf", "field", "--config", str(CONFIGS / "field_default.cfg"),
+         "--out", str(tmp_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=REPO,
+        env={**env, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    labels = [spec_label(spec) for spec in load_config(CONFIGS / "field_default.cfg").specs()]
+    assert proc.stdout.splitlines() == [f"field: wrote grids for {label}" for label in labels]
 
 
 def test_cli_simulate_single_spec(tmp_path):
@@ -310,6 +371,24 @@ def test_cli_audit(tmp_path, rasterize_calls):
     )
     assert report["versatility"]["cpt"]["achieved"]
     assert all(report["versatility"]["cpt"]["achieved"])
+
+
+@pytest.mark.parametrize("levels", ["30, 60, 90", ""])
+def test_cli_audit_samples_the_mean_cost_grid_once(tmp_path, monkeypatch, levels):
+    text = (CONFIGS / "field_default.cfg").read_text()
+    old = "levels = 30, 60, 90, 120, 150, 180, 199"
+    assert text.count(old) == 1
+    cfg = write_cfg(tmp_path, text.replace(old, f"levels = {levels}" if levels else ""))
+    sample_grid, sampled = riskcbf.field.sample_grid, []
+
+    def counting_sample_grid(fn, *args):
+        sampled.append(getattr(fn, "func", None))
+        return sample_grid(fn, *args)
+
+    monkeypatch.setattr(riskcbf.cli, "sample_grid", counting_sample_grid)
+    monkeypatch.setattr(riskcbf.field, "sample_grid", counting_sample_grid)
+    assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert sampled.count(riskcbf.field.cost_mean) == 1
 
 
 def test_cli_feasibility(tmp_path):
@@ -584,7 +663,10 @@ def test_cli_rejects_options_its_command_does_not_read(tmp_path, capsys, command
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(CONFIGS / "single_obstacle.cfg"), "--out", str(out), *option])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    # reported by the subcommand, whose usage lists the options it takes
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: riskcbf {command} [-h] --config CONFIG")
+    assert f"riskcbf {command}: error: unrecognized arguments: {' '.join(option)}" in err
     assert not out.exists()
 
 
