@@ -5,18 +5,18 @@ Exit codes: 0 on success, 2 on config and usage errors, 3 on runtime
 errors. Outputs are deterministic for a given config (the probe sampling
 is seeded via --seed).
 
-``field`` writes each float grid from a child process made with the
-POSIX ``os.fork`` while it goes on to the next grid, at most two
-children per usable CPU (``os.sched_getaffinity``) at a time. Every
-child is joined before the command returns, also on an error, and the
-bytes are those of a write in one process. A risk grid with the bits of
-the mean-cost grid is written as a copy of that grid's files.
+``field`` deals its specs, grouped by their shared rasterize call, and
+the two cost grids over the usable CPUs (``os.sched_getaffinity``),
+balanced by float-grid count. It runs the first share itself and forks
+one child per other share with the POSIX ``os.fork``. Every child is
+joined before the command returns, also on an error, and the bytes are
+those of a write in one process. A risk grid with the bits of the
+mean-cost grid is written as a copy of that grid's files.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import math
@@ -38,6 +38,7 @@ from .field import (
     inclusiveness_audit,
     level_set,
     polylines_to_json,
+    raster_key,
     rasterize,  # noqa: F401 - perfbench/test_perfbench.py reaches it as riskcbf.cli.rasterize
     rasterize_specs,
     safe_mask,
@@ -69,70 +70,63 @@ def _write(output: FieldGrid | SimLog, out: Path, stem: str, fmt: str) -> None:
         output.to_json(out / f"{stem}.json")
 
 
-# Writer children per usable CPU: on a 2-core host one per CPU kept the
-# parent waiting (field_maps 0.52 s against 0.45 s), two ran as fast as
-# no limit.
-_CHILDREN_PER_CPU = 2
-# A child reports at most this much of its error, well inside one pipe
-# buffer, so it never blocks on a parent that is waiting for it to exit.
-_MESSAGE_BYTES = 1024
+def _deal(tasks, count: int) -> list[list]:
+    """Deal (weight, task) pairs to at most count shares: the heaviest
+    first, each to the share with the least weight so far (the first of
+    equals). Empty shares are left out."""
+    shares, loads = [[] for _ in range(count)], [0] * count
+    for weight, task in sorted(tasks, key=lambda pair: -pair[0]):
+        i = loads.index(min(loads))
+        shares[i].append(task)
+        loads[i] += weight
+    return [share for share in shares if share]
 
 
-@contextlib.contextmanager
-def _forked_writes():
-    """Yield write(output, out, stem, fmt), which runs _write in a forked
-    child and returns at once. Every child is reaped on leaving, also on
-    an error; then a child that failed raises RuntimeError naming its
-    file. The child ends with os._exit, so it flushes none of the
-    parent's buffers and runs none of its exit handlers."""
-    limit = _CHILDREN_PER_CPU * len(os.sched_getaffinity(0))
-    children = {}  # pid -> (stem, read end of the pipe for its error)
-    failures = []
-
-    def reap(pid, flags=0):
-        done, status = os.waitpid(pid, flags)
-        if not done:
-            return
-        child_stem, fd = children.pop(pid)
-        with open(fd, "rb") as pipe:
-            message = pipe.read().decode(errors="replace")
-        if status:
-            code = os.waitstatus_to_exitcode(status)
-            failures.append(f"writing {child_stem}: {message or f'writer exited with status {code}'}")
-
-    def write(output, out, stem, fmt):
-        for pid in list(children):
-            reap(pid, os.WNOHANG)
-        while len(children) >= limit:
-            reap(next(iter(children)))
-        fd, child_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(fd)
-            os.close(child_fd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(fd)
-                _write(output, out, stem, fmt)
-                code = 0
-            except Exception as exc:  # noqa: BLE001 - reported through the pipe
-                os.write(child_fd, str(exc).encode(errors="replace")[:_MESSAGE_BYTES])
-            finally:
-                # also on an interrupt: the child never returns into the caller
-                os._exit(code)
-        os.close(child_fd)
-        children[pid] = (stem, fd)
-
+def _run_shares(run, shares) -> list[str]:
+    """The lines that run(share) returns for every share: the first share
+    runs in this process, each other one in a child made with os.fork.
+    Every child is joined before this returns, also on an error; then a
+    child that failed raises RuntimeError with its message. A child ends
+    with os._exit, so it flushes none of the parent's buffers and runs
+    none of its exit handlers."""
+    children = []  # (pid, read end of the pipe for its lines or its error)
     try:
-        yield write
+        for share in shares[1:]:
+            fd, child_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(child_fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(fd)
+                    with open(child_fd, "wb") as pipe:
+                        try:
+                            pipe.write("\n".join(run(share)).encode())
+                            code = 0
+                        except Exception as exc:  # noqa: BLE001 - reported through the pipe
+                            pipe.write(str(exc).encode(errors="replace"))
+                finally:
+                    # also on an interrupt: the child never returns into the caller
+                    os._exit(code)
+            os.close(child_fd)
+            children.append((pid, fd))
+        lines = run(shares[0])
     finally:
-        while children:
-            reap(next(iter(children)))
+        reports = []
+        for pid, fd in children:
+            # read to the end first: a child blocked on a full pipe never exits
+            with open(fd, "rb") as pipe:
+                message = pipe.read().decode(errors="replace")
+            reports.append((os.waitpid(pid, 0)[1], message))
+    failures = [message or f"exited with status {os.waitstatus_to_exitcode(status)}"
+                for status, message in reports if status]
     if failures:
         raise RuntimeError("; ".join(failures))
+    return lines + [line for _, message in reports for line in message.splitlines()]
 
 
 def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
@@ -140,28 +134,51 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
     barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
     specs = _select_specs(cfg.specs(), selector)
+    labels = [spec_label(spec) for spec in specs]
 
     mu = sample_grid(partial(cost_mean, params), source, bounds, resolution)
-    copies = []  # stems whose grid has the bits, hence the files, of c_mu
-    with _forked_writes() as write:
-        write(mu, out, "c_mu", fmt)
-        write(sample_grid(partial(cost_sigma, params), source, bounds, resolution), out, "c_sigma", fmt)
-        for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
-            label = spec_label(spec)
-            # compared as bits: -0.0 == 0.0, but the two format differently
-            if np.array_equal(grid.values.view(np.int64), mu.values.view(np.int64)):
-                copies.append(f"risk_{label}")
-            else:
-                write(grid, out, f"risk_{label}", fmt)
-            mask = safe_mask(grid, barrier.rho)
-            _write(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
-            polylines = level_set(spec, params, source, bounds, resolution, barrier.rho)
-            polylines_to_json(polylines, out / f"levelset_{label}.json")
-            print(f"field: wrote grids for {label}")
-    for stem in copies:
+    # the specs that share one rasterize call, by index, form one unit
+    units = {}
+    for i, spec in enumerate(specs):
+        units.setdefault(raster_key(spec), []).append(i)
+
+    def run(share) -> list[str]:
+        """Write the grids of the share's tasks; return the stems whose
+        grid has the bits, hence the files, of c_mu."""
+        copies, stem = [], None
+        try:
+            for task in share:
+                if isinstance(task, str):  # c_mu or c_sigma
+                    stem = task
+                    grid = mu if stem == "c_mu" else sample_grid(partial(cost_sigma, params), source, bounds, resolution)
+                    _write(grid, out, stem, fmt)
+                    continue
+                grids = rasterize_specs([specs[i] for i in task], params, source, bounds, resolution)
+                for i, grid in zip(task, grids):
+                    stem = f"risk_{labels[i]}"
+                    # compared as bits: -0.0 == 0.0, but the two format differently
+                    if np.array_equal(grid.values.view(np.int64), mu.values.view(np.int64)):
+                        copies.append(stem)
+                    else:
+                        _write(grid, out, stem, fmt)
+                    stem = f"safe_{labels[i]}"
+                    mask = safe_mask(grid, barrier.rho)
+                    _write(dataclasses.replace(grid, values=mask.astype(float)), out, stem, fmt)
+                    stem = f"levelset_{labels[i]}"
+                    polylines = level_set(specs[i], params, source, bounds, resolution, barrier.rho)
+                    polylines_to_json(polylines, out / f"{stem}.json")
+        except Exception as exc:
+            raise RuntimeError(f"writing {stem}: {exc}") from exc
+        return copies
+
+    # each task with its count of float grids, dealt to the usable CPUs
+    tasks = [(1, "c_mu"), (1, "c_sigma"), *((len(unit), unit) for unit in units.values())]
+    for stem in _run_shares(run, _deal(tasks, len(os.sched_getaffinity(0)))):
         for suffix in ("csv", "json"):
             if fmt in (suffix, "both"):
                 shutil.copyfile(out / f"c_mu.{suffix}", out / f"{stem}.{suffix}")
+    for label in labels:
+        print(f"field: wrote grids for {label}")
     return 0
 
 

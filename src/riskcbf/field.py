@@ -20,6 +20,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from ._format import format_rows
 from .distributions import lattice_coeffs
 from .risk import CPT, RiskSpec, moment_risk, spec_label
 
@@ -94,11 +95,10 @@ class FieldGrid:
 
     def to_csv(self, path) -> None:
         v = self.values
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("xmin,xmax,ymin,ymax,nx,ny\n")
+        with open(path, "wb") as fh:
             fh.write(
-                f"{self.xmin:.17g},{self.xmax:.17g},{self.ymin:.17g},"
-                f"{self.ymax:.17g},{self.nx},{self.ny}\n"
+                f"xmin,xmax,ymin,ymax,nx,ny\n{self.xmin:.17g},{self.xmax:.17g},{self.ymin:.17g},"
+                f"{self.ymax:.17g},{self.nx},{self.ny}\n".encode("ascii")
             )
             if ((v == 1.0) | ((v == 0.0) & ~np.signbit(v))).all():
                 # a 0/1 grid (a safe mask): '%.17g' writes +0.0 and 1.0 as
@@ -106,12 +106,9 @@ class FieldGrid:
                 text = np.full((self.nx, 2 * self.ny), ord(","), dtype=np.uint8)
                 text[:, 0::2] = v + ord("0")
                 text[:, -1] = ord("\n")
-                fh.write(text.tobytes().decode("ascii"))
+                fh.write(text)
                 return
-            # '%.17g' % v gives the bytes of f"{v:.17g}" for every float
-            row = ",".join(["%.17g"] * self.ny) + "\n"
-            for values in v:
-                fh.write(row % tuple(values.tolist()))
+            fh.writelines(format_rows(v))
 
     @classmethod
     def from_csv(cls, path) -> "FieldGrid":
@@ -132,8 +129,8 @@ class FieldGrid:
             "values": self.values.reshape(-1).tolist(),
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            # json.dumps runs the C encoder; json.dump always the Python one
+            fh.write(json.dumps(payload) + "\n")
 
 
 def _moments(params: CostFieldParams, r2):
@@ -229,6 +226,12 @@ def rasterize(
     return sample_grid(lambda xi: evaluate(spec, params, xi, grad=False)[0], source, bounds, resolution)
 
 
+def raster_key(spec: RiskSpec) -> RiskSpec:
+    """The spec of the rasterize call that rasterize_specs makes for spec:
+    a CPT at lam = 1, any other spec itself."""
+    return replace(spec, lam=1.0) if isinstance(spec, CPT) else spec
+
+
 def rasterize_specs(specs, params: CostFieldParams, source, bounds, resolution):
     """Yield ``rasterize(spec, params, source, bounds, resolution)`` for
     each spec, in order, with the bytes of that one-spec call.
@@ -240,13 +243,13 @@ def rasterize_specs(specs, params: CostFieldParams, source, bounds, resolution):
     spec of its group.
     """
     specs = tuple(specs)
-    left = Counter(replace(s, lam=1.0) for s in specs if isinstance(s, CPT))
+    left = Counter(raster_key(s) for s in specs if isinstance(s, CPT))
     unit: dict[CPT, FieldGrid] = {}
     for spec in specs:
         if not isinstance(spec, CPT):
             yield rasterize(spec, params, source, bounds, resolution)
             continue
-        key = replace(spec, lam=1.0)
+        key = raster_key(spec)
         if key not in unit:
             unit[key] = rasterize(key, params, source, bounds, resolution)
         left[key] -= 1
@@ -341,8 +344,7 @@ def level_set(spec: RiskSpec, params: CostFieldParams, source, bounds, resolutio
 def polylines_to_json(polylines, path) -> None:
     """Write level-set polylines as a JSON list of [x, y] point lists."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([poly.tolist() for poly in polylines], fh)
-        fh.write("\n")
+        fh.write(json.dumps([poly.tolist() for poly in polylines]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -526,3 +528,4 @@ def _scope(params, source, bounds, resolution) -> str:
         f"bounds={tuple(float(b) for b in bounds)}, "
         f"resolution={tuple(int(r) for r in resolution)}"
     )
+

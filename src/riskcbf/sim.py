@@ -27,6 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .barrier import BarrierConfig, barrier_constraint, qp_filter, row_norm
+from ._format import format_rows
 from .field import CostFieldParams
 from .risk import RiskSpec, spec_label
 
@@ -273,11 +274,10 @@ class SimLog:
         table = np.column_stack([r["t"], r["position"], r["heading"], r["point"], r["obstacles"].reshape(n, -1),
                                  r["u_nominal"], r["u_filtered"], self.delta, self.h_min, self.active_index,
                                  r["feasible"]])
-        # '%.17g' % v gives the bytes of f"{v:.17g}" for every float
-        row = ",".join(["%.17g"] * (len(cols) - 2)) + ",%d,%d\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            fh.writelines(row % tuple(values) for values in table.tolist())
+        # the last two columns hold small integers, which '%.17g' writes as '%d' does
+        with open(path, "wb") as fh:
+            fh.write((",".join(cols) + "\n").encode("ascii"))
+            fh.writelines(format_rows(table))
 
     def summary_dict(self) -> dict:
         return {
@@ -301,8 +301,8 @@ class SimLog:
         columns["feasible"] = r["feasible"].tolist()
         records = [dict(zip(columns, row)) for row in zip(*columns.values())]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"summary": self.summary_dict(), "records": records}, fh)
-            fh.write("\n")
+            # json.dumps runs the C encoder; json.dump always the Python one
+            fh.write(json.dumps({"summary": self.summary_dict(), "records": records}) + "\n")
 
 
 def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:

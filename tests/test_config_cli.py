@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from riskcbf.config import ConfigError, load_config
 from riskcbf.field import FieldGrid
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import nominal_control, obstacle_motion
+from test_golden import DIGESTS, host, read_digests
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -245,6 +247,34 @@ def test_cli_field_children_flush_no_parent_output(tmp_path):
     assert proc.stdout.splitlines() == [f"field: wrote grids for {label}" for label in labels]
 
 
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_cli_field_forks_one_writer_per_extra_cpu(tmp_path, monkeypatch, cpus):
+    # None: the usable CPUs of this host; 3 is more than this host may have
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    usable = len(os.sched_getaffinity(0))
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    out = tmp_path / "field"
+    argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out), "--format", "both"]
+    assert main(argv) == 0
+    assert_no_child_left()
+    # 12 tasks: c_mu, c_sigma and 10 groups of specs that share a rasterize call
+    assert len(forks) == min(usable, 12) - 1
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    header, digests = read_digests(DIGESTS)
+    if header != host():
+        pytest.skip(f"golden digests are for {header}, this host is {host()}")
+    prefix = "field_default/field/"
+    assert written == {name[len(prefix):]: digest for name, digest in digests.items() if name.startswith(prefix)}
+
+
 def test_cli_simulate_single_spec(tmp_path):
     out = tmp_path / "sim"
     code = main(
@@ -337,7 +367,9 @@ def rasterize_calls(monkeypatch):
     return calls
 
 
-def test_cli_field_rasterizes_specs_that_differ_only_in_lambda_once(tmp_path, rasterize_calls):
+def test_cli_field_rasterizes_specs_that_differ_only_in_lambda_once(tmp_path, monkeypatch, rasterize_calls):
+    # one usable CPU: every call is made, and counted, in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(tmp_path)]) == 0
     # ER and 6 CVaR, plus 3 CPT (alpha, beta, gamma) groups at lambda = 1:
     # the five cpt(0.74, 1.0, 0.95, lambda) specs share one

@@ -1,12 +1,14 @@
 import json
 import math
 import weakref
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import riskcbf.field
+from riskcbf._format import _significand, format_rows
 from riskcbf.field import (
     CostFieldParams,
     FieldGrid,
@@ -645,6 +647,72 @@ def test_grid_csv_of_a_01_grid_is_its_17g_text(tmp_path, odd):
         assert rows.splitlines()[3].split(",")[4] == {-0.0: "-0", 0.5: "0.5", 2.0: "2"}[odd]
     back = FieldGrid.from_csv(path)
     assert back.values.tobytes() == values.tobytes()
+
+
+def percent_17g(values):
+    """The reference: '%.17g' of every value, comma-joined rows."""
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return "".join(row % tuple(r) for r in values.tolist()).encode()
+
+
+def exact_ties(rng, count):
+    """Doubles odd * 2**-e whose exact decimal expansion has 18 significant
+    digits, the last a 5: '%.17g' rounds each half to even."""
+    ties = []
+    while len(ties) < count:
+        e = int(rng.integers(3, 26))
+        odd = int(rng.integers(10**17 // 5**e, 10**18 // 5**e)) | 1
+        v = odd / 2**e
+        if odd < 2**53 and len(str(odd * 5**e)) == 18:
+            ties.append(v)
+    return ties
+
+
+def test_format_rows_is_17g_on_every_class_of_double():
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2**64, size=(512, 1024), dtype=np.uint64).view(np.float64)
+    decades = [float(f"{m}e{k}") for k in range(-308, 309) for m in ("1", "1.5", "9.999999999999999", "9.9999999999999999")]
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+               1e-280, 1e280, math.inf, math.nan]
+    switches = [1e-5, 1e-4, 1e16, 1e17, 9.9999999999999995e-5, 9.9999999999999999e15, 99999999999999984.0]
+    ties = exact_ties(rng, 2000)
+    singles = np.array(decades + special + switches + ties + [2.0**-1074 * k for k in range(1, 200)])
+    with np.errstate(over="ignore"):  # nextafter of the largest double is inf
+        near = [np.nextafter(singles, direction) for direction in (math.inf, -math.inf)]
+    singles = np.concatenate([singles, *near])
+    singles = np.concatenate([singles, -singles])
+    for values in (bits, singles[: len(singles) // 8 * 8].reshape(-1, 8), singles[None, :], singles[:, None]):
+        assert b"".join(format_rows(values)) == percent_17g(values)
+
+
+@pytest.mark.parametrize(
+    "hi, lo, decided",
+    [
+        (12345678901234512.0, 0.25, True),
+        (12345678901234512.0, 0.5, False),  # a tie, left to '%.17g'
+        (12345678901234512.0, 0.5 + 2.0**-38, True),
+        (99999999999999984.0, 15.4, True),
+        (99999999999999984.0, 15.7, False),  # rounds to 1e17
+        (9999999999999998.0, 1.97, True),  # rounds to 1e16, as 17 digits would
+        (9999999999999998.0, 1.9, False),  # 17 digits of the lower exponent end 9
+    ],
+)
+def test_significand_defers_what_its_bound_cannot_decide(hi, lo, decided):
+    n, ok = _significand(np.ones(1), np.array([hi]), np.array([lo]))
+    assert ok.tolist() == [decided]
+    if decided:
+        assert n.tolist() == [int(hi) + round(lo)]
+
+
+@pytest.mark.parametrize("source", [SOURCE, (7.3137, 9.8731)])
+def test_format_rows_is_17g_on_every_shipped_grid(source):
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "field_default.cfg")
+    params = cfg.field_params()
+    bounds, resolution, _ = cfg.grid_geometry()
+    grids = [sample_grid(partial(fn, params), source, bounds, resolution) for fn in (cost_mean, cost_sigma)]
+    grids += rasterize_specs(cfg.specs(), params, source, bounds, resolution)
+    for grid in grids:
+        assert b"".join(format_rows(grid.values)) == percent_17g(grid.values)
 
 
 def test_grid_json_schema(tmp_path):
