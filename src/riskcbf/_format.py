@@ -1,4 +1,5 @@
-"""``'%.17g'`` for float arrays, vectorized with NumPy, byte for byte.
+"""The text of the outputs: ``'%.17g'`` for float arrays, vectorized with
+NumPy, byte for byte, and the one writer of every JSON file.
 
 Each value is written into a row of _WIDTH bytes, in slots: the sign,
 the "0.000" of a fixed-notation value below 1, the 17 digits, the point,
@@ -9,6 +10,7 @@ the item, in order.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 
 import numpy as np
@@ -57,6 +59,13 @@ def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
     formatter = _Formatter(step * values.shape[1])
     for i in range(0, len(values), step):
         yield formatter.block(values[i: i + step])
+
+
+def write_json(path, obj, indent=None) -> None:
+    """Write obj to path as JSON text and a newline. The text comes from
+    dumps, which runs the C encoder when indent is None; dump never does."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=indent) + "\n")
 
 
 def _pow10(p: int) -> tuple[float, float]:

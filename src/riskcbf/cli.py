@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import shutil
@@ -28,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._format import write_json
 from .barrier import barrier_constraint, feasibility_margin
 from .config import Config, ConfigError, load_config
 from .field import (
@@ -220,9 +220,7 @@ def cmd_audit(cfg: Config, out: Path) -> int:
         },
     }
     path = out / "audit.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(path, report, indent=2)
     for pair, rep in report["inclusiveness"].items():
         print(f"audit: {pair}: {rep['verdict']}")
     print(f"audit: report written to {path}")
@@ -270,10 +268,7 @@ def cmd_feasibility(cfg: Config, out: Path, selector, seed: int) -> int:
     # the specs run as lanes: (S, N) rows of every spec at every state
     h, a, b = barrier_constraint(specs, params, barrier, np.broadcast_to(points, (len(specs), *points.shape)), ys, f_ys)
     lhs, eta, feasible, angle_defined = feasibility_margin(h, a, f_ys - u_nom, barrier.eta1_gain)
-    probes = np.empty(b.shape + (len(u_samples),), dtype=bool)
-    for row in np.ndindex(b.shape):
-        # one gemv per row: a gemm over all rows rounds differently
-        np.greater_equal(u_samples @ a[row], b[row], out=probes[row])
+    probes = a @ u_samples.T >= b[..., None]
 
     labels = [spec_label(spec) for spec in specs]
     summary, margins = {}, []
@@ -321,9 +316,7 @@ def cmd_feasibility(cfg: Config, out: Path, selector, seed: int) -> int:
         "summary": summary,
     }
     path = out / "feasibility.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(path, report, indent=2)
     for label, row in summary.items():
         fraction = "n/a" if row["feasible_fraction"] is None else f"{row['feasible_fraction']:.3f}"
         print(f"feasibility: {label}: nominal-feasible fraction {fraction}")

@@ -13,6 +13,10 @@ bin closes at the upper truncation bound so the masses sum to one
 exactly; for a symmetric grid the mass vector is symmetric about c_mu.
 The lattice (outcome coefficients and masses) depends only on M and is
 shared by the lottery and the field layers.
+
+``DiscreteCost`` and ``discretize_truncated_gaussian`` build the lottery
+explicitly for the lottery layer of :mod:`riskcbf.risk`, which the
+library keeps as the paper's definitions and the tests' oracle.
 """
 
 from __future__ import annotations

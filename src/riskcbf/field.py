@@ -12,7 +12,6 @@ source, and each level set is the circles at the roots of its profile.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -20,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._format import format_rows
+from ._format import format_rows, write_json
 from .distributions import lattice_coeffs
 from .risk import CPT, RiskSpec, moment_risk, spec_label
 
@@ -52,32 +51,39 @@ class CostFieldParams:
         return self.k1 * math.exp(-self.k2 * self.r_bar ** 2)
 
 
+def _centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """The centers of the n equal cells that cut [lo, hi]."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+
+
 @dataclass(frozen=True)
 class FieldGrid:
     """Scalar field sampled on cell centers of an axis-aligned rectangle.
 
     values[i, j] is the sample at (x_i, y_j) with x_i = xmin + (i+0.5)*dx;
-    evaluation and serialization are row-major over i then j.
+    the resolution (nx, ny) is the shape of values. Evaluation and
+    serialization are row-major over i then j.
     """
 
     xmin: float
     xmax: float
     ymin: float
     ymax: float
-    nx: int
-    ny: int
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid resolution must be at least 2 per axis")
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.nx, self.ny):
-            raise ValueError(
-                f"values shape {values.shape} does not match resolution "
-                f"({self.nx}, {self.ny})"
-            )
+        if values.ndim != 2 or min(values.shape) < 2:
+            raise ValueError("grid resolution must be at least 2 per axis")
         object.__setattr__(self, "values", values)
+
+    @property
+    def nx(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.values.shape[1]
 
     @property
     def dx(self) -> float:
@@ -88,10 +94,10 @@ class FieldGrid:
         return (self.ymax - self.ymin) / self.ny
 
     def x_centers(self) -> np.ndarray:
-        return self.xmin + (np.arange(self.nx) + 0.5) * self.dx
+        return _centers(self.xmin, self.xmax, self.nx)
 
     def y_centers(self) -> np.ndarray:
-        return self.ymin + (np.arange(self.ny) + 0.5) * self.dy
+        return _centers(self.ymin, self.ymax, self.ny)
 
     def to_csv(self, path) -> None:
         v = self.values
@@ -110,27 +116,12 @@ class FieldGrid:
                 return
             fh.writelines(format_rows(v))
 
-    @classmethod
-    def from_csv(cls, path) -> "FieldGrid":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header != ["xmin", "xmax", "ymin", "ymax", "nx", "ny"]:
-                raise ValueError(f"unrecognized grid CSV header in {path}")
-            meta = fh.readline().strip().split(",")
-            xmin, xmax, ymin, ymax = (float(v) for v in meta[:4])
-            nx, ny = int(meta[4]), int(meta[5])
-            values = np.loadtxt(fh, delimiter=",").reshape(nx, ny)
-        return cls(xmin, xmax, ymin, ymax, nx, ny, values)
-
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "bounds": [self.xmin, self.xmax, self.ymin, self.ymax],
             "resolution": [self.nx, self.ny],
             "values": self.values.reshape(-1).tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            # json.dumps runs the C encoder; json.dump always the Python one
-            fh.write(json.dumps(payload) + "\n")
+        })
 
 
 def _moments(params: CostFieldParams, r2):
@@ -191,11 +182,10 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
 @lru_cache(maxsize=1)
 def _grid_offsets(source: tuple, bounds: tuple, resolution: tuple) -> np.ndarray:
     # one read-only (nx, ny, 2) array per geometry, shared by every grid on it
-    nx, ny = resolution
-    grid = FieldGrid(*bounds, nx, ny, values=np.zeros((nx, ny)))
+    (xmin, xmax, ymin, ymax), (nx, ny) = bounds, resolution
     xi = np.empty((2, nx, ny))  # component-major: _r2 reads each xi[..., k] contiguously
-    xi[0] = source[0] - grid.x_centers()[:, None]
-    xi[1] = source[1] - grid.y_centers()
+    xi[0] = source[0] - _centers(xmin, xmax, nx)[:, None]
+    xi[1] = source[1] - _centers(ymin, ymax, ny)
     xi.flags.writeable = False
     return np.moveaxis(xi, 0, -1)
 
@@ -207,7 +197,7 @@ def sample_grid(fn, source, bounds, resolution) -> FieldGrid:
     bounds = tuple(float(b) for b in bounds)
     resolution = tuple(int(r) for r in resolution)
     xi = _grid_offsets(tuple(np.asarray(source, dtype=float).tolist()), bounds, resolution)
-    return FieldGrid(*bounds, *resolution, values=fn(xi))
+    return FieldGrid(*bounds, values=fn(xi))
 
 
 def rasterize(
@@ -313,11 +303,11 @@ def level_set(spec: RiskSpec, params: CostFieldParams, source, bounds, resolutio
     arc per inside run, ending exactly on the edge. Polylines come by
     ascending radius, each counter-clockwise.
     """
-    grid = FieldGrid(*bounds, *resolution, values=np.empty(tuple(resolution)))
-    (x0, x1), (y0, y1) = grid.x_centers()[[0, -1]], grid.y_centers()[[0, -1]]
+    (xmin, xmax, ymin, ymax), (nx, ny) = bounds, resolution
+    (x0, x1), (y0, y1) = _centers(xmin, xmax, nx)[[0, -1]], _centers(ymin, ymax, ny)[[0, -1]]
     cx, cy = np.asarray(source, dtype=float).tolist()
     r_max = max(math.hypot(x - cx, y - cy) for x in (x0, x1) for y in (y0, y1))
-    cell = min(grid.dx, grid.dy)
+    cell = min((xmax - xmin) / nx, (ymax - ymin) / ny)
     polylines = []
     for r in _root_radii(spec, params, rho, r_max, _PROFILE_STEP * cell).tolist():
         cuts = []  # (angle, axis, edge) where the circle meets each window edge
@@ -343,8 +333,7 @@ def level_set(spec: RiskSpec, params: CostFieldParams, source, bounds, resolutio
 
 def polylines_to_json(polylines, path) -> None:
     """Write level-set polylines as a JSON list of [x, y] point lists."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps([poly.tolist() for poly in polylines]) + "\n")
+    write_json(path, [poly.tolist() for poly in polylines])
 
 
 @dataclass(frozen=True)

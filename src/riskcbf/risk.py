@@ -13,6 +13,11 @@ The moment layer (``moment_risk``) evaluates the truncated-Gaussian
 cost straight from its mean and deviation, for arrays of any shape, and
 also returns the partials the barrier needs; every field, grid and
 barrier computation goes through it.
+
+The library keeps the lottery layer, which no command calls: it holds
+the paper's definitions over a lottery, and it is the independent oracle
+that the tests compare ``moment_risk`` against (a gemv over a
+DiscreteCost against the lane path's stacked dots).
 """
 
 from __future__ import annotations

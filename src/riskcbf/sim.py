@@ -17,7 +17,6 @@ arrival is measured at that controlled point.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .barrier import BarrierConfig, barrier_constraint, qp_filter, row_norm
-from ._format import format_rows
+from ._format import format_rows, write_json
 from .field import CostFieldParams
 from .risk import RiskSpec, spec_label
 
@@ -300,9 +299,7 @@ class SimLog:
         columns["active_index"] = self.active_index.tolist()
         columns["feasible"] = r["feasible"].tolist()
         records = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        with open(path, "w", encoding="utf-8") as fh:
-            # json.dumps runs the C encoder; json.dump always the Python one
-            fh.write(json.dumps({"summary": self.summary_dict(), "records": records}) + "\n")
+        write_json(path, {"summary": self.summary_dict(), "records": records})
 
 
 def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:

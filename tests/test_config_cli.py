@@ -16,9 +16,9 @@ import riskcbf.field
 from riskcbf.barrier import barrier_constraint, feasibility_margin
 from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
-from riskcbf.field import FieldGrid
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import nominal_control, obstacle_motion
+from test_field import read_grid_csv
 from test_golden import DIGESTS, host, read_digests
 
 REPO = Path(__file__).resolve().parent.parent
@@ -763,27 +763,41 @@ def test_cli_spec_index_selector(tmp_path):
     assert (out / "risk_er.csv").exists()
 
 
-def test_cli_entry_point_subprocess():
-    # the child imports the package these tests import, installed or not
+def run_python(*args):
+    """A fresh interpreter run with args; it imports the package these
+    tests import, installed or not."""
     package_root = str(Path(riskcbf.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "riskcbf", "field", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=REPO,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_cli_entry_point_subprocess():
+    proc = run_python("-m", "riskcbf", "field", "--help")
     assert proc.returncode == 0
     assert "--config" in proc.stdout
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
+    # std_normal_quantile imports statistics when called: with decimal and
+    # fractions it costs about 5 ms of every command's start-up
+    code = "import sys, riskcbf.cli; print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_grid_csv_header_round_trip(tmp_path):
     out = tmp_path / "f"
     main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--spec", "er", "--out", str(out)])
-    grid = FieldGrid.from_csv(out / "c_mu.csv")
-    assert (grid.nx, grid.ny) == (150, 150)
-    assert grid.values.max() == pytest.approx(200.0, abs=0.05)
+    meta, values = read_grid_csv(out / "c_mu.csv")
+    assert (int(meta[4]), int(meta[5])) == (150, 150)
+    assert values.max() == pytest.approx(200.0, abs=0.05)
 
 
 def test_cli_simulate_lambda_sweep_logs(tmp_path):
