@@ -6,12 +6,13 @@ errors. Outputs are deterministic for a given config (the probe sampling
 is seeded via --seed).
 
 ``field`` deals its specs, grouped by their shared rasterize call, and
-the two cost grids over the usable CPUs (``os.sched_getaffinity``),
-balanced by float-grid count. It runs the first share itself and forks
-one child per other share with the POSIX ``os.fork``. Every child is
-joined before the command returns, also on an error, and the bytes are
-those of a write in one process. A risk grid with the bits of the
-mean-cost grid is written as a copy of that grid's files.
+the two cost grids over the usable CPUs (``os.sched_getaffinity``; one
+where the platform lacks it), balanced by float-grid count. It runs the
+first share itself and forks one child per other share with the POSIX
+``os.fork``. Every child is joined before the command returns, also on
+an error, and the bytes are those of a write in one process. A risk
+grid with the bits of the mean-cost grid is written as a copy of that
+grid's files.
 """
 
 from __future__ import annotations
@@ -171,9 +172,11 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
             raise RuntimeError(f"writing {stem}: {exc}") from exc
         return copies
 
-    # each task with its count of float grids, dealt to the usable CPUs
+    # each task with its count of float grids, dealt to the usable CPUs:
+    # one share, and no fork, without sched_getaffinity (macOS, Windows)
     tasks = [(1, "c_mu"), (1, "c_sigma"), *((len(unit), unit) for unit in units.values())]
-    for stem in _run_shares(run, _deal(tasks, len(os.sched_getaffinity(0)))):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for stem in _run_shares(run, _deal(tasks, cpus)):
         for suffix in ("csv", "json"):
             if fmt in (suffix, "both"):
                 shutil.copyfile(out / f"c_mu.{suffix}", out / f"{stem}.{suffix}")

@@ -436,9 +436,11 @@ class VersatilityReport:
     """Which mean-cost sublevel sets a family can certify as safe.
 
     ``achieved[k]`` is True when some member's safe set contains
-    {x : c_mu(source - x) <= levels[k]}; ``achieved_by`` names one such
-    member. ``interval`` is the widest contiguous run of achieved
-    levels (None when nothing is achieved).
+    {x : c_mu(source - x) <= levels[k]}; ``achieved_by`` names the first
+    such member in family order. The sublevel sets grow with the level,
+    so the achieved levels are a prefix of the ascending ``levels``:
+    ``runs`` holds at most one run, from the lowest level, and
+    ``interval`` is that run (None when nothing is achieved).
     """
 
     levels: tuple[float, ...]
@@ -475,35 +477,29 @@ def versatility_audit(
     if mu is None:
         mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
 
-    achieved = []
-    achieved_by: list[str | None] = []
-    for level in levels:
-        sub = mu <= level
-        winner = None
-        for spec, safe in family.items():
-            if not (sub & ~safe).any():
-                winner = spec_label(spec)
-                break
-        achieved.append(winner is not None)
-        achieved_by.append(winner)
-
-    runs = []
-    k = 0
-    while k < len(levels):
-        if achieved[k]:
-            start = k
-            while k + 1 < len(levels) and achieved[k + 1]:
-                k += 1
-            runs.append((levels[start], levels[k]))
-        k += 1
-    interval = max(runs, key=lambda r: r[1] - r[0]) if runs else None
+    # a member's reach is the least mean cost of its unsafe cells: its
+    # safe set contains exactly the sublevel sets of the levels below it.
+    # No member after one that reaches past every level is ever first.
+    top = levels[-1] if levels else -math.inf
+    reach = []
+    for safe in family.values():
+        reach.append(mu[~safe].min(initial=math.inf))
+        if reach[-1] > top:
+            break
+    # the first member whose reach exceeds a level is the first whose
+    # running maximum does; len(reach) where none does
+    first = np.searchsorted(np.maximum.accumulate(reach), levels, side="right")
+    names = [spec_label(spec) for spec in family] + [None]
+    achieved_by = tuple(names[j] for j in first)
+    achieved = tuple(name is not None for name in achieved_by)
+    runs = ((levels[0], levels[sum(achieved) - 1]),) if any(achieved) else ()
 
     return VersatilityReport(
         levels=tuple(levels),
-        achieved=tuple(achieved),
-        achieved_by=tuple(achieved_by),
-        runs=tuple(runs),
-        interval=interval,
+        achieved=achieved,
+        achieved_by=achieved_by,
+        runs=runs,
+        interval=runs[0] if runs else None,
         rho=float(rho),
         scope=_scope(params, source, bounds, resolution),
     )

@@ -48,7 +48,7 @@ class ExpectedRisk:
 class CVaR:
     """Conditional value at risk with tail parameter q in [0, 1].
 
-    The layers read q differently until ROADMAP item 3 makes them agree:
+    The layers read q differently until ROADMAP item 4 makes them agree:
     the field layer (``moment_risk``) is c_mu + c_sigma * pdf(quantile(q))
     / q, the lottery layer (``cvar_value``) the mean of the outcomes at
     or above the q-quantile.

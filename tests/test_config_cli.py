@@ -247,6 +247,17 @@ def test_cli_field_children_flush_no_parent_output(tmp_path):
     assert proc.stdout.splitlines() == [f"field: wrote grids for {label}" for label in labels]
 
 
+def assert_golden_field_outputs(out):
+    """Assert that out holds the golden files of field_default's field
+    run; skip where the digests are for another host."""
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    header, digests = read_digests(DIGESTS)
+    if header != host():
+        pytest.skip(f"golden digests are for {header}, this host is {host()}")
+    prefix = "field_default/field/"
+    assert written == {name[len(prefix):]: digest for name, digest in digests.items() if name.startswith(prefix)}
+
+
 @pytest.mark.parametrize("cpus", [None, 1, 3])
 def test_cli_field_forks_one_writer_per_extra_cpu(tmp_path, monkeypatch, cpus):
     # None: the usable CPUs of this host; 3 is more than this host may have
@@ -267,12 +278,21 @@ def test_cli_field_forks_one_writer_per_extra_cpu(tmp_path, monkeypatch, cpus):
     assert_no_child_left()
     # 12 tasks: c_mu, c_sigma and 10 groups of specs that share a rasterize call
     assert len(forks) == min(usable, 12) - 1
-    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-    header, digests = read_digests(DIGESTS)
-    if header != host():
-        pytest.skip(f"golden digests are for {header}, this host is {host()}")
-    prefix = "field_default/field/"
-    assert written == {name[len(prefix):]: digest for name, digest in digests.items() if name.startswith(prefix)}
+    assert_golden_field_outputs(out)
+
+
+def test_cli_field_without_sched_getaffinity_writes_in_one_process(tmp_path, monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: field then forks nothing
+    monkeypatch.delattr(os, "sched_getaffinity")
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = tmp_path / "field"
+    argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out), "--format", "both"]
+    assert main(argv) == 0
+    assert_golden_field_outputs(out)
 
 
 def test_cli_simulate_single_spec(tmp_path):

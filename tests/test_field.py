@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import weakref
@@ -611,6 +612,80 @@ def test_audit_requires_nonempty_families():
         versatility_audit({}, PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0, [50.0])
 
 
+def test_versatility_audit_matches_its_definition_on_random_masks():
+    # brute force over seeded cases: tied, non-radial mean costs; masks
+    # that mix a sublevel set with noise, or are all safe or all unsafe;
+    # levels below, inside and above the costs, some drawn from the costs
+    # so that a level equal to a member's reach must count as missed
+    rng = np.random.default_rng(0)
+    ties = 0
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 9, size=2))
+        mu = rng.integers(0, 12, size=shape).astype(float)
+        masks = []
+        for _ in range(rng.integers(1, 6)):
+            kind = rng.integers(4)
+            noise = rng.random(shape) < rng.random()
+            masks.append(
+                np.ones(shape, bool) if kind == 0
+                else noise if kind == 1
+                else (mu <= rng.integers(-1, 13)) | noise if kind == 2
+                else mu <= rng.integers(-1, 13)
+            )
+        family = {CVaR(i / 10): mask for i, mask in enumerate(masks)}
+        levels = [*rng.choice(mu.ravel(), size=rng.integers(0, 6)), *rng.uniform(-2.0, 14.0, size=rng.integers(0, 4))]
+        if rng.random() < 0.3:
+            levels.append(levels[0] if levels else mu.min())  # a repeated level
+        report = versatility_audit(family, PARAMS, SOURCE, BOUNDS, shape, 100.0, levels, mu=mu)
+
+        assert report.levels == tuple(sorted(levels))
+        covers = [[bool(mask[mu <= level].all()) for mask in masks] for level in report.levels]
+        labels = [spec_label(spec) for spec in family]
+        assert report.achieved == tuple(any(row) for row in covers)
+        assert report.achieved_by == tuple(labels[row.index(True)] if any(row) else None for row in covers)
+        # the maximal runs of achieved levels; the widest is the interval
+        runs = []
+        for hit, run in itertools.groupby(zip(report.levels, report.achieved), key=lambda pair: pair[1]):
+            if hit:
+                run = list(run)
+                runs.append((run[0][0], run[-1][0]))
+        assert report.runs == tuple(runs)
+        assert report.interval == (max(runs, key=lambda run: run[1] - run[0]) if runs else None)
+        # the prefix property: no achieved level above a missed one
+        assert list(report.achieved) == sorted(report.achieved, reverse=True)
+        ties += sum(level == mu[~mask].min() for mask in masks if not mask.all() for level in report.levels)
+    assert ties > 50
+
+
+def test_versatility_reach_lies_on_a_radial_root():
+    # the grid reach of each audited member, the least mean cost of its
+    # unsafe cells, sits at the radius sqrt(ln(k1 / reach) / k2): within
+    # a cell diagonal of a root of the exact radial profile, or of the
+    # farthest cell center, where the window cuts the unsafe set off
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "field_default.cfg")
+    params = cfg.field_params()
+    rho = cfg.barrier_config(params).rho
+    bounds, resolution, source = cfg.grid_geometry()
+    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution)
+    cvar, cpt = cfg.audit_families(*discretized_cost_range(params, source, bounds, resolution), rho)
+    specs = [ExpectedRisk(), *cvar, *cpt]
+    assert len(set(specs)) == len(specs) == 40
+    r = np.hypot(*np.meshgrid(mu.x_centers() - source[0], mu.y_centers() - source[1], indexing="ij"))
+    r_max, cell, diagonal = r.max(), min(mu.dx, mu.dy), math.hypot(mu.dx, mu.dy)
+    unsafe_members = 0
+    for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
+        unsafe = ~safe_mask(grid, rho)
+        roots = riskcbf.field._root_radii(spec, params, rho, r_max, cell / 8)
+        if not unsafe.any():
+            assert roots.size == 0, spec_label(spec)
+            continue
+        unsafe_members += 1
+        reach = mu.values[unsafe].min()
+        radius = math.sqrt(math.log(params.k1 / reach) / params.k2)
+        assert np.abs(radius - np.append(roots, r_max)).min() <= diagonal, spec_label(spec)
+    assert unsafe_members == 25
+
+
 # --- exports ----------------------------------------------------------------------
 
 
@@ -771,14 +846,19 @@ def test_cpt_safe_sets_nested_decreasing_in_lambda():
         previous = current
 
 
-# --- one meaning per risk model (ROADMAP item 3) ----------------------------------
+# --- one meaning per risk model (ROADMAP items 3 and 4) ---------------------------
 #
 # Field-level properties the lottery layer already has. Each fails with
-# the current closed forms; the fix of ROADMAP item 3 removes the marks.
+# the current lattice or closed forms; the fix of the item named in its
+# mark removes that mark.
 
 ITEM_3 = pytest.mark.xfail(
     raises=AssertionError,
-    reason="ROADMAP item 3: the field layer's CVaR and CPT do not yet mean what the lottery layer does",
+    reason="ROADMAP item 3: lattice outcomes sit at their bins' lower edges, so CPT(1, 1, 1, 1) falls below ER",
+)
+ITEM_4 = pytest.mark.xfail(
+    raises=AssertionError,
+    reason="ROADMAP item 4: the field layer's CVaR takes q as the tail fraction, the lottery layer's as the quantile",
 )
 # relative positions along one ray, |xi| = 0, 0.1, ..., 4 (0.3 included)
 RAY = np.linspace(0.0, 4.0, 41)[:, None] * np.array([0.6, 0.8])
@@ -795,7 +875,7 @@ def test_unit_cpt_field_equals_er_field():
     np.testing.assert_allclose(field_values(CPT(1.0, 1.0, 1.0, 1.0)), field_values(ExpectedRisk()), rtol=1e-9)
 
 
-@ITEM_3
+@ITEM_4
 def test_cvar_field_within_truncation_bound():
     # the cost lottery is truncated at 3 sigma (today CVaR(0.001) is 302.0
     # at |xi| = 0.3, where mu + 3 sigma is 290.9)
@@ -804,7 +884,7 @@ def test_cvar_field_within_truncation_bound():
         assert np.all(field_values(CVaR(q)) <= bound * (1.0 + 1e-12)), q
 
 
-@ITEM_3
+@ITEM_4
 def test_cvar_field_nondecreasing_in_q():
     # cvar_value averages the worst 1 - q, so it grows with q (today the
     # field falls from 302.0 to 199.9 between q = 0.001 and 0.999 at |xi| = 0.3)
@@ -812,7 +892,7 @@ def test_cvar_field_nondecreasing_in_q():
     assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:])
 
 
-@ITEM_3
+@ITEM_4
 def test_cvar_field_continuous_at_zero():
     # CVaR(0) is the expectation; a small q stays within 0.1% of it
     # (today CVaR(0) is 199.8 and CVaR(1e-6) is 350.0 at |xi| = 0.3)
