@@ -23,7 +23,6 @@ import math
 import os
 import shutil
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +32,15 @@ from .barrier import barrier_constraint, feasibility_margin
 from .config import Config, ConfigError, load_config
 from .field import (
     FieldGrid,
-    cost_mean,
-    cost_sigma,
     discretized_cost_range,
     inclusiveness_audit,
     level_set,
+    moment_grids,
     polylines_to_json,
     raster_key,
     rasterize,  # noqa: F401 - perfbench/test_perfbench.py reaches it as riskcbf.cli.rasterize
     rasterize_specs,
     safe_mask,
-    sample_grid,
     versatility_audit,
 )
 from .risk import ExpectedRisk, spec_label
@@ -137,7 +134,8 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
     specs = _select_specs(cfg.specs(), selector)
     labels = [spec_label(spec) for spec in specs]
 
-    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution)
+    # computed before any fork, so every share inherits them
+    c_mu, c_sigma = moment_grids(params, source, bounds, resolution)
     # the specs that share one rasterize call, by index, form one unit
     units = {}
     for i, spec in enumerate(specs):
@@ -151,14 +149,13 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
             for task in share:
                 if isinstance(task, str):  # c_mu or c_sigma
                     stem = task
-                    grid = mu if stem == "c_mu" else sample_grid(partial(cost_sigma, params), source, bounds, resolution)
-                    _write(grid, out, stem, fmt)
+                    _write(c_mu if stem == "c_mu" else c_sigma, out, stem, fmt)
                     continue
                 grids = rasterize_specs([specs[i] for i in task], params, source, bounds, resolution)
                 for i, grid in zip(task, grids):
                     stem = f"risk_{labels[i]}"
                     # compared as bits: -0.0 == 0.0, but the two format differently
-                    if np.array_equal(grid.values.view(np.int64), mu.values.view(np.int64)):
+                    if np.array_equal(grid.values.view(np.int64), c_mu.values.view(np.int64)):
                         copies.append(stem)
                     else:
                         _write(grid, out, stem, fmt)
@@ -189,9 +186,7 @@ def cmd_audit(cfg: Config, out: Path) -> int:
     params = cfg.field_params()
     barrier = cfg.barrier_config(params)
     bounds, resolution, source = cfg.grid_geometry()
-    # the mean-cost grid, sampled once for the cost range and the levels
-    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
-    c_min, c_max = discretized_cost_range(params, source, bounds, resolution, mu=mu)
+    c_min, c_max = discretized_cost_range(params, source, bounds, resolution)
     cvar_family, cpt_family = cfg.audit_families(c_min, c_max, barrier.rho)
 
     # one mask per distinct spec, shared by every family that holds it
@@ -205,6 +200,7 @@ def cmd_audit(cfg: Config, out: Path) -> int:
 
     levels = cfg.levels()
     if not levels:
+        mu = moment_grids(params, source, bounds, resolution)[0].values
         levels = list(np.linspace(float(mu.min()), float(mu.max()), 8))
 
     args = (params, source, bounds, resolution, barrier.rho)
@@ -217,9 +213,9 @@ def cmd_audit(cfg: Config, out: Path) -> int:
             "cvar_vs_er": dataclasses.asdict(inclusiveness_audit(cvar, er, *args)),
         },
         "versatility": {
-            "er": dataclasses.asdict(versatility_audit(er, *args, levels, mu=mu)),
-            "cvar": dataclasses.asdict(versatility_audit(cvar, *args, levels, mu=mu)),
-            "cpt": dataclasses.asdict(versatility_audit(cpt, *args, levels, mu=mu)),
+            "er": dataclasses.asdict(versatility_audit(er, *args, levels)),
+            "cvar": dataclasses.asdict(versatility_audit(cvar, *args, levels)),
+            "cpt": dataclasses.asdict(versatility_audit(cpt, *args, levels)),
         },
     }
     path = out / "audit.json"

@@ -340,7 +340,7 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(path, None, f"cannot read config: {exc}") from exc
 
     for lineno, raw in enumerate(lines, start=1):

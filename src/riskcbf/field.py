@@ -8,6 +8,9 @@ by the mean cost at the localization radius. Risk models from
 perceived-risk field whose sublevel sets are the perceived-safe sets.
 Both moments depend on |xi| alone, so every field is radial about its
 source, and each level set is the circles at the roots of its profile.
+Every model reads the same moments, so a grid's (c_mu, c_sigma) pair is
+computed once per field and geometry by :func:`moment_grids` and shared
+read-only: :func:`rasterize`, the cost range and the audit levels read it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,24 +183,25 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
 
 
 @lru_cache(maxsize=1)
-def _grid_offsets(source: tuple, bounds: tuple, resolution: tuple) -> np.ndarray:
-    # one read-only (nx, ny, 2) array per geometry, shared by every grid on it
+def _grid_moments(params: CostFieldParams, source: tuple, bounds: tuple, resolution: tuple):
+    # one read-only (c_mu, c_sigma) pair per field and geometry, shared by every grid on it
     (xmin, xmax, ymin, ymax), (nx, ny) = bounds, resolution
-    xi = np.empty((2, nx, ny))  # component-major: _r2 reads each xi[..., k] contiguously
-    xi[0] = source[0] - _centers(xmin, xmax, nx)[:, None]
-    xi[1] = source[1] - _centers(ymin, ymax, ny)
-    xi.flags.writeable = False
-    return np.moveaxis(xi, 0, -1)
+    dx = source[0] - _centers(xmin, xmax, nx)[:, None]
+    dy = source[1] - _centers(ymin, ymax, ny)
+    moments = _moments(params, dx * dx + dy * dy)  # the bytes of _r2 on the cell offsets
+    for values in moments:
+        values.flags.writeable = False
+    return moments
 
 
-def sample_grid(fn, source, bounds, resolution) -> FieldGrid:
-    """The cell-center grid over bounds at resolution whose cell (i, j)
-    holds fn at xi = source - center(i, j); fn maps the (nx, ny, 2)
-    offsets, a read-only array, to (nx, ny) values."""
+def moment_grids(params: CostFieldParams, source, bounds, resolution) -> tuple[FieldGrid, FieldGrid]:
+    """The c_mu and c_sigma grids over bounds at resolution: cell (i, j)
+    holds the cost moments at xi = source - center(i, j). Both are
+    computed once per field and geometry and shared read-only."""
     bounds = tuple(float(b) for b in bounds)
     resolution = tuple(int(r) for r in resolution)
-    xi = _grid_offsets(tuple(np.asarray(source, dtype=float).tolist()), bounds, resolution)
-    return FieldGrid(*bounds, values=fn(xi))
+    moments = _grid_moments(params, tuple(np.asarray(source, dtype=float).tolist()), bounds, resolution)
+    return tuple(FieldGrid(*bounds, values=values) for values in moments)
 
 
 def rasterize(
@@ -209,11 +213,12 @@ def rasterize(
 ) -> FieldGrid:
     """Evaluate the perceived-risk field over a cell-center grid.
 
-    Cell (i, j) holds the risk at xi = source - center(i, j). The
-    vectorized evaluation is cell-wise pure, hence identical to a
-    sequential row-major loop.
+    Cell (i, j) holds the risk at xi = source - center(i, j), from the
+    moments of :func:`moment_grids`. The vectorized evaluation is
+    cell-wise pure, hence identical to a sequential row-major loop.
     """
-    return sample_grid(lambda xi: evaluate(spec, params, xi, grad=False)[0], source, bounds, resolution)
+    mu, sigma = moment_grids(params, source, bounds, resolution)
+    return replace(mu, values=moment_risk(spec, mu.values, sigma.values, params.m, grad=False)[0])
 
 
 def raster_key(spec: RiskSpec) -> RiskSpec:
@@ -248,14 +253,9 @@ def rasterize_specs(specs, params: CostFieldParams, source, bounds, resolution):
         yield grid
 
 
-def discretized_cost_range(
-    params: CostFieldParams, source, bounds, resolution, *, mu: np.ndarray | None = None
-) -> tuple[float, float]:
-    """(min, max) over the grid of the discretized cost outcomes. mu, if
-    given, is the mean-cost grid's values, which are then not sampled."""
-    if mu is None:
-        mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
-    sigma = sample_grid(partial(cost_sigma, params), source, bounds, resolution).values
+def discretized_cost_range(params: CostFieldParams, source, bounds, resolution) -> tuple[float, float]:
+    """(min, max) over the grid of the discretized cost outcomes."""
+    mu, sigma = (grid.values for grid in moment_grids(params, source, bounds, resolution))
     g = lattice_coeffs(params.m)
     low = np.maximum(mu + g[0] * sigma, 0.0)
     high = mu + g[-1] * sigma
@@ -467,15 +467,16 @@ def versatility_audit(
     family member certifies as safe at tolerance rho.
 
     family maps member specs to their safe masks at rho on the grid of
-    params, source, bounds and resolution, as in inclusiveness_audit.
-    mu, if given, is that grid's mean-cost values, which are then not
-    sampled.
+    params, source, bounds and resolution, as in inclusiveness_audit,
+    and the levels are compared with that grid's c_mu from
+    :func:`moment_grids`. mu, if given, replaces those mean costs; it
+    lets a test pose costs that no radial field has.
     """
     if not family:
         raise ValueError("family must be non-empty")
     levels = sorted(float(c) for c in c_levels)
     if mu is None:
-        mu = sample_grid(partial(cost_mean, params), source, bounds, resolution).values
+        mu = moment_grids(params, source, bounds, resolution)[0].values
 
     # a member's reach is the least mean cost of its unsafe cells: its
     # safe set contains exactly the sublevel sets of the levels below it.

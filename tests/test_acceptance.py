@@ -11,13 +11,12 @@ import numpy as np
 from riskcbf.distributions import DiscreteCost
 from riskcbf.field import (
     CostFieldParams,
-    cost_sigma,
     discretized_cost_range,
     evaluate,
     inclusiveness_audit,
     rasterize,
+    moment_grids,
     safe_mask,
-    sample_grid,
 )
 from riskcbf.risk import (
     CPT,
@@ -227,7 +226,7 @@ def test_criterion_09_inclusiveness_audit():
     rho = RHO_SINGLE
     c_min, c_max = discretized_cost_range(PARAMS, SOURCE, BOUNDS, RES)
     assert c_min > 1.0  # grid minimum exceeds 1 with these constants
-    sigma_grid = sample_grid(lambda xi: cost_sigma(PARAMS, xi), SOURCE, BOUNDS, RES)
+    _, sigma_grid = moment_grids(PARAMS, SOURCE, BOUNDS, RES)
     assert sigma_grid.values.min() > 0.0  # uncertainty positive on the whole grid
 
     cvar_family = [CVaR(q) for q in (0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999)]

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -425,22 +426,39 @@ def test_cli_audit(tmp_path, rasterize_calls):
     assert all(report["versatility"]["cpt"]["achieved"])
 
 
+def grid_moment_calls(monkeypatch, shape) -> list:
+    """A list that gets one entry per field._moments call on a grid of
+    shape from now on, with the cached grid moments cleared."""
+    riskcbf.field._grid_moments.cache_clear()
+    moments, calls = riskcbf.field._moments, []
+
+    def counting_moments(params, r2):
+        if np.shape(r2) == shape:
+            calls.append(params)
+        return moments(params, r2)
+
+    monkeypatch.setattr(riskcbf.field, "_moments", counting_moments)
+    return calls
+
+
 @pytest.mark.parametrize("levels", ["30, 60, 90", ""])
 def test_cli_audit_samples_the_mean_cost_grid_once(tmp_path, monkeypatch, levels):
+    # the cost range, all 16 rasterize calls and the levels read one sample
     text = (CONFIGS / "field_default.cfg").read_text()
     old = "levels = 30, 60, 90, 120, 150, 180, 199"
     assert text.count(old) == 1
     cfg = write_cfg(tmp_path, text.replace(old, f"levels = {levels}" if levels else ""))
-    sample_grid, sampled = riskcbf.field.sample_grid, []
-
-    def counting_sample_grid(fn, *args):
-        sampled.append(getattr(fn, "func", None))
-        return sample_grid(fn, *args)
-
-    monkeypatch.setattr(riskcbf.cli, "sample_grid", counting_sample_grid)
-    monkeypatch.setattr(riskcbf.field, "sample_grid", counting_sample_grid)
+    calls = grid_moment_calls(monkeypatch, (150, 150))
     assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert sampled.count(riskcbf.field.cost_mean) == 1
+    assert len(calls) == 1
+
+
+def test_cli_field_samples_the_cost_moments_once(tmp_path, monkeypatch):
+    # one usable CPU: the two cost grids and all 10 rasterize calls run here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = grid_moment_calls(monkeypatch, (150, 150))
+    assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_feasibility(tmp_path):
@@ -694,9 +712,14 @@ def test_cli_grid_two_key_error_reports_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_missing_config_exit_code(tmp_path):
-    code = main(["field", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
-    assert code == 2
+def test_cli_missing_config_exit_code(tmp_path, capsys):
+    # a missing file, and one that is not UTF-8 text
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe[field]\n")
+    for path in (tmp_path / "nope.cfg", binary):
+        code = main(["field", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: cannot read config: ")
 
 
 @pytest.mark.parametrize(
@@ -810,6 +833,26 @@ def test_importing_the_cli_leaves_statistics_unloaded():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_module_uses_its_imports():
+    # __init__ imports to re-export; a "# noqa: F401" on an alias's line
+    # marks a name imported for others to reach
+    unused = []
+    for path in sorted((REPO / "src" / "riskcbf").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno}: {name}")
+    assert unused == []
 
 
 def test_grid_csv_header_round_trip(tmp_path):

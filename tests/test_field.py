@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import weakref
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +20,11 @@ from riskcbf.field import (
     evaluate,
     inclusiveness_audit,
     level_set,
+    moment_grids,
     polylines_to_json,
     rasterize,
     rasterize_specs,
     safe_mask,
-    sample_grid,
     versatility_audit,
 )
 from riskcbf.barrier import BarrierConfig, barrier_constraint
@@ -305,20 +304,19 @@ def test_rasterize_specs_match_one_spec_calls(monkeypatch):
     assert set(cpt_calls) == set(keys) - {None}
 
 
-def test_sample_grid_shares_one_read_only_offset_array():
-    seen = []
-
-    def mean(xi):
-        seen.append(xi)
-        return cost_mean(PARAMS, xi)
-
-    first = sample_grid(mean, SOURCE, BOUNDS, (12, 9))
-    again = sample_grid(mean, tuple(SOURCE), list(BOUNDS), np.array([12, 9]))
-    assert seen[0] is seen[1]  # one geometry, one offset array
-    assert first.values.tobytes() == again.values.tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        sample_grid(lambda xi: np.add(xi, 1.0, out=xi)[..., 0], SOURCE, BOUNDS, (12, 9))
-    assert first.values.tobytes() == sample_grid(mean, SOURCE, BOUNDS, (12, 9)).values.tobytes()
+def test_moment_grids_share_one_read_only_pair():
+    first = moment_grids(PARAMS, SOURCE, BOUNDS, (12, 9))
+    again = moment_grids(PARAMS, tuple(SOURCE), list(BOUNDS), np.array([12, 9]))
+    for grid, other in zip(first, again, strict=True):
+        assert grid.values is other.values  # one geometry, one pair
+        assert (grid.xmin, grid.xmax, grid.ymin, grid.ymax, grid.nx, grid.ny) == (*BOUNDS, 12, 9)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.values += 1.0
+    # the moments at xi = source - center(i, j), byte for byte
+    centers = np.meshgrid(first[0].x_centers(), first[0].y_centers(), indexing="ij")
+    xi = SOURCE - np.stack(centers, axis=-1)
+    assert first[0].values.tobytes() == cost_mean(PARAMS, xi).tobytes()
+    assert first[1].values.tobytes() == cost_sigma(PARAMS, xi).tobytes()
 
 
 def test_field_grid_is_its_bounds_and_values():
@@ -666,7 +664,7 @@ def test_versatility_reach_lies_on_a_radial_root():
     params = cfg.field_params()
     rho = cfg.barrier_config(params).rho
     bounds, resolution, source = cfg.grid_geometry()
-    mu = sample_grid(partial(cost_mean, params), source, bounds, resolution)
+    mu, _ = moment_grids(params, source, bounds, resolution)
     cvar, cpt = cfg.audit_families(*discretized_cost_range(params, source, bounds, resolution), rho)
     specs = [ExpectedRisk(), *cvar, *cpt]
     assert len(set(specs)) == len(specs) == 40
@@ -802,7 +800,7 @@ def test_format_rows_is_17g_on_every_shipped_grid(source):
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "field_default.cfg")
     params = cfg.field_params()
     bounds, resolution, _ = cfg.grid_geometry()
-    grids = [sample_grid(partial(fn, params), source, bounds, resolution) for fn in (cost_mean, cost_sigma)]
+    grids = list(moment_grids(params, source, bounds, resolution))
     grids += rasterize_specs(cfg.specs(), params, source, bounds, resolution)
     for grid in grids:
         assert b"".join(format_rows(grid.values)) == percent_17g(grid.values)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -547,6 +548,35 @@ def test_log_views_match_per_row_loops():
     assert log.feasibility_violations == sum(not f for f in log.records["feasible"].tolist())
     assert log.goal_time == log.records["t"][-1] == (log.steps - 1) * log.dt
 
+
+
+# ROADMAP item 1: each step filters with only the row of the obstacle with
+# the lowest barrier, so a run can cross another obstacle's barrier. The
+# fix of item 1 removes this mark.
+ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the filter enforces only the lowest barrier's row, so CPT crosses another obstacle's",
+)
+
+
+@ITEM_1
+def test_crossing_obstacles_keep_every_barrier_nonnegative(tmp_path):
+    # the three crossing obstacles of the sim_crowd benchmark's seed 1
+    # variant 14: the CPT run ends at min_h = -2.366 against obstacle 2 at
+    # step 13, with no infeasible step; ER and CVaR end at 31.17
+    text = (CONFIGS / "multi_obstacle.cfg").read_text()
+    text = re.sub(r"^specs = .*$", "specs = er, cvar(0.1), cpt(0.74, 1.0, 0.88, 2.25)", text, flags=re.M)
+    text = re.sub(r"\[obstacle\.\d+\][^[]*", "", text)
+    paths = [((-1.668, 5.569), (0.93, -8.442)), ((-10.053, -1.89), (0.536, -8.721)),
+             ((-8.239, -12.743), (-10.494, 2.102))]
+    for k, (start, goal) in enumerate(paths, start=1):
+        text += f"\n[obstacle.{k}]\nstart = {start[0]}, {start[1]}\ngoal = {goal[0]}, {goal[1]}\nspeed = auto\n"
+    path = tmp_path / "crossing.cfg"
+    path.write_text(text)
+    cfg = load_config(path)
+    logs = simulate(cfg.scenario(), cfg.specs())
+    assert {log.label: log.min_h for log in logs if log.min_h < 0.0} == {}
 
 # --- lanes ------------------------------------------------------------------------
 
