@@ -1,13 +1,16 @@
 """Golden output digests: the SHA-256 of every file the CLI writes on the
-shipped configs, compared with ``tests/golden/outputs.sha256``.
+shipped configs, compared with ``tests/golden/outputs.sha256``, and of
+every log's ``records.tobytes()`` in the lane cases no shipped config
+covers (a single integrator, no obstacles, a t_max cutoff), compared
+with ``tests/golden/lane_records.sha256``.
 
-A change that moves output bytes on purpose rewrites the digest file with
+A change that moves output bytes on purpose rewrites both digest files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the diff of that file shows which outputs moved. The digests hold
-for the NumPy version and the platform recorded in the file's header;
-on any other NumPy version or platform the test skips and names both.
+and the diff of those files shows which outputs moved. The digests hold
+for the NumPy version and the platform recorded in each file's header;
+on any other NumPy version or platform the tests skip and name both.
 """
 
 import contextlib
@@ -22,9 +25,12 @@ import numpy as np
 import pytest
 
 from riskcbf.cli import main
+from riskcbf.sim import simulate
+from shipped import CONFIGS, lane_case
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DIGESTS = Path(__file__).resolve().parent / "golden" / "outputs.sha256"
+LANE_DIGESTS = DIGESTS.with_name("lane_records.sha256")
+LANE_CASES = ("single_integrator", "no_obstacles", "t_max_cutoff")
 
 # (config stem, command and its flags): every output format of each command
 RUNS = (
@@ -59,6 +65,13 @@ def output_digests(root: Path) -> dict:
     }
 
 
+def lane_digests() -> dict:
+    """Map each log of the LANE_CASES runs, by case and label, to the
+    SHA-256 of its records.tobytes()."""
+    return {f"{name}/{log.label}": hashlib.sha256(log.records.tobytes()).hexdigest()
+            for name in LANE_CASES for log in simulate(*lane_case(name))}
+
+
 def read_digests(path: Path) -> tuple[dict, dict]:
     """The header ``# key: value`` lines and the ``digest  path`` lines."""
     header, digests = {}, {}
@@ -72,9 +85,7 @@ def read_digests(path: Path) -> tuple[dict, dict]:
     return header, digests
 
 
-def write_digests(path: Path) -> int:
-    with tempfile.TemporaryDirectory() as root:
-        digests = output_digests(Path(root))
+def write_digests(path: Path, digests: dict) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {key}: {value}" for key, value in host().items()]
     lines += [f"{digest}  {name}" for name, digest in digests.items()]
@@ -82,20 +93,36 @@ def write_digests(path: Path) -> int:
     return len(digests)
 
 
-def test_outputs_match_golden_digests(tmp_path):
-    header, golden = read_digests(DIGESTS)
+def golden_or_skip(path: Path) -> dict:
+    """The digests of path, or skip when they were written on another host."""
+    header, golden = read_digests(path)
     here = host()
     if header != here:
         pytest.skip(
             f"digests were written with NumPy {header.get('numpy')} on {header.get('platform')}; "
             f"this host runs NumPy {here['numpy']} on {here['platform']}"
         )
-    actual = output_digests(tmp_path)
+    return golden
+
+
+def assert_same_digests(golden: dict, actual: dict) -> None:
     moved = sorted(name for name in golden.keys() & actual.keys() if golden[name] != actual[name])
     missing = sorted(golden.keys() - actual.keys())
     new = sorted(actual.keys() - golden.keys())
     assert not (moved or missing or new), f"moved: {moved}; missing: {missing}; new: {new}"
 
 
+def test_outputs_match_golden_digests(tmp_path):
+    golden = golden_or_skip(DIGESTS)
+    assert_same_digests(golden, output_digests(tmp_path))
+
+
+def test_lane_records_match_golden_digests():
+    golden = golden_or_skip(LANE_DIGESTS)
+    assert_same_digests(golden, lane_digests())
+
+
 if __name__ == "__main__":
-    print(f"wrote {write_digests(DIGESTS)} digests to {DIGESTS}")
+    with tempfile.TemporaryDirectory() as root:
+        print(f"wrote {write_digests(DIGESTS, output_digests(Path(root)))} digests to {DIGESTS}")
+    print(f"wrote {write_digests(LANE_DIGESTS, lane_digests())} digests to {LANE_DIGESTS}")

@@ -22,7 +22,7 @@ from riskcbf.sim import (
     unicycle_transform,
 )
 from riskcbf.config import load_config
-from shipped import CONFIGS, run_spec, shipped_scenario
+from shipped import CONFIGS, lane_case, run_spec, shipped_scenario
 
 
 # --- nominal control -----------------------------------------------------------
@@ -578,20 +578,8 @@ def test_crossing_obstacles_keep_every_barrier_nonnegative(tmp_path):
     logs = simulate(cfg.scenario(), cfg.specs())
     assert {log.label: log.min_h for log in logs if log.min_h < 0.0} == {}
 
+
 # --- lanes ------------------------------------------------------------------------
-
-
-def lane_case(name):
-    """A scenario and the specs that run on it side by side."""
-    single, multi = (load_config(CONFIGS / f"{n}.cfg") for n in ("single_obstacle", "multi_obstacle"))
-    mixed = (ExpectedRisk(), CVaR(0.4), CPT(0.74, 1.0, 0.88, 2.25), CPT(0.74, 1.0, 0.5, 3.0))
-    return {
-        "single_obstacle": (single.scenario(), single.specs()),
-        "multi_obstacle": (multi.scenario(), multi.specs()),
-        "single_integrator": (dataclasses.replace(multi.scenario(), agent=SingleIntegrator([-15.0, -15.0])), mixed),
-        "no_obstacles": (dataclasses.replace(single.scenario(), obstacles=()), mixed),
-        "t_max_cutoff": (dataclasses.replace(single.scenario(), t_max=2.0), single.specs()),
-    }[name]
 
 
 @pytest.mark.parametrize("name", ["single_obstacle", "multi_obstacle", "single_integrator", "no_obstacles",
