@@ -27,6 +27,7 @@ _DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2")
 _DIGITS4 = _DIGITS2.repeat(100) | np.tile(_DIGITS2, 100) << 16
 _ASCII_ZEROS = np.frombuffer(b"0" * 8, dtype="<u8")[0]
 _PREFIX = np.frombuffer(b"-0.000\0\0", dtype="<u8")[0]  # the sign and zeros slots
+_SIGNED_ZEROS = np.frombuffer(b"0".ljust(8, b"\0") + b"-0".ljust(8, b"\0"), dtype="<u8")  # row starts
 
 
 def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
@@ -49,10 +50,11 @@ def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
     a band wider than that error; s - rint(s) is exact.
     round(y) must have 17 digits: above 1e16 it does, and it may be 1e16
     itself only when y >= 1e16 - 0.04 > 1e16 - 0.05, below which the
-    17-digit rounding takes one more digit. Everything else goes through
-    '%.17g' itself: values within the band of a tie (exact ties
-    included), 0, -0, inf, nan, subnormals, the range outside the fast
-    one, a y that rounds to 1e17, and an x that log10 put off by one.
+    17-digit rounding takes one more digit. 0 and -0 are written from
+    fixed rows, as "0" and "-0". Everything else goes through '%.17g'
+    itself: values within the band of a tie (exact ties included), inf,
+    nan, subnormals, the range outside the fast one, a y that rounds to
+    1e17, and an x that log10 put off by one.
     """
     values = np.asarray(values, dtype=float)
     step = max(1, _FORMAT_BLOCK // max(values.shape[1], 1))
@@ -153,7 +155,8 @@ class _Formatter:
         a = np.abs(v)
         fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # NaN fails both
         a[~fast] = 1.0  # so that log10 sees no 0, inf or nan and warns of nothing
-        group = 2 * np.floor(np.log10(a)).astype(np.int64) + np.signbit(v) + _GROUP0
+        neg = np.signbit(v)
+        group = 2 * np.floor(np.log10(a)).astype(np.int64) + neg + _GROUP0
         if not self.filled[group].all():
             for g in set(group[~self.filled[group]].tolist()):
                 self._fill(g)
@@ -180,7 +183,11 @@ class _Formatter:
         significant = [(np.frexp((d ^ _ASCII_ZEROS).astype(float))[1] + 7) >> 3 for d in digits]
         row = self.mask_base.take(group) + np.where(significant[1] > 0, 8 + significant[1], significant[0])
 
-        slow = np.flatnonzero(~fast)
+        zeros = np.flatnonzero(v == 0.0)
+        if zeros.size:  # "0" or "-0" from the row's start
+            self.out[zeros, 0] = _SIGNED_ZEROS.take(neg[zeros])
+            row[zeros] = 1 + neg[zeros]
+        slow = np.flatnonzero(~fast & (v != 0.0))
         if slow.size:
             text = ["%.17g" % f for f in v[slow].tolist()]
             sizes = np.fromiter(map(len, text), dtype=np.intp, count=len(text))

@@ -221,18 +221,21 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
 
 class _LaneParams(NamedTuple):
     """moment_risk's parameters of S lanes, one row each: ER/CVaR lanes
-    read the gain k, CPT lanes (cpt) gamma, lam * gamma, lam and the
-    weights Pi, shaped for a (S, N, m) lattice; CPT's are placeholders
-    on the other lanes. any_linear and any_cpt say which models run."""
+    read the gain k, CPT lanes (cpt) gamma, gamma - 1, lam * gamma, lam,
+    the weights Pi and g * Pi, shaped for a (S, N, m) lattice; CPT's are
+    placeholders on the other lanes. any_linear and any_cpt say which
+    models run."""
 
     any_linear: bool
     any_cpt: bool
     gain: np.ndarray
     cpt: np.ndarray
     gamma: np.ndarray
+    gamma_less_1: np.ndarray
     scale: np.ndarray
     lam: np.ndarray
     pi: np.ndarray
+    g_pi: np.ndarray
     sqrt_rows: Optional[np.ndarray]
 
 
@@ -247,8 +250,9 @@ def _lane_params(specs: tuple, m: int) -> _LaneParams:
     pi = np.array([cpt_pi_weights(m, s.alpha, s.beta) if isinstance(s, CPT) else np.zeros(m) for s in specs])
     sqrt_rows = (cpt & (gamma == 0.5))[:, None, None]
     return _LaneParams(any_linear=not cpt.all(), any_cpt=bool(cpt.any()), gain=gain, cpt=cpt,
-                       gamma=gamma[:, None, None], scale=(lam * gamma)[:, None], lam=lam[:, None],
-                       pi=pi[:, None, :], sqrt_rows=sqrt_rows if sqrt_rows.any() else None)
+                       gamma=gamma[:, None, None], gamma_less_1=gamma[:, None, None] - 1.0,
+                       scale=(lam * gamma)[:, None], lam=lam[:, None], pi=pi[:, None, :],
+                       g_pi=lattice_coeffs(m) * pi[:, None, :], sqrt_rows=sqrt_rows if sqrt_rows.any() else None)
 
 
 def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
@@ -257,9 +261,8 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
     if p.any_linear:
         k = p.gain.reshape(column)
         value = mu + k * sigma  # bit-equal to c_mu at k = 0 (c_sigma is finite)
-        linear = (value, np.ones(value.shape), np.full(value.shape, k)) if grad else (value, None, None)
         if not p.any_cpt:
-            return linear
+            return (value, np.ones(value.shape), np.full(value.shape, k)) if grad else (value, None, None)
     g = lattice_coeffs(m)
     # (S, N, m) outcome lattice, built, clamped and powered in place so a
     # grid allocates no further N*m temporaries; sigma * g + mu has the
@@ -272,9 +275,9 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
         # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0
         # for c < 0, so this is the exact derivative of the value below
         # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
-        t = np.power(c, p.gamma - 1.0, out=np.zeros_like(c), where=c > 0.0)
+        t = np.power(c, p.gamma_less_1, out=np.zeros(c.shape), where=c > 0.0)
         d_mu = (p.scale * row_dot(t, p.pi)).reshape(mu.shape)
-        d_sigma = (p.scale * row_dot(t, g * p.pi)).reshape(mu.shape)
+        d_sigma = (p.scale * row_dot(t, p.g_pi)).reshape(mu.shape)
     np.maximum(c, 0.0, out=c)
     if p.sqrt_rows is None:
         c **= p.gamma
@@ -287,11 +290,15 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
         np.sqrt(c, out=c, where=p.sqrt_rows)
     # lam is applied last, and alone: field.rasterize_specs relies on
     # lam * (the lam = 1 value) having the bytes of this value
-    cpt = (p.lam * row_dot(c, p.pi)).reshape(mu.shape), d_mu, d_sigma
+    cpt = (p.lam * row_dot(c, p.pi)).reshape(mu.shape)
     if not p.any_linear:
-        return cpt
+        return cpt, d_mu, d_sigma
     is_cpt = p.cpt.reshape(column)
-    return tuple(None if r is None else np.where(is_cpt, r, x) for r, x in zip(cpt, linear))
+    value = np.where(is_cpt, cpt, value)
+    if not grad:
+        return value, None, None
+    # the linear lanes' partials are 1 and their lane's k
+    return value, np.where(is_cpt, d_mu, 1.0), np.where(is_cpt, d_sigma, k)
 
 
 def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:

@@ -7,12 +7,16 @@ S risk specs as lanes, stepped in lockstep: every step makes one risk
 evaluation over all lanes' (S, K) barrier rows and one filter call over
 their active rows, and each lane's log has the bytes of a run of its spec
 alone. The control is held over each step and the agent is stepped
-exactly, one lane at a time. Each obstacle moves on a straight line at a
-fixed speed and then rests, so obstacle_motion gives its position and
-velocity at any t in closed form, for all lanes at once. Unicycle agents
-are controlled through the projected point a distance l ahead of the
-body, whose dynamics are the single integrator the filter assumes; goal
-arrival is measured at that controlled point.
+exactly, one lane at a time. Within simulate a lane's agent is a tuple
+of floats (x, y, heading), stepped by the same float kernels
+(_unicycle_step, _unicycle_point, _integrator_step) that the public
+models' step and controlled_point call, so the kinematics exist once.
+Each obstacle moves on a straight line at a fixed speed and then rests,
+so obstacle_motion gives its position and velocity at any t in closed
+form, for all lanes at once. Unicycle agents are controlled through the
+projected point a distance l ahead of the body, whose dynamics are the
+single integrator the filter assumes; goal arrival is measured at that
+controlled point.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ class SingleIntegrator:
         return self.position
 
     def step(self, u: np.ndarray, dt: float) -> "SingleIntegrator":
-        return SingleIntegrator(self.position + dt * u)
+        return SingleIntegrator(np.array(_integrator_step(*self.position.tolist(), *u.tolist(), dt)))
 
 
 @dataclass(frozen=True)
@@ -74,25 +78,63 @@ class Unicycle:
             raise ValueError("heading must be finite")
 
     def controlled_point(self) -> np.ndarray:
-        x, y = self.position.tolist()
-        return np.array([x + self.offset_l * math.cos(self.heading), y + self.offset_l * math.sin(self.heading)])
+        return np.array(_unicycle_point(*self.position.tolist(), self.heading, self.offset_l))
 
     def step(self, u: np.ndarray, dt: float) -> "Unicycle":
-        # With u held over dt the point moves by exactly dt*u. The heading
-        # error e to atan2(u) obeys edot = -(|u|/l) sin e, so tan(e/2) shrinks
-        # by k = exp(-|u| dt / l); with turn = 1 - k the heading turns by
-        # e0 - e = 2 atan2(turn sin e0, 2 - turn (1 - cos e0)), in (-pi, pi).
-        (x, y), (ux, uy), l = self.position.tolist(), u.tolist(), self.offset_l
-        e0 = math.atan2(uy, ux) - self.heading
-        turn = -math.expm1(-math.hypot(ux, uy) * dt / l)
-        phi = self.heading + 2.0 * math.atan2(turn * math.sin(e0), 2.0 - turn * (1.0 - math.cos(e0)))
-        # the bytes of position + dt * u + l * (d(heading) - d(phi)) on arrays
-        x = x + dt * ux + l * (math.cos(self.heading) - math.cos(phi))
-        y = y + dt * uy + l * (math.sin(self.heading) - math.sin(phi))
-        return Unicycle(np.array([x, y]), phi, l)
+        x, y, phi = _unicycle_step(*self.position.tolist(), self.heading, *u.tolist(), dt, self.offset_l)
+        return Unicycle(np.array([x, y]), phi, self.offset_l)
 
 
 AgentModel = Union[SingleIntegrator, Unicycle]
+
+
+def _finite(x: float, y: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"stepped agent position ({x!r}, {y!r}) is not finite")
+
+
+def _integrator_step(x: float, y: float, ux: float, uy: float, dt: float) -> tuple[float, float]:
+    """The single integrator's position after u is held over dt: the bytes
+    of position + dt * u on arrays. Raises ValueError if it is not finite."""
+    x, y = x + dt * ux, y + dt * uy
+    _finite(x, y)
+    return x, y
+
+
+def _unicycle_point(x: float, y: float, phi: float, l: float) -> tuple[float, float]:
+    """The unicycle's controlled point x + l*d(phi)."""
+    return x + l * math.cos(phi), y + l * math.sin(phi)
+
+
+def _unicycle_step(x: float, y: float, phi: float, ux: float, uy: float, dt: float,
+                   l: float) -> tuple[float, float, float]:
+    """The unicycle state (x, y, phi) after the controlled point's velocity
+    u is held over dt, in closed form. Raises ValueError if it is not
+    finite."""
+    # With u held over dt the point moves by exactly dt*u. The heading
+    # error e to atan2(u) obeys edot = -(|u|/l) sin e, so tan(e/2) shrinks
+    # by k = exp(-|u| dt / l); with turn = 1 - k the heading turns by
+    # e0 - e = 2 atan2(turn sin e0, 2 - turn (1 - cos e0)), in (-pi, pi).
+    e0 = math.atan2(uy, ux) - phi
+    turn = -math.expm1(-math.hypot(ux, uy) * dt / l)
+    turned = phi + 2.0 * math.atan2(turn * math.sin(e0), 2.0 - turn * (1.0 - math.cos(e0)))
+    # the bytes of position + dt * u + l * (d(phi) - d(turned)) on arrays
+    x = x + dt * ux + l * (math.cos(phi) - math.cos(turned))
+    y = y + dt * uy + l * (math.sin(phi) - math.sin(turned))
+    _finite(x, y)  # a heading that is not finite leaves x and y not finite too
+    return x, y, turned
+
+
+def _float_agent(agent: AgentModel, dt: float):
+    """The agent as simulate steps it: its state (x, y, heading) as floats,
+    the heading nan for a single integrator; step(state, (ux, uy)), the
+    state after that control is held over dt; and point(state), its
+    controlled point (px, py)."""
+    x, y = agent.position.tolist()
+    if isinstance(agent, Unicycle):
+        l = agent.offset_l
+        return (x, y, agent.heading), lambda s, u: _unicycle_step(*s, *u, dt, l), lambda s: _unicycle_point(*s, l)
+    return (x, y, math.nan), lambda s, u: (*_integrator_step(s[0], s[1], *u, dt), math.nan), lambda s: s[:2]
 
 
 @dataclass(frozen=True)
@@ -207,6 +249,10 @@ def _log_dtype(n_obs: int) -> np.dtype:
                      ("h", float, (n_obs,)), ("feasible", bool)])
 
 
+# the fields a step writes; t and obstacles are written a block at a time
+_STEP_FIELDS = ("position", "heading", "point", "u_nominal", "u_filtered", "h", "feasible")
+
+
 @dataclass(frozen=True)
 class SimLog:
     """One run: its read-only per-step table ``records`` (one row per
@@ -309,21 +355,29 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
     The specs run side by side as lanes, stepped in lockstep. At each
     step all lanes share one obstacle_motion result (computed for a block
     of steps at once), one barrier_constraint call over their (S, K)
-    rows and one qp_filter call over their active rows; each lane's agent
-    is then stepped exactly, on its own. A lane stops, and drops out of
-    the lockstep, on goal arrival or at t_max, so every log has the bytes
-    of a run of its spec alone. Raises ValueError naming every spec whose
-    start state is already perceived unsafe. Infeasible filter states
-    hold the lane's previous control, are logged, and flag its run.
+    rows and one qp_filter call over their active rows. Each lane's agent
+    is then stepped exactly, on its own, as a tuple of floats (x, y,
+    heading) by the float kernels the agent model's own step and
+    controlled_point call, so a row has the bytes those methods give.
+    The lanes' rows go into one lane-major log, (S, steps), written
+    through per-field views of each block of 256 steps. A lane stops,
+    and drops out of the lockstep, on goal arrival or at t_max, so every
+    log has the bytes of a run of its spec alone. Raises ValueError
+    naming every spec whose start state is already perceived unsafe, and
+    ValueError when a stepped agent state is not finite. Infeasible
+    filter states hold the lane's previous control, are logged, and flag
+    its run.
     """
     specs = tuple(specs)
     if not specs:
         return []
     labels = [spec_label(spec) for spec in specs]
     dt, goal, n_obs = scenario.dt, scenario.goal, len(scenario.obstacles)
+    state, step, point = _float_agent(scenario.agent, dt)
+    states = [state] * len(specs)  # the live lanes' agents
     live, lanes = np.arange(len(specs)), specs  # the lanes still running
-    agents = [scenario.agent] * len(specs)
-    u_prev = np.zeros((len(specs), 2))
+    at, lane_index = slice(None), live  # their rows of the log, and of a step's arrays
+    u_prev = np.zeros((len(specs), 2))  # the live lanes' last controls
     last = np.zeros(len(specs), dtype=int)
     reached = np.zeros(len(specs), dtype=bool)
     h = np.empty(0)
@@ -340,37 +394,37 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
                 records = np.concatenate([records, np.empty_like(records)], axis=1)
             block = records[:, k : k + len(times)]
             block["t"], block["obstacles"] = times, path_positions  # for every lane, running or not
-        points = np.array([agent.controlled_point() for agent in agents])
+            log_position, log_heading, log_point, log_u_nominal, log_u_filtered, log_h, log_feasible = (
+                block[name] for name in _STEP_FIELDS)
+        agents = np.array([(*s, *point(s)) for s in states])  # x, y, heading, px, py
+        points = agents[:, 3:]
         u = u_nom = nominal_control(points, goal, scenario.nominal_gain)
         feasible = True
         if n_obs:
             h, a, b = barrier_constraint(lanes, scenario.field, scenario.barrier, points[:, None], path_positions[j],
                                          path_velocities[j])
-            active = np.arange(len(live)), h.argmin(axis=1)  # ties go to the lowest index
+            active = lane_index, h.argmin(axis=1)  # ties go to the lowest index
             if k == 0 and not (h[active] > 0).all():
                 unsafe = [f"{label} (h_min = {h_s:g})" for label, h_s in zip(labels, h[active].tolist())
                           if not h_s > 0]
                 raise ValueError(f"scenario starts perceived unsafe for {', '.join(unsafe)}")
             u, feasible = qp_filter(u_nom, a[active], b[active])
-            u = np.where(feasible[:, None], u, u_prev[live])
+            u = np.where(feasible[:, None], u, u_prev)
 
-        row, at = records[:, k], live if len(live) < len(specs) else slice(None)
-        for name, value in (("position", [agent.position for agent in agents]),
-                            ("heading", [getattr(agent, "heading", math.nan) for agent in agents]),
-                            ("point", points), ("u_nominal", u_nom), ("u_filtered", u), ("h", h),
-                            ("feasible", feasible)):
-            row[name][at] = value
+        log_position[at, j], log_heading[at, j], log_point[at, j] = agents[:, :2], agents[:, 2], points
+        log_u_nominal[at, j], log_u_filtered[at, j], log_h[at, j], log_feasible[at, j] = u_nom, u, h, feasible
         arrived = row_norm(points - goal) <= scenario.goal_tol
-        done = arrived | (k == n_steps)
-        if done.any():
+        if k == n_steps or arrived.any():
+            done = arrived | (k == n_steps)
             last[live[done]], reached[live[done]] = k, arrived[done]
             live, u = live[~done], u[~done]
             if not len(live):
                 break
             lanes = tuple(specs[s] for s in live.tolist())
-            agents = [agent for agent, stop in zip(agents, done.tolist()) if not stop]
-        agents = [agent.step(u_s, dt) for agent, u_s in zip(agents, u)]
-        u_prev[live] = u
+            states = [s for s, stop in zip(states, done.tolist()) if not stop]
+            at, lane_index = live, np.arange(len(live))
+        states = [step(s, u_s) for s, u_s in zip(states, u.tolist())]
+        u_prev = u
 
     return [SimLog(label=label, records=_readonly(records[s, : last[s] + 1]), dt=dt, reached_goal=bool(reached[s]))
             for s, label in enumerate(labels)]

@@ -776,6 +776,21 @@ def test_format_rows_is_17g_on_every_class_of_double():
         assert b"".join(format_rows(values)) == percent_17g(values)
 
 
+@pytest.mark.parametrize("width", [1, 3, 8])
+def test_format_rows_is_17g_on_signed_zeros(width):
+    # rows of only 0 and -0, and rows that end in one, among other values
+    rng = np.random.default_rng(23)
+    signs = rng.integers(0, 2, size=(64, width)).astype(bool)
+    zeros = np.where(signs, -0.0, 0.0)
+    values = rng.standard_normal((64, width)) * 10.0 ** rng.integers(-8, 8, size=(64, width))
+    values[:, -1] = zeros[:, -1]
+    values[::5] = zeros[::5]
+    values[1::7, 0] = math.nan
+    for rows in (zeros, values, np.concatenate([values, zeros])):
+        assert b"".join(format_rows(rows)) == percent_17g(rows)
+    assert b"".join(format_rows(np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]))) == b"0,-0,0\n-0,-0,0\n"
+
+
 @pytest.mark.parametrize(
     "hi, lo, decided",
     [

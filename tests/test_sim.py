@@ -9,6 +9,8 @@ import pytest
 import riskcbf.barrier
 import riskcbf.field
 import riskcbf.sim
+from riskcbf.barrier import qp_filter
+from riskcbf.cli import main
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import (
     ObstacleModel,
@@ -614,3 +616,38 @@ def test_lanes_name_every_spec_that_starts_unsafe():
         simulate(scenario, specs)
     assert "cpt_a0p74_b1_g0p88_l3p5 (h_min = -" in str(err.value)
     assert "er (" not in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["multi_obstacle", "single_integrator"])
+def test_lanes_step_as_the_agent_models_do(name):
+    # simulate steps float states; the public models must give each row's bytes
+    scenario, specs = lane_case(name)
+    for log in simulate(scenario, specs):
+        r = log.records
+        for k in range(log.steps):
+            agent = dataclasses.replace(scenario.agent, position=r["position"][k])
+            if isinstance(agent, Unicycle):
+                agent = dataclasses.replace(agent, heading=float(r["heading"][k]))
+            assert agent.controlled_point().tobytes() == r["point"][k].tobytes()
+            if k + 1 < log.steps:
+                stepped = agent.step(r["u_filtered"][k], scenario.dt)
+                assert stepped.position.tobytes() == r["position"][k + 1].tobytes()
+                heading = getattr(stepped, "heading", math.nan)
+                assert np.float64(heading).tobytes() == r["heading"][k + 1].tobytes()
+
+
+@pytest.mark.parametrize("agent", [None, SingleIntegrator([5.0, 2.0])])
+def test_a_stepped_state_that_is_not_finite_raises(monkeypatch, tmp_path, capsys, agent):
+    def runaway(k_nominal, a, b):
+        u, feasible = qp_filter(k_nominal, a, b)
+        return np.full_like(u, math.inf), feasible
+
+    monkeypatch.setattr(riskcbf.sim, "qp_filter", runaway)
+    scenario = shipped_scenario("single_obstacle")
+    scenario = dataclasses.replace(scenario, agent=agent or scenario.agent)
+    with pytest.raises(ValueError, match=r"stepped agent position \(inf, inf\) is not finite"):
+        simulate(scenario, [ExpectedRisk(), CVaR(0.4)])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(CONFIGS / "single_obstacle.cfg"), "--out", str(out)]) == 3
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()  # no log, and no empty output directory
