@@ -183,11 +183,13 @@ class _Formatter:
         significant = [(np.frexp((d ^ _ASCII_ZEROS).astype(float))[1] + 7) >> 3 for d in digits]
         row = self.mask_base.take(group) + np.where(significant[1] > 0, 8 + significant[1], significant[0])
 
-        zeros = np.flatnonzero(v == 0.0)
-        if zeros.size:  # "0" or "-0" from the row's start
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            zero = v[slow] == 0.0
+            zeros, slow = slow[zero], slow[~zero]
+            # "0" or "-0", from the row's start
             self.out[zeros, 0] = _SIGNED_ZEROS.take(neg[zeros])
             row[zeros] = 1 + neg[zeros]
-        slow = np.flatnonzero(~fast & (v != 0.0))
         if slow.size:
             text = ["%.17g" % f for f in v[slow].tolist()]
             sizes = np.fromiter(map(len, text), dtype=np.intp, count=len(text))

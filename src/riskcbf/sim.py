@@ -249,10 +249,6 @@ def _log_dtype(n_obs: int) -> np.dtype:
                      ("h", float, (n_obs,)), ("feasible", bool)])
 
 
-# the fields a step writes; t and obstacles are written a block at a time
-_STEP_FIELDS = ("position", "heading", "point", "u_nominal", "u_filtered", "h", "feasible")
-
-
 @dataclass(frozen=True)
 class SimLog:
     """One run: its read-only per-step table ``records`` (one row per
@@ -394,8 +390,9 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
                 records = np.concatenate([records, np.empty_like(records)], axis=1)
             block = records[:, k : k + len(times)]
             block["t"], block["obstacles"] = times, path_positions  # for every lane, running or not
+            # the block's fields that each step writes, as views
             log_position, log_heading, log_point, log_u_nominal, log_u_filtered, log_h, log_feasible = (
-                block[name] for name in _STEP_FIELDS)
+                block[name] for name in ("position", "heading", "point", "u_nominal", "u_filtered", "h", "feasible"))
         agents = np.array([(*s, *point(s)) for s in states])  # x, y, heading, px, py
         points = agents[:, 3:]
         u = u_nom = nominal_control(points, goal, scenario.nominal_gain)
