@@ -18,7 +18,6 @@ from .distributions import (
     discretize_truncated_gaussian,
     std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 from .field import (
     CostFieldParams,
@@ -51,6 +50,7 @@ from .risk import (
     risk_value,
     spec_label,
     utility,
+    weighting,
 )
 from .sim import (
     ObstacleModel,

@@ -2,22 +2,36 @@
 
 Three model families share one interface: expected risk (ER),
 conditional value at risk (CVaR, parameter q), and cumulative prospect
-theory (CPT, parameters alpha, beta, gamma, lambda). CPT ranks outcomes
-ascending and weights them through the probability weighting function
-w(p) = exp(-beta * (-log p)**alpha) applied to upper-tail sums, so high
-costs are distorted through the tail of w.
+theory (CPT, parameters alpha, beta, gamma, lambda). All three are one
+rank-dependent formula, a distortion risk measure (Yaari 1987; Wang,
+"Premium calculation by transforming the layer premium density", 1996).
+Rank the outcomes ascending, c_1 <= ... <= c_M, with upper-tail masses
+S_i = p_i + ... + p_M. A weighting function w on [0, 1], with w(0) = 0
+and w(1) = 1, gives the decision weights pi_i = w(S_i) - w(S_{i+1}), and
 
-Two layers share the models. The lottery layer (``risk_value`` and the
+    R = lam * sum_i pi_i * max(c_i, 0)**gamma.
+
+The models differ only in w, gamma and lam:
+
+- ER: w(S) = S, gamma = lam = 1, so pi is the masses themselves.
+- CVaR(q): w(S) = min(S / (1 - q), 1) (w = 1 on S > 0 at q = 1) and
+  gamma = lam = 1: the mean of the worst 1 - q of the mass, with the
+  q-quantile's atom split. q = 0 is ER, q = 1 the largest outcome.
+- CPT: Prelec's w(S) = exp(-beta * (-log S)**alpha) and the spec's own
+  gamma and lam.
+
+Two layers share the formula. The lottery layer (``risk_value`` and the
 per-model ``*_value`` functions) evaluates an explicit DiscreteCost.
 The moment layer (``moment_risk``) evaluates the truncated-Gaussian
-cost straight from its mean and deviation, for arrays of any shape, and
-also returns the partials the barrier needs; every field, grid and
-barrier computation goes through it.
+cost straight from its mean and deviation on the lattice of
+:mod:`riskcbf.distributions`, for arrays of any shape, and also returns
+the partials the barrier needs; every field, grid and barrier
+computation goes through it.
 
 The library keeps the lottery layer, which no command calls: it holds
-the paper's definitions over a lottery, and it is the independent oracle
-that the tests compare ``moment_risk`` against (a gemv over a
-DiscreteCost against the lane path's stacked dots).
+the paper's definitions over a lottery, and it is the oracle that the
+tests compare ``moment_risk`` against (a gemv over a DiscreteCost
+against the lane path's stacked dots).
 """
 
 from __future__ import annotations
@@ -25,18 +39,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .distributions import (
-    DiscreteCost,
-    lattice_coeffs,
-    lattice_masses,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from .distributions import DiscreteCost, lattice_coeffs, lattice_masses
 
 
 @dataclass(frozen=True)
@@ -46,13 +54,10 @@ class ExpectedRisk:
 
 @dataclass(frozen=True)
 class CVaR:
-    """Conditional value at risk with tail parameter q in [0, 1].
-
-    The layers read q differently until ROADMAP item 4 makes them agree:
-    the field layer (``moment_risk``) is c_mu + c_sigma * pdf(quantile(q))
-    / q, the lottery layer (``cvar_value``) the mean of the outcomes at
-    or above the q-quantile.
-    """
+    """Conditional value at risk with tail parameter q in [0, 1]: the mean
+    of the worst 1 - q of the cost's mass, through the weighting
+    w(S) = min(S / (1 - q), 1) of the upper-tail mass S. CVaR(0) is the
+    expectation and CVaR(1) the largest outcome."""
 
     q: float
 
@@ -94,91 +99,84 @@ def utility(c: float, gamma: float, lam: float) -> float:
     return lam * c ** gamma
 
 
-def prob_weight(p: float, alpha: float, beta: float) -> float:
-    """Probability weighting w(p) = exp(-beta * (-log p)**alpha).
-
-    w(0) = 0 by definition and w(1) = 1.
-    """
-    if not 0.0 <= p <= 1.0:
+def prob_weight(p, alpha: float, beta: float):
+    """Prelec's probability weighting w(p) = exp(-beta * (-log p)**alpha),
+    elementwise over p in [0, 1]; w(0) = 0 and w(1) = 1 exactly."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-    return _prob_weight(float(p), float(alpha), float(beta))
+    with np.errstate(divide="ignore"):  # log(0) = -inf gives w(0) = exp(-inf) = 0
+        out = np.exp(-beta * (-np.log(p)) ** alpha)
+    return float(out) if out.ndim == 0 else out
 
 
-def _prob_weight(p: float, alpha: float, beta: float) -> float:
-    if p <= 0.0:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    return math.exp(-beta * (-math.log(p)) ** alpha)
+def weighting(spec: RiskSpec):
+    """The weighting function w of spec over an array of upper-tail masses,
+    or None for the identity w(S) = S of ER and CVaR(0)."""
+    if isinstance(spec, CPT):
+        return partial(prob_weight, alpha=spec.alpha, beta=spec.beta)
+    if not isinstance(spec, (ExpectedRisk, CVaR)):
+        raise TypeError(f"unknown risk spec {spec!r}")
+    q = spec.q if isinstance(spec, CVaR) else 0.0
+    if q == 0.0:
+        return None
+    if q == 1.0:
+        return lambda s: (s > 0.0).astype(float)
+    return lambda s: np.minimum(s / (1.0 - q), 1.0)
 
 
-def decision_weights(probabilities, alpha: float, beta: float) -> np.ndarray:
-    """Cumulative decision weights for ascending-ranked outcomes.
+def decision_weights(probabilities, w) -> np.ndarray:
+    """Rank-dependent decision weights of ascending-ranked outcomes.
 
     With upper-tail sums S_i = p_i + ... + p_M, the weight of outcome i
-    is w(S_i) - w(S_{i+1}), anchored by the empty tail S_{M+1} = 0.
-    At alpha = beta = 1 the weights reduce to the raw probabilities.
+    is w(S_i) - w(S_{i+1}), anchored by the empty tail S_{M+1} = 0; w
+    maps an array of masses in [0, 1] to their weights. w = None is the
+    identity, whose weights are the probabilities themselves, taken as
+    they are rather than as differences of their sums.
     """
-    alpha, beta = float(alpha), float(beta)
-    tails = np.cumsum(np.asarray(probabilities, dtype=float)[::-1])[::-1]
-    w = np.array([_prob_weight(float(s), alpha, beta) for s in tails])
-    return w - np.append(w[1:], 0.0)
+    p = np.asarray(probabilities, dtype=float)
+    if w is None:
+        return p.copy()
+    tails = w(np.minimum(np.cumsum(p[::-1])[::-1], 1.0))
+    return tails - np.append(tails[1:], 0.0)
+
+
+def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:
+    """Evaluate any risk spec on a discrete lottery:
+    lam * sum_i pi_i * c_i**gamma (the outcomes are nonnegative)."""
+    gamma, lam = (spec.gamma, spec.lam) if isinstance(spec, CPT) else (1.0, 1.0)
+    weights = decision_weights(cost.probabilities, weighting(spec))
+    return lam * float(cost.outcomes ** gamma @ weights)
 
 
 def er_value(cost: DiscreteCost) -> float:
     """Expected risk: sum of outcome * probability."""
-    return float(cost.outcomes @ cost.probabilities)
+    return risk_value(ExpectedRisk(), cost)
 
 
 def cvar_value(cost: DiscreteCost, q: float) -> float:
-    """Discrete CVaR: mean of the outcomes at or above the q-quantile.
-
-    d* is the smallest outcome whose cumulative probability reaches q
-    (ties at exactly q resolve to that outcome); the value is the
-    probability-weighted mean over outcomes >= d*. q = 0 gives the
-    plain expectation, q = 1 the worst-case outcome.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"CVaR q must lie in [0, 1], got {q!r}")
-    if q == 0.0:
-        return er_value(cost)
-    if q == 1.0:
-        return float(cost.outcomes[-1])
-    cum = np.cumsum(cost.probabilities)
-    j = int(np.searchsorted(cum, q, side="left"))
-    j = min(j, cost.m - 1)
-    tail = cost.outcomes >= cost.outcomes[j]
-    mass = cost.probabilities[tail].sum()
-    return float((cost.outcomes[tail] @ cost.probabilities[tail]) / mass)
-
-
-@lru_cache(maxsize=256)
-def _linear_gain(spec: Union[ExpectedRisk, CVaR]) -> float:
-    """Sigma gain k of moment_risk's value c_mu + k * c_sigma: 0 for ER,
-    pdf(quantile(q)) / q for CVaR(q)."""
-    if isinstance(spec, ExpectedRisk) or spec.q == 0.0:
-        return 0.0
-    if spec.q == 1.0:
-        return 3.0
-    return std_normal_pdf(std_normal_quantile(spec.q)) / spec.q
-
-
-@lru_cache(maxsize=256)
-def cpt_pi_weights(m: int, alpha: float, beta: float) -> np.ndarray:
-    """Decision weights of the truncated-Gaussian bin masses.
-
-    The bin masses depend only on M, so the weights are constant across
-    every (c_mu, c_sigma) cell and can be shared by field evaluation.
-    """
-    pi = decision_weights(lattice_masses(m), alpha, beta)
-    pi.setflags(write=False)
-    return pi
+    """Discrete CVaR: the mean of the worst 1 - q of the mass, the
+    q-quantile's outcome counted with only the mass above q. q = 0 gives
+    the plain expectation, q = 1 the largest outcome."""
+    return risk_value(CVaR(q), cost)
 
 
 def cpt_value(cost: DiscreteCost, theta: CPT) -> float:
     """CPT value: sum of v(c_i) * Pi_i over the ascending outcomes."""
-    weights = decision_weights(cost.probabilities, theta.alpha, theta.beta)
-    return theta.lam * float(cost.outcomes ** theta.gamma @ weights)
+    return risk_value(theta, cost)
+
+
+@lru_cache(maxsize=256)
+def lattice_weights(spec: RiskSpec, m: int) -> np.ndarray:
+    """Decision weights of spec on the m-bin lattice's masses.
+
+    The masses depend only on m, so the weights are constant across
+    every (c_mu, c_sigma) cell and are shared by field evaluation. The
+    array is cached and read-only.
+    """
+    pi = decision_weights(lattice_masses(m), weighting(spec))
+    pi.setflags(write=False)
+    return pi
 
 
 def row_dot(u, v):
@@ -194,14 +192,29 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
     """Risk value of the truncated-Gaussian cost and its partials.
 
     c_mu and c_sigma are arrays (or scalars) of one shape; returns
-    (value, d/dc_mu, d/dc_sigma), each of that shape. ER is c_mu with
-    partials (1, 0). CVaR is the Gaussian closed form c_mu + k(q)*c_sigma
-    with partials (1, k(q)), k(0) = 0 (the ER limit) and k(1) = 3 (the
-    truncation bound fallback). CPT is lam * sum_i Pi_i * c_i**gamma over
-    the lattice outcomes c_i = c_mu + c_sigma*g_i at the fixed decision
-    weights Pi, negative outcomes clamped to zero like the discretizer;
-    its partials differentiate that sum at fixed weights, where an
-    outcome clamped at zero adds a constant.
+    (value, d/dc_mu, d/dc_sigma), each of that shape. The value is the
+    module's one formula, lam * sum_i Pi_i * max(c_i, 0)**gamma, over the
+    lattice outcomes c_i = c_mu + c_sigma * g_i at the spec's decision
+    weights Pi on the lattice masses (``lattice_weights``). CPT evaluates
+    it as written; its partials differentiate that sum at fixed weights,
+    where an outcome clamped at zero adds a constant.
+
+    ER and CVaR have gamma = lam = 1, and the weights sum to 1, so where
+    no outcome clamps the sum is c_mu + k * c_sigma with one gain
+    k = Pi . g per spec, and partials (1, k). They take that form. ER's
+    weights are the symmetric masses and g is antisymmetric, so its k is
+    exactly 0 and its value has the bytes of c_mu. No outcome clamps
+    where c_mu + g_1 * c_sigma >= 0, and on the cost fields of
+    :mod:`riskcbf.field`
+
+        c_mu / c_sigma = k1 exp(-k2 r^2) / (k1 exp(-k2 r_bar^2) exp(-r^2 / 2) / (2 pi))
+                       = 2 pi exp(k2 r_bar^2) exp((1/2 - k2) r^2) >= 2 pi > 3 > |g_1|
+
+    whenever k2 <= 1/2, so there c_mu + k * c_sigma is the lottery's
+    value. The shipped configs have k2 = 0.01. For k2 > 1/2 outcomes
+    clamp far from the source, and ER and CVaR keep the unclamped linear
+    form there too, so that ER stays c_mu; it then lies below the
+    clamped lottery's value.
 
     spec is one RiskSpec, or a tuple of S specs evaluated side by side
     as lanes along the leading axis of c_mu and c_sigma; each lane's
@@ -222,9 +235,8 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
 class _LaneParams(NamedTuple):
     """moment_risk's parameters of S lanes, one row each: ER/CVaR lanes
     read the gain k, CPT lanes (cpt) gamma, gamma - 1, lam * gamma, lam,
-    the weights Pi and g * Pi, shaped for a (S, N, m) lattice; CPT's are
-    placeholders on the other lanes. any_linear and any_cpt say which
-    models run."""
+    the weights Pi and g * Pi, shaped for a (S, N, m) lattice. any_linear
+    and any_cpt say which models run."""
 
     any_linear: bool
     any_cpt: bool
@@ -241,18 +253,19 @@ class _LaneParams(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _lane_params(specs: tuple, m: int) -> _LaneParams:
-    if not all(isinstance(s, (ExpectedRisk, CVaR, CPT)) for s in specs):
-        raise TypeError(f"unknown risk spec in {specs!r}")
     cpt = np.array([isinstance(s, CPT) for s in specs])
-    gain = np.array([0.0 if isinstance(s, CPT) else _linear_gain(s) for s in specs])
+    pi = np.array([lattice_weights(s, m) for s in specs])
+    g = lattice_coeffs(m)
+    # g[::-1] == -g, so Pi . g = (Pi - Pi reversed) . g / 2, which is
+    # exactly 0 for the symmetric weights of ER and CVaR(0)
+    gain = np.where(cpt, 0.0, row_dot(pi - pi[:, ::-1], g) / 2.0)
     gamma = np.array([s.gamma if isinstance(s, CPT) else 1.0 for s in specs])
     lam = np.array([s.lam if isinstance(s, CPT) else 1.0 for s in specs])
-    pi = np.array([cpt_pi_weights(m, s.alpha, s.beta) if isinstance(s, CPT) else np.zeros(m) for s in specs])
     sqrt_rows = (cpt & (gamma == 0.5))[:, None, None]
     return _LaneParams(any_linear=not cpt.all(), any_cpt=bool(cpt.any()), gain=gain, cpt=cpt,
                        gamma=gamma[:, None, None], gamma_less_1=gamma[:, None, None] - 1.0,
                        scale=(lam * gamma)[:, None], lam=lam[:, None], pi=pi[:, None, :],
-                       g_pi=lattice_coeffs(m) * pi[:, None, :], sqrt_rows=sqrt_rows if sqrt_rows.any() else None)
+                       g_pi=g * pi[:, None, :], sqrt_rows=sqrt_rows if sqrt_rows.any() else None)
 
 
 def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
@@ -299,17 +312,6 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
         return value, None, None
     # the linear lanes' partials are 1 and their lane's k
     return value, np.where(is_cpt, d_mu, 1.0), np.where(is_cpt, d_sigma, k)
-
-
-def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:
-    """Evaluate any risk spec on a discrete lottery."""
-    if isinstance(spec, ExpectedRisk):
-        return er_value(cost)
-    if isinstance(spec, CVaR):
-        return cvar_value(cost, spec.q)
-    if isinstance(spec, CPT):
-        return cpt_value(cost, spec)
-    raise TypeError(f"unknown risk spec {spec!r}")
 
 
 _SPEC_RE = re.compile(r"^\s*(er|cvar|cpt)\s*(?:\(([^)]*)\))?\s*$", re.IGNORECASE)

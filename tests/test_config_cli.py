@@ -327,7 +327,7 @@ def test_cli_simulate_unsafe_start_names_the_specs_and_writes_nothing(tmp_path, 
     out.mkdir()
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "error: scenario starts perceived unsafe for cpt_a0p74_b1_g0p88_l2p25 (h_min = -42.0532)" in err
+    assert "error: scenario starts perceived unsafe for cpt_a0p74_b1_g0p88_l2p25 (h_min = -46.0407)" in err
     assert ", er (h_min = " in err
     assert list(out.iterdir()) == []
 
@@ -827,8 +827,8 @@ def test_cli_entry_point_subprocess():
 
 
 def test_importing_the_cli_leaves_statistics_unloaded():
-    # std_normal_quantile imports statistics when called: with decimal and
-    # fractions it costs about 5 ms of every command's start-up
+    # statistics pulls in decimal and fractions, about 5 ms of every
+    # command's start-up; no module of the package needs it
     code = "import sys, riskcbf.cli; print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

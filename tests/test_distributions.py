@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import truncnorm
 
 from riskcbf.distributions import (
     DiscreteCost,
@@ -11,7 +12,6 @@ from riskcbf.distributions import (
     lattice_masses,
     std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 from riskcbf.risk import er_value
 
@@ -57,31 +57,6 @@ def test_cdf_absolute_accuracy_sweep():
     assert worst <= 1e-13
 
 
-def test_quantile_median():
-    assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_quantile_symmetry():
-    for p in (0.01, 0.2, 0.37):
-        assert std_normal_quantile(p) == pytest.approx(-std_normal_quantile(1.0 - p), abs=1e-10)
-
-
-def test_quantile_inverts_cdf():
-    for p in np.concatenate([np.linspace(1e-4, 1 - 1e-4, 41), [1e-9, 1 - 1e-9]]):
-        z = std_normal_quantile(float(p))
-        assert abs(std_normal_cdf(z) - p) <= 1e-9
-
-
-def test_quantile_of_cdf_example():
-    assert std_normal_quantile(0.8413447460685429) == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
-def test_quantile_domain_error(p):
-    with pytest.raises(ValueError):
-        std_normal_quantile(p)
-
-
 def test_discretize_degenerate_sigma_zero():
     dc = discretize_truncated_gaussian(5.0, 0.0, 4)
     assert np.all(dc.outcomes == 5.0)
@@ -91,11 +66,13 @@ def test_discretize_degenerate_sigma_zero():
 
 def test_discretize_grid_m6_clamped_and_symmetric():
     dc = discretize_truncated_gaussian(0.0, 1.0, 6)
-    # pre-clamp grid is {-3,-2,-1,0,1,2}; negatives clamp to zero
-    assert np.allclose(dc.outcomes, [0.0, 0.0, 0.0, 0.0, 1.0, 2.0])
-    assert dc.outcomes[0] == 0
-    # bin masses are symmetric about the mean after re-normalization
-    assert np.allclose(dc.probabilities, dc.probabilities[::-1], atol=1e-15)
+    # pre-clamp grid is the six bins' conditional means, -g_6..g_6 mirrored;
+    # the three below zero clamp to zero
+    g = lattice_coeffs(6)
+    assert np.array_equal(dc.outcomes, [0.0, 0.0, 0.0, g[3], g[4], g[5]])
+    assert 0.0 < g[3] < 1.0 < g[4] < 2.0 < g[5] < 3.0
+    # bin masses are symmetric about the mean, bit for bit
+    assert np.array_equal(dc.probabilities, dc.probabilities[::-1])
     assert dc.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -110,7 +87,8 @@ def test_discretize_probabilities_sum_to_one():
 
 
 def test_discretize_mean_within_grid_asymmetry_bound():
-    # brute-force expectation oracle; bound 3*sigma/m from the grid shift
+    # brute-force expectation oracle; the conditional-mean grid is symmetric
+    # about the mean, so the bound is rounding alone
     rng = np.random.default_rng(3)
     for _ in range(200):
         mu = rng.uniform(1.0, 150.0)
@@ -119,15 +97,20 @@ def test_discretize_mean_within_grid_asymmetry_bound():
         dc = discretize_truncated_gaussian(mu, sigma, m)
         assert dc.outcomes[0] > 0
         mean = float(dc.outcomes @ dc.probabilities)
-        assert abs(mean - mu) <= 3.0 * sigma / m + 1e-9
+        assert abs(mean - mu) <= 1e-12 * mu
 
 
-def test_discretize_mean_error_decreases_in_m():
+def test_discretize_variance_error_decreases_in_m():
+    # a conditional-mean quantizer keeps the mean at every m and loses the
+    # within-bin variance, which shrinks as the bins narrow
     mu, sigma = 40.0, 7.0
+    variance = sigma**2 * truncnorm(-3.0, 3.0).var()
     errors = []
     for m in (6, 12, 24, 48):
         dc = discretize_truncated_gaussian(mu, sigma, m)
-        errors.append(abs(er_value(dc) - mu))
+        assert er_value(dc) == pytest.approx(mu, rel=1e-14)
+        errors.append(variance - float((dc.outcomes - mu) ** 2 @ dc.probabilities))
+    assert errors[-1] > 0.0
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
@@ -148,8 +131,23 @@ def test_grid_probs_sum_and_symmetry():
 
 
 def test_grid_coeffs_span_truncation():
-    g = lattice_coeffs(6)
-    assert np.allclose(g, [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0])
+    # one outcome inside each bin of [-3, 3]
+    for m in (2, 5, 10, 33):
+        edges = -3.0 + 6.0 * np.arange(m + 1) / m
+        g = lattice_coeffs(m)
+        assert np.all((edges[:-1] < g) & (g < edges[1:]))
+    assert lattice_coeffs(10)[-1] == pytest.approx(2.6232, abs=1e-4)
+
+
+@pytest.mark.parametrize("m", [2, 5, 10, 33])
+def test_lattice_is_the_truncated_normal_bin_conditional_means(m):
+    edges = -3.0 + 6.0 * np.arange(m + 1) / m
+    expected = [truncnorm(a, b).mean() for a, b in zip(edges[:-1], edges[1:])]
+    np.testing.assert_allclose(lattice_coeffs(m), expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(lattice_masses(m), np.diff(truncnorm(-3.0, 3.0).cdf(edges)), rtol=0.0, atol=1e-15)
+    g, p = lattice_coeffs(m), lattice_masses(m)
+    assert np.array_equal(g[::-1], -g) and np.array_equal(p[::-1], p)
+    assert abs(p @ g) <= 1e-15
 
 
 def test_discrete_cost_validation():

@@ -29,7 +29,8 @@ from riskcbf.field import (
 )
 from riskcbf.barrier import BarrierConfig, barrier_constraint
 from riskcbf.config import load_config
-from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
+from riskcbf.distributions import discretize_truncated_gaussian, lattice_coeffs
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, moment_risk, risk_value, spec_label
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -467,11 +468,11 @@ def test_level_set_of_a_constant_field_is_empty():
 
 
 def test_level_set_two_roots_give_two_closed_circles():
-    polys = level_set(CPT(0.74, 1.0, 0.8, 3.0), PARAMS, SOURCE, BOUNDS, RES, PARAMS.sigma_peak)
+    polys = level_set(CPT(0.3, 1.0, 0.8, 3.0), PARAMS, SOURCE, BOUNDS, RES, PARAMS.sigma_peak)
     assert len(polys) == 2
     assert all(np.array_equal(p[0], p[-1]) for p in polys)
     radii = assert_clipped_circles(polys, SOURCE, BOUNDS, RES)
-    assert radii == pytest.approx([0.7375, 2.1408], abs=1e-4)
+    assert radii == pytest.approx([0.3178, 2.1801], abs=1e-4)
 
 
 def test_safe_mask_agrees_with_level_set_radii_off_the_circles():
@@ -484,7 +485,7 @@ def test_safe_mask_agrees_with_level_set_radii_off_the_circles():
     bounds, resolution, source = cfg.grid_geometry()
     source = np.asarray(source, dtype=float)
     cvar, cpt = cfg.audit_families(*discretized_cost_range(params, source, bounds, resolution), rho)
-    specs = list(dict.fromkeys([*cfg.specs(), *cvar, *cpt, CPT(0.74, 1.0, 0.8, 3.0), CPT(0.74, 1.0, 0.0, 2.0)]))
+    specs = list(dict.fromkeys([*cfg.specs(), *cvar, *cpt, CPT(0.3, 1.0, 0.8, 3.0), CPT(0.74, 1.0, 0.0, 2.0)]))
     for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
         polys = level_set(spec, params, source, bounds, resolution, rho)
         radii = np.unique(np.round(assert_clipped_circles(polys, source, bounds, resolution), 9))
@@ -835,7 +836,7 @@ def test_grid_json_schema(tmp_path):
 
 
 def test_polylines_json(tmp_path):
-    polys = level_set(CPT(0.74, 1.0, 0.8, 3.0), PARAMS, SOURCE, BOUNDS, (60, 60), PARAMS.sigma_peak)
+    polys = level_set(CPT(0.3, 1.0, 0.8, 3.0), PARAMS, SOURCE, BOUNDS, (60, 60), PARAMS.sigma_peak)
     path = tmp_path / "ls.json"
     polylines_to_json(polys, path)
     payload = json.loads(path.read_text())
@@ -859,55 +860,57 @@ def test_cpt_safe_sets_nested_decreasing_in_lambda():
         previous = current
 
 
-# --- one meaning per risk model (ROADMAP items 3 and 4) ---------------------------
+# --- one meaning per risk model ---------------------------------------------
 #
-# Field-level properties the lottery layer already has. Each fails with
-# the current lattice or closed forms; the fix of the item named in its
-# mark removes that mark.
+# Field-level properties the lottery layer has: CPT(1, 1, 1, 1) is ER,
+# and CVaR(q) is the mean of the worst 1 - q of the lattice's mass.
 
-ITEM_3 = pytest.mark.xfail(
-    raises=AssertionError,
-    reason="ROADMAP item 3: lattice outcomes sit at their bins' lower edges, so CPT(1, 1, 1, 1) falls below ER",
-)
-ITEM_4 = pytest.mark.xfail(
-    raises=AssertionError,
-    reason="ROADMAP item 4: the field layer's CVaR takes q as the tail fraction, the lottery layer's as the quantile",
-)
 # relative positions along one ray, |xi| = 0, 0.1, ..., 4 (0.3 included)
 RAY = np.linspace(0.0, 4.0, 41)[:, None] * np.array([0.6, 0.8])
 CVAR_QS = (0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999, 1.0)
 
 
-def field_values(spec, xi=RAY):
-    return evaluate(spec, PARAMS, xi, grad=False)[0]
+def field_values(spec, params=PARAMS, xi=RAY):
+    return evaluate(spec, params, xi, grad=False)[0]
 
 
-@ITEM_3
 def test_unit_cpt_field_equals_er_field():
-    # CPT(1, 1, 1, 1) is the risk-neutral expectation (today up to 9.5 below ER)
+    # CPT(1, 1, 1, 1) is the risk-neutral expectation
     np.testing.assert_allclose(field_values(CPT(1.0, 1.0, 1.0, 1.0)), field_values(ExpectedRisk()), rtol=1e-9)
 
 
-@ITEM_4
 def test_cvar_field_within_truncation_bound():
-    # the cost lottery is truncated at 3 sigma (today CVaR(0.001) is 302.0
-    # at |xi| = 0.3, where mu + 3 sigma is 290.9)
+    # the cost lottery is truncated at 3 sigma
     bound = cost_mean(PARAMS, RAY) + 3.0 * cost_sigma(PARAMS, RAY)
     for q in CVAR_QS:
         assert np.all(field_values(CVaR(q)) <= bound * (1.0 + 1e-12)), q
 
 
-@ITEM_4
 def test_cvar_field_nondecreasing_in_q():
-    # cvar_value averages the worst 1 - q, so it grows with q (today the
-    # field falls from 302.0 to 199.9 between q = 0.001 and 0.999 at |xi| = 0.3)
+    # cvar_value averages the worst 1 - q, so it grows with q
     values = np.array([field_values(CVaR(q)) for q in CVAR_QS])
     assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:])
 
 
-@ITEM_4
 def test_cvar_field_continuous_at_zero():
     # CVaR(0) is the expectation; a small q stays within 0.1% of it
-    # (today CVaR(0) is 199.8 and CVaR(1e-6) is 350.0 at |xi| = 0.3)
     er = field_values(CVaR(0.0))
     np.testing.assert_allclose(field_values(CVaR(1e-6)), er, rtol=1e-3)
+
+
+def test_linear_models_keep_the_unclamped_form_past_k2_one_half():
+    # for k2 > 1/2, c_mu / c_sigma falls below |g_1| far from the source and
+    # lattice outcomes clamp (here beyond |xi| = 2.06); ER and CVaR keep
+    # c_mu + k * c_sigma there, so ER stays c_mu
+    params = CostFieldParams(200.0, 0.75, 0.5)
+    mu, sigma = cost_mean(params, RAY), cost_sigma(params, RAY)
+    clamped = mu + lattice_coeffs(params.m)[0] * sigma < 0.0
+    assert clamped.any() and not clamped.all()
+    assert np.array_equal(field_values(ExpectedRisk(), params), mu)
+    for q in (0.4, 1.0):
+        gain = moment_risk(CVaR(q), 0.0, 1.0, params.m)[2]
+        assert np.array_equal(field_values(CVaR(q), params), mu + gain * sigma)
+    # the clamped lottery's expectation lies above c_mu there
+    lottery = [risk_value(ExpectedRisk(), discretize_truncated_gaussian(a, b, params.m))
+               for a, b in zip(mu[clamped], sigma[clamped])]
+    assert np.all(lottery > mu[clamped])

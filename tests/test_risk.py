@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import truncnorm
 
-from riskcbf.distributions import DiscreteCost, discretize_truncated_gaussian
+from riskcbf.distributions import DiscreteCost, discretize_truncated_gaussian, lattice_coeffs, lattice_masses
 from riskcbf.risk import (
     CPT,
     CVaR,
@@ -13,12 +13,14 @@ from riskcbf.risk import (
     cvar_value,
     decision_weights,
     er_value,
+    lattice_weights,
     moment_risk,
     parse_spec,
     prob_weight,
     risk_value,
     spec_label,
     utility,
+    weighting,
 )
 
 
@@ -64,17 +66,17 @@ def test_decision_weights_identity():
     rng = np.random.default_rng(0)
     for _ in range(20):
         p = rng.dirichlet(np.ones(int(rng.integers(2, 12))))
-        assert np.allclose(decision_weights(p, 1.0, 1.0), p, atol=1e-12)
+        assert np.allclose(decision_weights(p, weighting(CPT(1.0, 1.0, 1.0, 1.0))), p, atol=1e-12)
 
 
 def test_decision_weights_two_point():
     w_half = prob_weight(0.5, 0.74, 1.0)
-    weights = decision_weights(np.array([0.5, 0.5]), 0.74, 1.0)
+    weights = decision_weights(np.array([0.5, 0.5]), weighting(CPT(0.74, 1.0, 1.0, 1.0)))
     assert weights == pytest.approx([1.0 - w_half, w_half], abs=1e-14)
 
 
 def test_decision_weights_mass_on_last_outcome():
-    weights = decision_weights(np.array([0.0, 0.0, 1.0]), 0.74, 1.0)
+    weights = decision_weights(np.array([0.0, 0.0, 1.0]), weighting(CPT(0.74, 1.0, 1.0, 1.0)))
     assert weights == pytest.approx([0.0, 0.0, 1.0], abs=1e-14)
 
 
@@ -83,7 +85,7 @@ def test_decision_weights_nonnegative():
     for _ in range(50):
         p = rng.dirichlet(np.ones(int(rng.integers(2, 16))))
         alpha, beta = rng.uniform(0.2, 2.0, 2)
-        assert np.all(decision_weights(p, alpha, beta) >= -1e-15)
+        assert np.all(decision_weights(p, weighting(CPT(alpha, beta, 1.0, 1.0))) >= -1e-15)
 
 
 # --- ER and CVaR -----------------------------------------------------------
@@ -106,8 +108,27 @@ def test_er_matches_bruteforce_sum():
 
 def test_cvar_uniform_example():
     dc = DiscreteCost(np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 0.25))
-    # d* = 2 (first outcome with cumulative mass >= 0.5); mean of {2,3,4}
-    assert cvar_value(dc, 0.5) == pytest.approx(3.0, abs=1e-12)
+    # the worst half of the mass is {3, 4}
+    assert cvar_value(dc, 0.5) == pytest.approx(3.5, abs=1e-12)
+    # the worst 0.6 takes 0.1 of the atom at 2: (0.1 * 2 + 0.25 * 7) / 0.6
+    assert cvar_value(dc, 0.4) == pytest.approx(1.95 / 0.6, abs=1e-12)
+
+
+def rockafellar_uryasev(outcomes, probabilities, q):
+    """CVaR(q) = min over z of z + E[(C - z)+] / (1 - q), for q < 1; the
+    minimum of this convex piecewise-linear function is at an outcome."""
+    return min(z + probabilities @ np.maximum(outcomes - z, 0.0) / (1.0 - q) for z in outcomes)
+
+
+def test_cvar_matches_rockafellar_uryasev_oracle():
+    # acceptance criterion 02's lotteries, through an oracle that shares no
+    # code with decision_weights
+    rng = np.random.default_rng(2)
+    qs = np.linspace(0.0, 1.0, 26)[:-1]
+    for _ in range(300):
+        dc = random_lottery(rng)
+        for q in qs:
+            assert abs(cvar_value(dc, float(q)) - rockafellar_uryasev(dc.outcomes, dc.probabilities, q)) <= 1e-9
 
 
 def test_cvar_limits():
@@ -138,10 +159,13 @@ def test_cvar_between_mean_and_max():
 
 def test_cvar_closed_form_examples():
     assert moment_risk(CVaR(0.3), 7.0, 0.0, grad=False)[0] == 7.0
-    # quantile(0.5) = 0, pdf(0)/0.5
-    assert moment_risk(CVaR(0.5), 0.0, 1.0, grad=False)[0] == pytest.approx(0.7978845608, abs=1e-9)
+    # q = 0.5 cuts the lattice at a bin edge, where the conditional means
+    # give the truncated normal's upper-half mean exactly
+    assert moment_risk(CVaR(0.5), 0.0, 1.0, grad=False)[0] == pytest.approx(truncnorm(0.0, 3.0).mean(), abs=1e-12)
     assert moment_risk(CVaR(0.0), 2.0, 1.0, grad=False)[0] == 2.0
-    assert moment_risk(CVaR(1.0), 2.0, 1.5, grad=False)[0] == pytest.approx(2.0 + 4.5)
+    # CVaR(1) is the top outcome, mu + g_m * sigma with g_m = 2.6232 at m = 10
+    g_m = truncnorm(2.4, 3.0).mean()
+    assert moment_risk(CVaR(1.0), 2.0, 1.5, grad=False)[0] == pytest.approx(2.0 + 1.5 * g_m, abs=1e-12)
 
 
 def test_cvar_closed_form_monotone_in_sigma():
@@ -188,20 +212,26 @@ def test_cpt_closed_form_degenerate():
 
 
 def test_cpt_closed_form_matches_discretize_pipeline():
-    # dual route: closed form vs discretize + lottery evaluation
+    # dual route: closed form vs discretize + lottery evaluation, for every model
     rng = np.random.default_rng(9)
-    for _ in range(100):
+    for i in range(300):
         mu = rng.uniform(0.5, 200.0)
-        sigma = rng.uniform(0.0, mu)  # includes clamped grids
         m = int(rng.integers(2, 33))
-        theta = CPT(
-            rng.uniform(0.3, 2.0),
-            rng.uniform(0.3, 2.0),
-            rng.uniform(0.1, 1.0),
-            rng.uniform(1.0, 5.0),
-        )
-        via_pipeline = cpt_value(discretize_truncated_gaussian(mu, sigma, m), theta)
-        assert abs(moment_risk(theta, mu, sigma, m, grad=False)[0] - via_pipeline) <= 1e-9
+        if i % 3 == 0:
+            spec = CPT(
+                rng.uniform(0.3, 2.0),
+                rng.uniform(0.3, 2.0),
+                rng.uniform(0.1, 1.0),
+                rng.uniform(1.0, 5.0),
+            )
+            sigma = rng.uniform(0.0, mu)  # includes clamped grids
+        else:
+            # ER and CVaR take their linear form, which is the lottery's
+            # value where no outcome clamps: sigma < mu / |g_1|
+            spec = ExpectedRisk() if i % 3 == 1 else CVaR(float(rng.choice([0.0, 1.0, rng.uniform()])))
+            sigma = rng.uniform(0.0, mu / abs(lattice_coeffs(m)[0]))
+        via_pipeline = risk_value(spec, discretize_truncated_gaussian(mu, sigma, m))
+        assert abs(moment_risk(spec, mu, sigma, m, grad=False)[0] - via_pipeline) <= 1e-9, spec
 
 
 # --- partials ----------------------------------------------------------------
@@ -213,25 +243,25 @@ def test_partials_er():
 
 
 def test_partials_cvar():
+    # d/dc_sigma is the gain k: the mean of the worst 1 - q of the lattice
+    g, p = lattice_coeffs(10), lattice_masses(10)
     _, d_mu, d_sigma = moment_risk(CVaR(0.3), 12.0, 3.0)
     assert d_mu == 1.0
-    assert d_sigma == pytest.approx(norm.pdf(norm.ppf(0.3)) / 0.3, abs=1e-9)
+    assert d_sigma == pytest.approx(rockafellar_uryasev(g, p, 0.3), abs=1e-12)
     assert d_sigma >= 0.0
     assert moment_risk(CVaR(0.0), 12.0, 3.0)[2] == 0.0
-    assert moment_risk(CVaR(1.0), 12.0, 3.0)[2] == 3.0
+    assert moment_risk(CVaR(1.0), 12.0, 3.0)[2] == g[-1]
 
 
 def test_partials_cpt_linear_utility_closed_form():
     # at gamma = 1 the partials collapse to lambda-weighted moment sums
-    from riskcbf.risk import cpt_pi_weights
-    from riskcbf.distributions import lattice_coeffs as trunc_gauss_grid_coeffs
-
     lam, m = 2.5, 12
-    pi = cpt_pi_weights(m, 1.0, 1.0)
-    g = trunc_gauss_grid_coeffs(m)
-    _, d_mu, d_sigma = moment_risk(CPT(1.0, 1.0, 1.0, lam), 30.0, 4.0, m)
+    theta = CPT(1.0, 1.0, 1.0, lam)
+    pi = lattice_weights(theta, m)
+    g = lattice_coeffs(m)
+    _, d_mu, d_sigma = moment_risk(theta, 30.0, 4.0, m)
     assert d_mu == pytest.approx(lam * pi.sum(), rel=1e-12)
-    assert d_sigma == pytest.approx(lam * float(g @ pi), rel=1e-12)
+    assert d_sigma == pytest.approx(lam * float(g @ pi), abs=1e-12)
 
 
 def test_partials_cpt_match_finite_differences():
