@@ -31,7 +31,6 @@ from .field import (
     inclusiveness_audit,
     level_set,
     rasterize,
-    rasterize_specs,
     safe_mask,
     versatility_audit,
 )
@@ -40,16 +39,12 @@ from .risk import (
     CVaR,
     ExpectedRisk,
     RiskSpec,
-    cpt_value,
-    cvar_value,
     decision_weights,
-    er_value,
     moment_risk,
     parse_spec,
     prob_weight,
     risk_value,
     spec_label,
-    utility,
     weighting,
 )
 from .sim import (

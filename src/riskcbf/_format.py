@@ -63,11 +63,12 @@ def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
         yield formatter.block(values[i: i + step])
 
 
-def write_json(path, obj, indent=None) -> None:
-    """Write obj to path as JSON text and a newline. The text comes from
-    dumps, which runs the C encoder when indent is None; dump never does."""
+def write_json(path, obj) -> None:
+    """Write obj to path as one line of JSON text and a newline. The text
+    comes from dumps without an indent, which runs the C encoder; dump
+    never does."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=indent) + "\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _pow10(p: int) -> tuple[float, float]:

@@ -5,14 +5,13 @@ Exit codes: 0 on success, 2 on config and usage errors, 3 on runtime
 errors. Outputs are deterministic for a given config (the probe sampling
 is seeded via --seed).
 
-``field`` deals its specs, grouped by their shared rasterize call, and
-the two cost grids over the usable CPUs (``os.sched_getaffinity``; one
-where the platform lacks it), balanced by float-grid count. It runs the
-first share itself and forks one child per other share with the POSIX
-``os.fork``. Every child is joined before the command returns, also on
-an error, and the bytes are those of a write in one process. A risk
-grid with the bits of the mean-cost grid is written as a copy of that
-grid's files.
+``field`` deals the two cost grids and its specs round-robin over the
+usable CPUs (``os.sched_getaffinity``; one where the platform lacks
+it). It runs the first share itself and forks one child per other
+share with the POSIX ``os.fork``. Every child is joined before the
+command returns, also on an error, and the bytes are those of a write
+in one process. A risk grid with the bits of the mean-cost grid is
+written as a copy of that grid's files.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ from .field import (
     level_set,
     moment_grids,
     polylines_to_json,
-    raster_key,
-    rasterize,  # noqa: F401 - perfbench/test_perfbench.py reaches it as riskcbf.cli.rasterize
-    rasterize_specs,
+    rasterize,
     safe_mask,
     versatility_audit,
 )
@@ -66,18 +63,6 @@ def _write(output: FieldGrid | SimLog, out: Path, stem: str, fmt: str) -> None:
         output.to_csv(out / f"{stem}.csv")
     if fmt in ("json", "both"):
         output.to_json(out / f"{stem}.json")
-
-
-def _deal(tasks, count: int) -> list[list]:
-    """Deal (weight, task) pairs to at most count shares: the heaviest
-    first, each to the share with the least weight so far (the first of
-    equals). Empty shares are left out."""
-    shares, loads = [[] for _ in range(count)], [0] * count
-    for weight, task in sorted(tasks, key=lambda pair: -pair[0]):
-        i = loads.index(min(loads))
-        shares[i].append(task)
-        loads[i] += weight
-    return [share for share in shares if share]
 
 
 def _run_shares(run, shares) -> list[str]:
@@ -136,10 +121,6 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
 
     # computed before any fork, so every share inherits them
     c_mu, c_sigma = moment_grids(params, source, bounds, resolution)
-    # the specs that share one rasterize call, by index, form one unit
-    units = {}
-    for i, spec in enumerate(specs):
-        units.setdefault(raster_key(spec), []).append(i)
 
     def run(share) -> list[str]:
         """Write the grids of the share's tasks; return the stems whose
@@ -151,29 +132,29 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
                     stem = task
                     _write(c_mu if stem == "c_mu" else c_sigma, out, stem, fmt)
                     continue
-                grids = rasterize_specs([specs[i] for i in task], params, source, bounds, resolution)
-                for i, grid in zip(task, grids):
-                    stem = f"risk_{labels[i]}"
-                    # compared as bits: -0.0 == 0.0, but the two format differently
-                    if np.array_equal(grid.values.view(np.int64), c_mu.values.view(np.int64)):
-                        copies.append(stem)
-                    else:
-                        _write(grid, out, stem, fmt)
-                    stem = f"safe_{labels[i]}"
-                    mask = safe_mask(grid, barrier.rho)
-                    _write(dataclasses.replace(grid, values=mask.astype(float)), out, stem, fmt)
-                    stem = f"levelset_{labels[i]}"
-                    polylines = level_set(specs[i], params, source, bounds, resolution, barrier.rho)
-                    polylines_to_json(polylines, out / f"{stem}.json")
+                grid = rasterize(specs[task], params, source, bounds, resolution)
+                stem = f"risk_{labels[task]}"
+                # compared as bits: -0.0 == 0.0, but the two format differently
+                if np.array_equal(grid.values.view(np.int64), c_mu.values.view(np.int64)):
+                    copies.append(stem)
+                else:
+                    _write(grid, out, stem, fmt)
+                stem = f"safe_{labels[task]}"
+                mask = safe_mask(grid, barrier.rho)
+                _write(dataclasses.replace(grid, values=mask.astype(float)), out, stem, fmt)
+                stem = f"levelset_{labels[task]}"
+                polylines = level_set(specs[task], params, source, bounds, resolution, barrier.rho)
+                polylines_to_json(polylines, out / f"{stem}.json")
         except Exception as exc:
             raise RuntimeError(f"writing {stem}: {exc}") from exc
         return copies
 
-    # each task with its count of float grids, dealt to the usable CPUs:
-    # one share, and no fork, without sched_getaffinity (macOS, Windows)
-    tasks = [(1, "c_mu"), (1, "c_sigma"), *((len(unit), unit) for unit in units.values())]
+    # the tasks dealt round-robin to the usable CPUs: one share, and no
+    # fork, without sched_getaffinity (macOS, Windows). A share keeps its
+    # specs in order, so a lam group stays consecutive in each share.
+    tasks = ["c_mu", "c_sigma", *range(len(specs))]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    for stem in _run_shares(run, _deal(tasks, cpus)):
+    for stem in _run_shares(run, [tasks[i::cpus] for i in range(min(cpus, len(tasks)))]):
         for suffix in ("csv", "json"):
             if fmt in (suffix, "both"):
                 shutil.copyfile(out / f"c_mu.{suffix}", out / f"{stem}.{suffix}")
@@ -192,10 +173,7 @@ def cmd_audit(cfg: Config, out: Path) -> int:
     # one mask per distinct spec, shared by every family that holds it
     families = [ExpectedRisk()], cvar_family, cpt_family
     specs = list(dict.fromkeys(spec for family in families for spec in family))
-    masks = {
-        spec: safe_mask(grid, barrier.rho)
-        for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution))
-    }
+    masks = {spec: safe_mask(rasterize(spec, params, source, bounds, resolution), barrier.rho) for spec in specs}
     er, cvar, cpt = ({spec: masks[spec] for spec in family} for family in families)
 
     levels = cfg.levels()
@@ -219,7 +197,7 @@ def cmd_audit(cfg: Config, out: Path) -> int:
         },
     }
     path = out / "audit.json"
-    write_json(path, report, indent=2)
+    write_json(path, report)
     for pair, rep in report["inclusiveness"].items():
         print(f"audit: {pair}: {rep['verdict']}")
     print(f"audit: report written to {path}")
@@ -315,7 +293,7 @@ def cmd_feasibility(cfg: Config, out: Path, selector, seed: int) -> int:
         "summary": summary,
     }
     path = out / "feasibility.json"
-    write_json(path, report, indent=2)
+    write_json(path, report)
     for label, row in summary.items():
         fraction = "n/a" if row["feasible_fraction"] is None else f"{row['feasible_fraction']:.3f}"
         print(f"feasibility: {label}: nominal-feasible fraction {fraction}")

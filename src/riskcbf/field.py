@@ -11,12 +11,13 @@ source, and each level set is the circles at the roots of its profile.
 Every model reads the same moments, so a grid's (c_mu, c_sigma) pair is
 computed once per field and geometry by :func:`moment_grids` and shared
 read-only: :func:`rasterize`, the cost range and the audit levels read it.
+:func:`rasterize` shares one evaluation among consecutive CPT specs that
+differ only in lam.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -194,14 +195,32 @@ def _grid_moments(params: CostFieldParams, source: tuple, bounds: tuple, resolut
     return moments
 
 
+def _geometry(source, bounds, resolution) -> tuple[tuple, tuple, tuple]:
+    # the hashable form of a grid's geometry that keys the caches below
+    return (tuple(np.asarray(source, dtype=float).tolist()), tuple(float(b) for b in bounds),
+            tuple(int(r) for r in resolution))
+
+
 def moment_grids(params: CostFieldParams, source, bounds, resolution) -> tuple[FieldGrid, FieldGrid]:
     """The c_mu and c_sigma grids over bounds at resolution: cell (i, j)
     holds the cost moments at xi = source - center(i, j). Both are
     computed once per field and geometry and shared read-only."""
-    bounds = tuple(float(b) for b in bounds)
-    resolution = tuple(int(r) for r in resolution)
-    moments = _grid_moments(params, tuple(np.asarray(source, dtype=float).tolist()), bounds, resolution)
-    return tuple(FieldGrid(*bounds, values=values) for values in moments)
+    source, bounds, resolution = _geometry(source, bounds, resolution)
+    return tuple(FieldGrid(*bounds, values=values) for values in _grid_moments(params, source, bounds, resolution))
+
+
+@lru_cache(maxsize=1)
+def _unit_risk(key: RiskSpec, params: CostFieldParams, source: tuple, bounds: tuple, resolution: tuple):
+    # the read-only risk grid of the last key rasterized: CPT specs that
+    # differ only in lam share the grid of their lam = 1 key. The previous
+    # grid is dropped before this one is evaluated, so the two never
+    # coexist: holding it through the evaluation, as a plain lru_cache
+    # does, raised the peak RSS of the benchmark's field_maps run by 2%.
+    _unit_risk.cache_clear()
+    mu, sigma = _grid_moments(params, source, bounds, resolution)
+    values = moment_risk(key, mu, sigma, params.m, grad=False)[0]
+    values.flags.writeable = False
+    return values
 
 
 def rasterize(
@@ -216,41 +235,17 @@ def rasterize(
     Cell (i, j) holds the risk at xi = source - center(i, j), from the
     moments of :func:`moment_grids`. The vectorized evaluation is
     cell-wise pure, hence identical to a sequential row-major loop.
+
+    CPT's value lam * sum_i Pi_i * c_i**gamma applies lam last, so a CPT
+    spec's grid is lam times the grid of its lam = 1 key, and any other
+    spec's is 1.0 times its own: both have the bytes of a direct
+    evaluation, as 1.0 * x == x. The last key's grid is kept, so
+    consecutive calls on CPT specs that differ only in lam evaluate it
+    once. The returned values are the caller's own array.
     """
-    mu, sigma = moment_grids(params, source, bounds, resolution)
-    return replace(mu, values=moment_risk(spec, mu.values, sigma.values, params.m, grad=False)[0])
-
-
-def raster_key(spec: RiskSpec) -> RiskSpec:
-    """The spec of the rasterize call that rasterize_specs makes for spec:
-    a CPT at lam = 1, any other spec itself."""
-    return replace(spec, lam=1.0) if isinstance(spec, CPT) else spec
-
-
-def rasterize_specs(specs, params: CostFieldParams, source, bounds, resolution):
-    """Yield ``rasterize(spec, params, source, bounds, resolution)`` for
-    each spec, in order, with the bytes of that one-spec call.
-
-    CPT's value lam * sum_i Pi_i * c_i**gamma applies lam last, so the
-    CPT specs that differ only in lam share one rasterize call at lam = 1,
-    and each yields lam times that grid: 1.0 * x == x, so the product has
-    the bytes of the direct call. A shared grid is held until the last
-    spec of its group.
-    """
-    specs = tuple(specs)
-    left = Counter(raster_key(s) for s in specs if isinstance(s, CPT))
-    unit: dict[CPT, FieldGrid] = {}
-    for spec in specs:
-        if not isinstance(spec, CPT):
-            yield rasterize(spec, params, source, bounds, resolution)
-            continue
-        key = raster_key(spec)
-        if key not in unit:
-            unit[key] = rasterize(key, params, source, bounds, resolution)
-        left[key] -= 1
-        grid = unit[key] if left[key] else unit.pop(key)
-        grid = replace(grid, values=spec.lam * grid.values)  # drops the reference to the shared grid
-        yield grid
+    source, bounds, resolution = _geometry(source, bounds, resolution)
+    lam, key = (spec.lam, replace(spec, lam=1.0)) if isinstance(spec, CPT) else (1.0, spec)
+    return FieldGrid(*bounds, values=lam * _unit_risk(key, params, source, bounds, resolution))
 
 
 def discretized_cost_range(params: CostFieldParams, source, bounds, resolution) -> tuple[float, float]:

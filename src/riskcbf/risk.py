@@ -20,13 +20,12 @@ The models differ only in w, gamma and lam:
 - CPT: Prelec's w(S) = exp(-beta * (-log S)**alpha) and the spec's own
   gamma and lam.
 
-Two layers share the formula. The lottery layer (``risk_value`` and the
-per-model ``*_value`` functions) evaluates an explicit DiscreteCost.
-The moment layer (``moment_risk``) evaluates the truncated-Gaussian
-cost straight from its mean and deviation on the lattice of
-:mod:`riskcbf.distributions`, for arrays of any shape, and also returns
-the partials the barrier needs; every field, grid and barrier
-computation goes through it.
+Two layers share the formula. The lottery layer (``risk_value``)
+evaluates an explicit DiscreteCost. The moment layer (``moment_risk``)
+evaluates the truncated-Gaussian cost straight from its mean and
+deviation on the lattice of :mod:`riskcbf.distributions`, for arrays of
+any shape, and also returns the partials the barrier needs; every
+field, grid and barrier computation goes through it.
 
 The library keeps the lottery layer, which no command calls: it holds
 the paper's definitions over a lottery, and it is the oracle that the
@@ -92,13 +91,6 @@ class CPT:
 RiskSpec = Union[ExpectedRisk, CVaR, CPT]
 
 
-def utility(c: float, gamma: float, lam: float) -> float:
-    """Perceived cost v(c) = lam * c**gamma for c >= 0; v(0) = 0."""
-    if c < 0:
-        raise ValueError("utility is defined for nonnegative costs")
-    return lam * c ** gamma
-
-
 def prob_weight(p, alpha: float, beta: float):
     """Prelec's probability weighting w(p) = exp(-beta * (-log p)**alpha),
     elementwise over p in [0, 1]; w(0) = 0 and w(1) = 1 exactly."""
@@ -147,23 +139,6 @@ def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:
     gamma, lam = (spec.gamma, spec.lam) if isinstance(spec, CPT) else (1.0, 1.0)
     weights = decision_weights(cost.probabilities, weighting(spec))
     return lam * float(cost.outcomes ** gamma @ weights)
-
-
-def er_value(cost: DiscreteCost) -> float:
-    """Expected risk: sum of outcome * probability."""
-    return risk_value(ExpectedRisk(), cost)
-
-
-def cvar_value(cost: DiscreteCost, q: float) -> float:
-    """Discrete CVaR: the mean of the worst 1 - q of the mass, the
-    q-quantile's outcome counted with only the mass above q. q = 0 gives
-    the plain expectation, q = 1 the largest outcome."""
-    return risk_value(CVaR(q), cost)
-
-
-def cpt_value(cost: DiscreteCost, theta: CPT) -> float:
-    """CPT value: sum of v(c_i) * Pi_i over the ascending outcomes."""
-    return risk_value(theta, cost)
 
 
 @lru_cache(maxsize=256)
@@ -301,7 +276,7 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
         # so each gamma = 0.5 lane takes np.sqrt, however many lanes run
         np.power(c, p.gamma, out=c, where=~p.sqrt_rows)
         np.sqrt(c, out=c, where=p.sqrt_rows)
-    # lam is applied last, and alone: field.rasterize_specs relies on
+    # lam is applied last, and alone: field.rasterize relies on
     # lam * (the lam = 1 value) having the bytes of this value
     cpt = (p.lam * row_dot(c, p.pi)).reshape(mu.shape)
     if not p.any_linear:

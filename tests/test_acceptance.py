@@ -22,10 +22,8 @@ from riskcbf.risk import (
     CPT,
     CVaR,
     ExpectedRisk,
-    cpt_value,
-    cvar_value,
-    er_value,
     moment_risk,
+    risk_value,
 )
 from riskcbf.barrier import qp_filter
 from riskcbf.sim import simulate
@@ -62,10 +60,10 @@ def test_criterion_01_model_coincidence_identities():
     worst = 0.0
     for _ in range(1000):
         dc = random_lottery(rng)
-        er = er_value(dc)
-        worst = max(worst, abs(cpt_value(dc, unit) - er), abs(cvar_value(dc, 0.0) - er))
+        er = risk_value(ExpectedRisk(), dc)
+        worst = max(worst, abs(risk_value(unit, dc) - er), abs(risk_value(CVaR(0.0), dc) - er))
         for lam in lams:
-            worst = max(worst, abs(cpt_value(dc, CPT(1.0, 1.0, 1.0, lam)) - lam * er))
+            worst = max(worst, abs(risk_value(CPT(1.0, 1.0, 1.0, lam), dc) - lam * er))
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -81,9 +79,9 @@ def test_criterion_02_cvar_structure():
     max_exact = True
     for _ in range(300):
         dc = random_lottery(rng)
-        values = [cvar_value(dc, float(q)) for q in qs]
+        values = [risk_value(CVaR(float(q)), dc) for q in qs]
         monotone &= all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-        max_exact &= cvar_value(dc, 1.0) == dc.outcomes[-1]
+        max_exact &= risk_value(CVaR(1.0), dc) == dc.outcomes[-1]
     report(2, monotone and max_exact, "CVaR nondecreasing in q; CVaR(1) = max outcome exactly")
 
 
@@ -93,10 +91,10 @@ def test_criterion_03_range_sandwich():
     counterexamples = 0
     for _ in range(200):
         dc = random_lottery(rng, low=1.0001, high=180.0)
-        cvar_values = [cvar_value(dc, q) for q in qs]
-        lam = math.ceil(float(dc.outcomes[-1]) / er_value(dc)) + 1
+        cvar_values = [risk_value(CVaR(q), dc) for q in qs]
+        lam = math.ceil(float(dc.outcomes[-1]) / risk_value(ExpectedRisk(), dc)) + 1
         theta_grid = [CPT(1, 1, 1, lam), CPT(1, 1, 0.5, 1), CPT(0.74, 1, 0.88, 2.25)]
-        values = [cpt_value(dc, th) for th in theta_grid]
+        values = [risk_value(th, dc) for th in theta_grid]
         if not (max(values) > max(cvar_values) and min(values) < min(cvar_values)):
             counterexamples += 1
     report(3, counterexamples == 0, f"{counterexamples} range-sandwich counterexamples in 200 lotteries")

@@ -19,7 +19,7 @@ from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import nominal_control, obstacle_motion
-from test_field import read_grid_csv
+from test_field import read_grid_csv, unit_evaluations
 from test_golden import DIGESTS, host, read_digests
 
 REPO = Path(__file__).resolve().parent.parent
@@ -277,8 +277,8 @@ def test_cli_field_forks_one_writer_per_extra_cpu(tmp_path, monkeypatch, cpus):
     argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out), "--format", "both"]
     assert main(argv) == 0
     assert_no_child_left()
-    # 12 tasks: c_mu, c_sigma and 10 groups of specs that share a rasterize call
-    assert len(forks) == min(usable, 12) - 1
+    # 16 tasks: c_mu, c_sigma and the 14 specs
+    assert len(forks) == min(usable, 16) - 1
     assert_golden_field_outputs(out)
 
 
@@ -375,17 +375,8 @@ def test_cli_simulate_summary_table(tmp_path):
 
 @pytest.fixture
 def rasterize_calls(monkeypatch):
-    """The specs of every rasterize call; the commands reach it through
-    riskcbf.field.rasterize_specs."""
-    calls = []
-    rasterize = riskcbf.field.rasterize
-
-    def counting_rasterize(spec, *args):
-        calls.append(spec)
-        return rasterize(spec, *args)
-
-    monkeypatch.setattr(riskcbf.field, "rasterize", counting_rasterize)
-    return calls
+    """The key of every grid that rasterize evaluates (unit_evaluations)."""
+    return unit_evaluations(monkeypatch)
 
 
 def test_cli_field_rasterizes_specs_that_differ_only_in_lambda_once(tmp_path, monkeypatch, rasterize_calls):
@@ -393,7 +384,7 @@ def test_cli_field_rasterizes_specs_that_differ_only_in_lambda_once(tmp_path, mo
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(tmp_path)]) == 0
     # ER and 6 CVaR, plus 3 CPT (alpha, beta, gamma) groups at lambda = 1:
-    # the five cpt(0.74, 1.0, 0.95, lambda) specs share one
+    # the five consecutive cpt(0.74, 1.0, 0.95, lambda) specs share one
     assert len(rasterize_calls) == 10
     assert set(rasterize_calls) == {
         ExpectedRisk(),
@@ -410,8 +401,8 @@ def test_cli_audit(tmp_path, rasterize_calls):
     )
     assert code == 0
     # one grid per distinct ER/CVaR spec (ER and 7 CVaR) and per distinct
-    # CPT (alpha, beta, gamma): the 6 gammas of the 6 x 5 family and the
-    # 2 extremes
+    # CPT (alpha, beta, gamma): the 6 gammas of the gamma-major 6 x 5
+    # family and the 2 extremes
     assert len(rasterize_calls) == 16
     assert len(set(rasterize_calls)) == 16
     assert sum(isinstance(spec, CPT) for spec in rasterize_calls) == 8
@@ -430,6 +421,7 @@ def grid_moment_calls(monkeypatch, shape) -> list:
     """A list that gets one entry per field._moments call on a grid of
     shape from now on, with the cached grid moments cleared."""
     riskcbf.field._grid_moments.cache_clear()
+    riskcbf.field._unit_risk.cache_clear()
     moments, calls = riskcbf.field._moments, []
 
     def counting_moments(params, r2):
@@ -443,7 +435,8 @@ def grid_moment_calls(monkeypatch, shape) -> list:
 
 @pytest.mark.parametrize("levels", ["30, 60, 90", ""])
 def test_cli_audit_samples_the_mean_cost_grid_once(tmp_path, monkeypatch, levels):
-    # the cost range, all 16 rasterize calls and the levels read one sample
+    # the cost range, all 40 rasterize calls (16 evaluate a grid) and the
+    # levels read one sample
     text = (CONFIGS / "field_default.cfg").read_text()
     old = "levels = 30, 60, 90, 120, 150, 180, 199"
     assert text.count(old) == 1
@@ -454,7 +447,7 @@ def test_cli_audit_samples_the_mean_cost_grid_once(tmp_path, monkeypatch, levels
 
 
 def test_cli_field_samples_the_cost_moments_once(tmp_path, monkeypatch):
-    # one usable CPU: the two cost grids and all 10 rasterize calls run here
+    # one usable CPU: the two cost grids and all 14 rasterize calls run here
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = grid_moment_calls(monkeypatch, (150, 150))
     assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(tmp_path)]) == 0

@@ -13,7 +13,7 @@ from riskcbf.distributions import (
     std_normal_cdf,
     std_normal_pdf,
 )
-from riskcbf.risk import er_value
+from riskcbf.risk import CVaR, ExpectedRisk, risk_value
 
 
 def test_pdf_peak_is_inv_sqrt_2pi():
@@ -108,7 +108,7 @@ def test_discretize_variance_error_decreases_in_m():
     errors = []
     for m in (6, 12, 24, 48):
         dc = discretize_truncated_gaussian(mu, sigma, m)
-        assert er_value(dc) == pytest.approx(mu, rel=1e-14)
+        assert risk_value(ExpectedRisk(), dc) == pytest.approx(mu, rel=1e-14)
         errors.append(variance - float((dc.outcomes - mu) ** 2 @ dc.probabilities))
     assert errors[-1] > 0.0
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -164,9 +164,7 @@ def test_discrete_cost_validation():
 
 
 def test_degenerate_lottery_collapses_all_risk_models():
-    from riskcbf.risk import cvar_value
-
     dc = discretize_truncated_gaussian(5.0, 0.0, 8)
-    assert er_value(dc) == pytest.approx(5.0, abs=1e-12)
+    assert risk_value(ExpectedRisk(), dc) == pytest.approx(5.0, abs=1e-12)
     for q in (0.0, 0.1, 0.5, 0.9, 1.0):
-        assert cvar_value(dc, q) == pytest.approx(5.0, abs=1e-12)
+        assert risk_value(CVaR(q), dc) == pytest.approx(5.0, abs=1e-12)

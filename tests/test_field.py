@@ -1,8 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from riskcbf.field import (
     moment_grids,
     polylines_to_json,
     rasterize,
-    rasterize_specs,
     safe_mask,
     versatility_audit,
 )
@@ -263,46 +262,81 @@ def test_rasterize_matches_rowmajor_pointwise_loop():
                 assert grid.values[i, j] == pytest.approx(float(expected), rel=1e-12, abs=1e-12)
 
 
-def test_rasterize_specs_match_one_spec_calls(monkeypatch):
+def direct_risk(spec, params, source, bounds, resolution) -> np.ndarray:
+    """A fresh one-spec evaluation of the risk grid, at the spec's own lam."""
+    mu, sigma = moment_grids(params, source, bounds, resolution)
+    return moment_risk(spec, mu.values, sigma.values, params.m, grad=False)[0]
+
+
+def assert_fresh(grid, spec, params, source, bounds, resolution):
+    assert (grid.xmin, grid.xmax, grid.ymin, grid.ymax) == tuple(bounds)
+    assert grid.values.tobytes() == direct_risk(spec, params, source, bounds, resolution).tobytes()
+
+
+def unit_evaluations(monkeypatch) -> list:
+    """A list that gets the key of every grid rasterize evaluates from now
+    on, behind a fresh one-entry cache: a CPT spec's key has lam = 1, any
+    other spec's key is the spec."""
+    keys = []
+    evaluate_unit = riskcbf.field._unit_risk.__wrapped__
+
+    def counting(key, *args):
+        keys.append(key)
+        return evaluate_unit(key, *args)
+
+    monkeypatch.setattr(riskcbf.field, "_unit_risk", functools.lru_cache(maxsize=1)(counting))
+    return keys
+
+
+def test_rasterize_shares_a_consecutive_lambda_group_and_keeps_the_bytes(monkeypatch):
     specs = (
         ExpectedRisk(),
         CPT(0.74, 1.0, 0.5, 2.0),  # gamma = 0.5: the one-spec c **= 0.5 is np.sqrt
+        CPT(0.74, 1.0, 0.5, 3.5),  # the lambda group of specs[1], consecutive
         CVaR(0.0),
         CPT(0.74, 1.0, 1.0, 3.0),
-        CPT(0.74, 1.0, 0.5, 3.5),  # the lambda-group of specs[1], not adjacent to it
+        CPT(0.74, 1.0, 0.5, 1.0),  # the group of specs[1] again, after other specs
         CVaR(1.0),
         CPT(0.74, 1.0, 0.88, 1.0),  # lambda = 1 alone
+        CPT(0.74, 1.0, 1.0, 3.0),
         CPT(0.74, 1.0, 1.0, 3.0),  # a repeated spec
-        CPT(0.74, 1.0, 0.5, 2.0),
         CPT(0.5, 2.0, 1.0, 2.0),  # gamma = 1 of another (alpha, beta)
     )
     res = (30, 20)
-    expected = [rasterize(spec, PARAMS, SOURCE, BOUNDS, res) for spec in specs]
-    calls, units = [], {}
+    evaluated = unit_evaluations(monkeypatch)
+    for spec in specs:
+        assert_fresh(rasterize(spec, PARAMS, SOURCE, BOUNDS, res), spec, PARAMS, SOURCE, BOUNDS, res)
+    # one evaluation per run of consecutive specs with one lam = 1 key
+    keys = [dataclasses.replace(s, lam=1.0) if isinstance(s, CPT) else s for s in specs]
+    assert evaluated == [key for key, _ in itertools.groupby(keys)]
+    assert len(evaluated) == 9
 
-    def counting_rasterize(spec, *args):
-        calls.append(spec)
-        grid = rasterize(spec, *args)
-        if isinstance(spec, CPT):
-            units[spec] = weakref.ref(grid)
-        return grid
 
-    monkeypatch.setattr(riskcbf.field, "rasterize", counting_rasterize)
-    keys = [CPT(s.alpha, s.beta, s.gamma, 1.0) if isinstance(s, CPT) else None for s in specs]
-    grids = rasterize_specs(specs, PARAMS, SOURCE, BOUNDS, res)
-    for i, (grid, want) in enumerate(zip(grids, expected, strict=True)):
-        assert (grid.xmin, grid.xmax, grid.ymin, grid.ymax, grid.nx, grid.ny) == (
-            want.xmin, want.xmax, want.ymin, want.ymax, want.nx, want.ny
-        )
-        assert grid.values.tobytes() == want.values.tobytes()
-        # a group's lambda = 1 grid is dropped once its last spec is out
-        for key, unit in units.items():
-            assert (unit() is None) == (key not in keys[i + 1:])
-    # one call per ER/CVaR spec and one per CPT (alpha, beta, gamma), at lambda = 1
-    assert [s for s in calls if not isinstance(s, CPT)] == [s for s in specs if not isinstance(s, CPT)]
-    cpt_calls = [s for s in calls if isinstance(s, CPT)]
-    assert len(cpt_calls) == len(set(cpt_calls)) == 4
-    assert set(cpt_calls) == set(keys) - {None}
+def test_rasterize_after_a_cached_call_on_another_field_or_geometry():
+    spec, other_lam = CPT(0.74, 1.0, 0.88, 2.0), CPT(0.74, 1.0, 0.88, 3.0)
+    res = (30, 20)
+    first = (PARAMS, SOURCE, BOUNDS, res)
+    others = (
+        (CostFieldParams(150.0, 0.02, 0.5), SOURCE, BOUNDS, res),
+        (CostFieldParams(200.0, 0.01, 0.5, m=12), SOURCE, BOUNDS, res),
+        (PARAMS, (7.5, 3.0), BOUNDS, res),
+        (PARAMS, SOURCE, (0.0, 12.0, -3.0, 15.0), res),
+        (PARAMS, SOURCE, BOUNDS, (20, 30)),
+    )
+    for args in others:
+        assert_fresh(rasterize(spec, *first), spec, *first)
+        assert_fresh(rasterize(spec, *args), spec, *args)
+        assert_fresh(rasterize(other_lam, *args), other_lam, *args)
+
+
+@pytest.mark.parametrize("spec", [ExpectedRisk(), CVaR(0.4), CPT(0.74, 1.0, 0.88, 1.0), CPT(0.74, 1.0, 0.88, 2.0)])
+def test_rasterize_returns_a_grid_of_its_own(spec):
+    res = (30, 20)
+    grid = rasterize(spec, PARAMS, SOURCE, BOUNDS, res)
+    grid.values[:] = -1.0  # the caller's own array: the write reaches no cache
+    again = rasterize(spec, PARAMS, SOURCE, BOUNDS, res)
+    assert again.values is not grid.values
+    assert_fresh(again, spec, PARAMS, SOURCE, BOUNDS, res)
 
 
 def test_moment_grids_share_one_read_only_pair():
@@ -486,7 +520,8 @@ def test_safe_mask_agrees_with_level_set_radii_off_the_circles():
     source = np.asarray(source, dtype=float)
     cvar, cpt = cfg.audit_families(*discretized_cost_range(params, source, bounds, resolution), rho)
     specs = list(dict.fromkeys([*cfg.specs(), *cvar, *cpt, CPT(0.3, 1.0, 0.8, 3.0), CPT(0.74, 1.0, 0.0, 2.0)]))
-    for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
+    for spec in specs:
+        grid = rasterize(spec, params, source, bounds, resolution)
         polys = level_set(spec, params, source, bounds, resolution, rho)
         radii = np.unique(np.round(assert_clipped_circles(polys, source, bounds, resolution), 9))
         r = np.hypot(*np.meshgrid(grid.x_centers() - source[0], grid.y_centers() - source[1], indexing="ij"))
@@ -672,8 +707,8 @@ def test_versatility_reach_lies_on_a_radial_root():
     r = np.hypot(*np.meshgrid(mu.x_centers() - source[0], mu.y_centers() - source[1], indexing="ij"))
     r_max, cell, diagonal = r.max(), min(mu.dx, mu.dy), math.hypot(mu.dx, mu.dy)
     unsafe_members = 0
-    for spec, grid in zip(specs, rasterize_specs(specs, params, source, bounds, resolution)):
-        unsafe = ~safe_mask(grid, rho)
+    for spec in specs:
+        unsafe = ~safe_mask(rasterize(spec, params, source, bounds, resolution), rho)
         roots = riskcbf.field._root_radii(spec, params, rho, r_max, cell / 8)
         if not unsafe.any():
             assert roots.size == 0, spec_label(spec)
@@ -817,7 +852,7 @@ def test_format_rows_is_17g_on_every_shipped_grid(source):
     params = cfg.field_params()
     bounds, resolution, _ = cfg.grid_geometry()
     grids = list(moment_grids(params, source, bounds, resolution))
-    grids += rasterize_specs(cfg.specs(), params, source, bounds, resolution)
+    grids += [rasterize(spec, params, source, bounds, resolution) for spec in cfg.specs()]
     for grid in grids:
         assert b"".join(format_rows(grid.values)) == percent_17g(grid.values)
 
@@ -887,7 +922,7 @@ def test_cvar_field_within_truncation_bound():
 
 
 def test_cvar_field_nondecreasing_in_q():
-    # cvar_value averages the worst 1 - q, so it grows with q
+    # CVaR(q) averages the worst 1 - q, so it grows with q
     values = np.array([field_values(CVaR(q)) for q in CVAR_QS])
     assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:])
 

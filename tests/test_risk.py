@@ -9,17 +9,13 @@ from riskcbf.risk import (
     CPT,
     CVaR,
     ExpectedRisk,
-    cpt_value,
-    cvar_value,
     decision_weights,
-    er_value,
     lattice_weights,
     moment_risk,
     parse_spec,
     prob_weight,
     risk_value,
     spec_label,
-    utility,
     weighting,
 )
 
@@ -31,18 +27,7 @@ def random_lottery(rng, m=None, low=0.0, high=200.0):
     return DiscreteCost(outcomes, probs)
 
 
-# --- utility and weighting -------------------------------------------------
-
-
-def test_utility_examples():
-    assert utility(7.0, 1.0, 1.0) == 7.0
-    assert utility(4.0, 0.5, 2.0) == pytest.approx(4.0, abs=1e-12)
-    assert utility(0.0, 0.3, 5.0) == 0.0
-
-
-def test_utility_rejects_negative_cost():
-    with pytest.raises(ValueError):
-        utility(-1.0, 1.0, 1.0)
+# --- weighting ---------------------------------------------------------------
 
 
 def test_prob_weight_identity_at_unit_parameters():
@@ -93,9 +78,9 @@ def test_decision_weights_nonnegative():
 
 def test_er_examples():
     dc = DiscreteCost(np.array([2.0, 4.0]), np.array([0.5, 0.5]))
-    assert er_value(dc) == 3.0
+    assert risk_value(ExpectedRisk(), dc) == 3.0
     single = DiscreteCost(np.array([5.0, 5.0]), np.array([0.5, 0.5]))
-    assert er_value(single) == 5.0
+    assert risk_value(ExpectedRisk(), single) == 5.0
 
 
 def test_er_matches_bruteforce_sum():
@@ -103,15 +88,15 @@ def test_er_matches_bruteforce_sum():
     for _ in range(50):
         dc = random_lottery(rng)
         brute = sum(c * p for c, p in zip(dc.outcomes, dc.probabilities))
-        assert er_value(dc) == pytest.approx(brute, rel=1e-12)
+        assert risk_value(ExpectedRisk(), dc) == pytest.approx(brute, rel=1e-12)
 
 
 def test_cvar_uniform_example():
     dc = DiscreteCost(np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 0.25))
     # the worst half of the mass is {3, 4}
-    assert cvar_value(dc, 0.5) == pytest.approx(3.5, abs=1e-12)
+    assert risk_value(CVaR(0.5), dc) == pytest.approx(3.5, abs=1e-12)
     # the worst 0.6 takes 0.1 of the atom at 2: (0.1 * 2 + 0.25 * 7) / 0.6
-    assert cvar_value(dc, 0.4) == pytest.approx(1.95 / 0.6, abs=1e-12)
+    assert risk_value(CVaR(0.4), dc) == pytest.approx(1.95 / 0.6, abs=1e-12)
 
 
 def rockafellar_uryasev(outcomes, probabilities, q):
@@ -128,15 +113,15 @@ def test_cvar_matches_rockafellar_uryasev_oracle():
     for _ in range(300):
         dc = random_lottery(rng)
         for q in qs:
-            assert abs(cvar_value(dc, float(q)) - rockafellar_uryasev(dc.outcomes, dc.probabilities, q)) <= 1e-9
+            assert abs(risk_value(CVaR(float(q)), dc) - rockafellar_uryasev(dc.outcomes, dc.probabilities, q)) <= 1e-9
 
 
 def test_cvar_limits():
     rng = np.random.default_rng(3)
     for _ in range(30):
         dc = random_lottery(rng)
-        assert cvar_value(dc, 0.0) == pytest.approx(er_value(dc), abs=1e-9)
-        assert cvar_value(dc, 1.0) == dc.outcomes[-1]
+        assert risk_value(CVaR(0.0), dc) == pytest.approx(risk_value(ExpectedRisk(), dc), abs=1e-9)
+        assert risk_value(CVaR(1.0), dc) == dc.outcomes[-1]
 
 
 def test_cvar_monotone_in_q():
@@ -144,7 +129,7 @@ def test_cvar_monotone_in_q():
     qs = np.linspace(0.0, 1.0, 21)
     for _ in range(50):
         dc = random_lottery(rng)
-        values = [cvar_value(dc, float(q)) for q in qs]
+        values = [risk_value(CVaR(float(q)), dc) for q in qs]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -153,8 +138,8 @@ def test_cvar_between_mean_and_max():
     for _ in range(30):
         dc = random_lottery(rng)
         for q in (0.1, 0.5, 0.9):
-            v = cvar_value(dc, q)
-            assert er_value(dc) - 1e-9 <= v <= dc.outcomes[-1] + 1e-12
+            v = risk_value(CVaR(q), dc)
+            assert risk_value(ExpectedRisk(), dc) - 1e-9 <= v <= dc.outcomes[-1] + 1e-12
 
 
 def test_cvar_closed_form_examples():
@@ -186,7 +171,7 @@ def test_cpt_reduces_to_er_at_unit_parameters():
     theta = CPT(1.0, 1.0, 1.0, 1.0)
     for _ in range(200):
         dc = random_lottery(rng)
-        assert abs(cpt_value(dc, theta) - er_value(dc)) <= 1e-9
+        assert abs(risk_value(theta, dc) - risk_value(ExpectedRisk(), dc)) <= 1e-9
 
 
 def test_cpt_lambda_scales_er():
@@ -195,7 +180,7 @@ def test_cpt_lambda_scales_er():
         theta = CPT(1.0, 1.0, 1.0, lam)
         for _ in range(50):
             dc = random_lottery(rng)
-            assert abs(cpt_value(dc, theta) - lam * er_value(dc)) <= 1e-9
+            assert abs(risk_value(theta, dc) - lam * risk_value(ExpectedRisk(), dc)) <= 1e-9
 
 
 def test_cpt_concave_utility_below_er_for_costs_above_one():
@@ -203,7 +188,7 @@ def test_cpt_concave_utility_below_er_for_costs_above_one():
     theta = CPT(1.0, 1.0, 0.7, 1.0)
     for _ in range(50):
         dc = random_lottery(rng, low=1.001, high=150.0)
-        assert cpt_value(dc, theta) < er_value(dc)
+        assert risk_value(theta, dc) < risk_value(ExpectedRisk(), dc)
 
 
 def test_cpt_closed_form_degenerate():
@@ -316,10 +301,10 @@ def test_range_sandwich_on_lotteries():
     qs = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
     for _ in range(50):
         dc = random_lottery(rng, low=1.01, high=150.0)
-        cvar_values = [cvar_value(dc, q) for q in qs]
-        lam_hi = math.ceil(dc.outcomes[-1] / er_value(dc)) + 1
-        above = cpt_value(dc, CPT(1, 1, 1, lam_hi))
-        below = cpt_value(dc, CPT(1, 1, 0.5, 1))
+        cvar_values = [risk_value(CVaR(q), dc) for q in qs]
+        lam_hi = math.ceil(dc.outcomes[-1] / risk_value(ExpectedRisk(), dc)) + 1
+        above = risk_value(CPT(1, 1, 1, lam_hi), dc)
+        below = risk_value(CPT(1, 1, 0.5, 1), dc)
         assert above > max(cvar_values)
         assert below < min(cvar_values)
 
@@ -327,10 +312,15 @@ def test_range_sandwich_on_lotteries():
 def test_risk_value_dispatch():
     rng = np.random.default_rng(12)
     dc = random_lottery(rng)
-    assert risk_value(ExpectedRisk(), dc) == er_value(dc)
-    assert risk_value(CVaR(0.4), dc) == cvar_value(dc, 0.4)
+    # each model against its definition, written out here
+    assert risk_value(ExpectedRisk(), dc) == dc.outcomes @ dc.probabilities
+    assert abs(risk_value(CVaR(0.4), dc) - rockafellar_uryasev(dc.outcomes, dc.probabilities, 0.4)) <= 1e-9
     theta = CPT(0.74, 1.0, 0.88, 2.0)
-    assert risk_value(theta, dc) == cpt_value(dc, theta)
+    tails = np.append(np.cumsum(dc.probabilities[::-1])[::-1], 0.0)
+    with np.errstate(divide="ignore"):
+        w = np.exp(-theta.beta * (-np.log(np.minimum(tails, 1.0))) ** theta.alpha)
+    expected = theta.lam * sum(c**theta.gamma * (w[i] - w[i + 1]) for i, c in enumerate(dc.outcomes))
+    assert risk_value(theta, dc) == pytest.approx(expected, rel=1e-12)
 
 
 # --- spec parsing -------------------------------------------------------------
