@@ -66,9 +66,11 @@ def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
 def write_json(path, obj) -> None:
     """Write obj to path as one line of JSON text and a newline. The text
     comes from dumps without an indent, which runs the C encoder; dump
-    never does."""
+    never does. JSON has no token for nan or inf, so a non-finite float
+    in obj raises ValueError before path is opened."""
+    text = json.dumps(obj, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj) + "\n")
+        fh.write(text + "\n")
 
 
 def _pow10(p: int) -> tuple[float, float]:

@@ -176,25 +176,26 @@ def cmd_audit(cfg: Config, out: Path) -> int:
     masks = {spec: safe_mask(rasterize(spec, params, source, bounds, resolution), barrier.rho) for spec in specs}
     er, cvar, cpt = ({spec: masks[spec] for spec in family} for family in families)
 
-    levels = cfg.levels()
-    if not levels:
-        mu = moment_grids(params, source, bounds, resolution)[0].values
-        levels = list(np.linspace(float(mu.min()), float(mu.max()), 8))
+    mu = moment_grids(params, source, bounds, resolution)[0].values
+    levels = cfg.levels() or list(np.linspace(float(mu.min()), float(mu.max()), 8))
+    scope = (
+        f"fixed field k1={params.k1:g} k2={params.k2:g} r_bar={params.r_bar:g} "
+        f"m={params.m}, source=({source[0]:g}, {source[1]:g}), bounds={bounds}, resolution={resolution}"
+    )
 
-    args = (params, source, bounds, resolution, barrier.rho)
+    def entry(report) -> dict:
+        return {**dataclasses.asdict(report), "rho": barrier.rho, "scope": scope}
+
     report = {
         "rho": barrier.rho,
         "cost_range": [c_min, c_max],
         "inclusiveness": {
-            "cpt_vs_cvar": dataclasses.asdict(inclusiveness_audit(cpt, cvar, *args)),
-            "cpt_vs_er": dataclasses.asdict(inclusiveness_audit(cpt, er, *args)),
-            "cvar_vs_er": dataclasses.asdict(inclusiveness_audit(cvar, er, *args)),
+            "cpt_vs_cvar": entry(inclusiveness_audit(cpt, cvar)),
+            "cpt_vs_er": entry(inclusiveness_audit(cpt, er)),
+            "cvar_vs_er": entry(inclusiveness_audit(cvar, er)),
         },
-        "versatility": {
-            "er": dataclasses.asdict(versatility_audit(er, *args, levels)),
-            "cvar": dataclasses.asdict(versatility_audit(cvar, *args, levels)),
-            "cpt": dataclasses.asdict(versatility_audit(cpt, *args, levels)),
-        },
+        "versatility": {name: entry(versatility_audit(family, mu, levels))
+                        for name, family in (("er", er), ("cvar", cvar), ("cpt", cpt))},
     }
     path = out / "audit.json"
     write_json(path, report)

@@ -335,16 +335,14 @@ def polylines_to_json(polylines, path) -> None:
 class InclusivenessReport:
     """Cell-wise comparison of two families' total safe and risky sets.
 
-    The audit replaces the universally quantified definition with one
-    concrete field, source and grid (recorded in ``scope``). Subset
-    flags compare family2's total sets against family1's; witness
-    counts are cells family1 covers exclusively, violation counts cells
-    that break the subset relation.
+    The audit replaces the universally quantified definition with the
+    cells of one grid. Subset flags compare family2's total sets against
+    family1's; witness counts are cells family1 covers exclusively,
+    violation counts cells that break the subset relation.
     """
 
     family1: tuple[str, ...]
     family2: tuple[str, ...]
-    rho: float
     safe_subset: bool
     risky_subset: bool
     safe_witnesses: int
@@ -354,32 +352,21 @@ class InclusivenessReport:
     witness_cells_safe: tuple[tuple[int, int], ...]
     witness_cells_risky: tuple[tuple[int, int], ...]
     verdict: str
-    scope: str
 
 
 # witness cells listed per subset relation in an InclusivenessReport
 MAX_WITNESSES = 8
 
 
-def inclusiveness_audit(
-    family1,
-    family2,
-    params: CostFieldParams,
-    source,
-    bounds,
-    resolution,
-    rho: float,
-) -> InclusivenessReport:
+def inclusiveness_audit(family1, family2) -> InclusivenessReport:
     """Decide whether family1 is (strictly) more inclusive than family2.
 
-    Each family maps its member specs to their boolean safe masks at
-    rho (``safe_mask(rasterize(spec, params, source, bounds,
-    resolution), rho)``); params, source, bounds and resolution only
-    describe that grid in the report's scope. Total safe and risky sets
-    are unions of the per-member sets; the verdict is "strictly more
-    inclusive" when both containments are strict, "more inclusive" when
-    both hold and at least one is strict, "equivalent" when the total
-    sets coincide, else "incomparable".
+    Each family maps its member specs to their boolean safe masks, all on
+    one grid (``safe_mask(rasterize(spec, ...), rho)``). Total safe and
+    risky sets are unions of the per-member sets; the verdict is
+    "strictly more inclusive" when both containments are strict, "more
+    inclusive" when both hold and at least one is strict, "equivalent"
+    when the total sets coincide, else "incomparable".
     """
     if not family1 or not family2:
         raise ValueError("both families must be non-empty")
@@ -412,7 +399,6 @@ def inclusiveness_audit(
     return InclusivenessReport(
         family1=tuple(spec_label(s) for s in family1),
         family2=tuple(spec_label(s) for s in family2),
-        rho=float(rho),
         safe_subset=safe_subset,
         risky_subset=risky_subset,
         safe_witnesses=n_safe_wit,
@@ -422,7 +408,6 @@ def inclusiveness_audit(
         witness_cells_safe=cells(safe_wit),
         witness_cells_risky=cells(risky_wit),
         verdict=verdict,
-        scope=_scope(params, source, bounds, resolution),
     )
 
 
@@ -430,10 +415,10 @@ def inclusiveness_audit(
 class VersatilityReport:
     """Which mean-cost sublevel sets a family can certify as safe.
 
-    ``achieved[k]`` is True when some member's safe set contains
-    {x : c_mu(source - x) <= levels[k]}; ``achieved_by`` names the first
-    such member in family order. The sublevel sets grow with the level,
-    so the achieved levels are a prefix of the ascending ``levels``:
+    ``achieved[k]`` is True when some member's safe set contains the
+    cells whose mean cost is at most levels[k]; ``achieved_by`` names the
+    first such member in family order. The sublevel sets grow with the
+    level, so the achieved levels are a prefix of the ascending ``levels``:
     ``runs`` holds at most one run, from the lowest level, and
     ``interval`` is that run (None when nothing is achieved).
     """
@@ -443,35 +428,19 @@ class VersatilityReport:
     achieved_by: tuple[str | None, ...]
     runs: tuple[tuple[float, float], ...]
     interval: tuple[float, float] | None
-    rho: float
-    scope: str
 
 
-def versatility_audit(
-    family,
-    params: CostFieldParams,
-    source,
-    bounds,
-    resolution,
-    rho: float,
-    c_levels,
-    *,
-    mu: np.ndarray | None = None,
-) -> VersatilityReport:
+def versatility_audit(family, mu, c_levels) -> VersatilityReport:
     """Report the interval of mean-cost levels whose sublevel sets some
-    family member certifies as safe at tolerance rho.
+    family member certifies as safe.
 
-    family maps member specs to their safe masks at rho on the grid of
-    params, source, bounds and resolution, as in inclusiveness_audit,
-    and the levels are compared with that grid's c_mu from
-    :func:`moment_grids`. mu, if given, replaces those mean costs; it
-    lets a test pose costs that no radial field has.
+    family maps member specs to their safe masks, as in
+    inclusiveness_audit, and mu holds the mean cost of each cell of
+    their grid: the ``c_mu`` grid's values from :func:`moment_grids`.
     """
     if not family:
         raise ValueError("family must be non-empty")
     levels = sorted(float(c) for c in c_levels)
-    if mu is None:
-        mu = moment_grids(params, source, bounds, resolution)[0].values
 
     # a member's reach is the least mean cost of its unsafe cells: its
     # safe set contains exactly the sublevel sets of the levels below it.
@@ -496,17 +465,5 @@ def versatility_audit(
         achieved_by=achieved_by,
         runs=runs,
         interval=runs[0] if runs else None,
-        rho=float(rho),
-        scope=_scope(params, source, bounds, resolution),
-    )
-
-
-def _scope(params, source, bounds, resolution) -> str:
-    source = np.asarray(source, dtype=float)
-    return (
-        f"fixed field k1={params.k1:g} k2={params.k2:g} r_bar={params.r_bar:g} "
-        f"m={params.m}, source=({source[0]:g}, {source[1]:g}), "
-        f"bounds={tuple(float(b) for b in bounds)}, "
-        f"resolution={tuple(int(r) for r in resolution)}"
     )
 

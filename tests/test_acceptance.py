@@ -237,10 +237,9 @@ def test_criterion_09_inclusiveness_audit():
         for family in (cpt_family, cvar_family, er_family)
     )
 
-    args = (PARAMS, SOURCE, BOUNDS, RES, rho)
-    cpt_cvar = inclusiveness_audit(cpt_safe, cvar_safe, *args)
-    cpt_er = inclusiveness_audit(cpt_safe, er_safe, *args)
-    cvar_er = inclusiveness_audit(cvar_safe, er_safe, *args)
+    cpt_cvar = inclusiveness_audit(cpt_safe, cvar_safe)
+    cpt_er = inclusiveness_audit(cpt_safe, er_safe)
+    cvar_er = inclusiveness_audit(cvar_safe, er_safe)
     violations = (
         cpt_cvar.safe_violations
         + cpt_cvar.risky_violations

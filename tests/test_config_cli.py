@@ -227,6 +227,29 @@ def test_cli_field_reports_a_grid_it_cannot_write(tmp_path, capsys, stem):
     assert_no_child_left()
 
 
+def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys):
+    # at k1 = 1e308 the CPT grid overflows to inf: the JSON grid, which
+    # has no token for it, is refused and named, while the CSV grid
+    # writes it as inf
+    text = (CONFIGS / "field_default.cfg").read_text()
+    edits = [("k1 = 200.0", "k1 = 1e308"), ("nx = 150", "nx = 10"), ("ny = 150", "ny = 10")]
+    edits.append((text[text.index("specs = "): text.index("\n", text.index("specs = "))],
+                  "specs = er, cpt(0.74, 1.0, 1.0, 3.5)"))
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text)
+    with np.errstate(over="ignore"):
+        assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "both"), "--format", "both"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "risk_cpt_a0p74_b1_g1_l3p5" in err
+        assert not (tmp_path / "both" / "risk_cpt_a0p74_b1_g1_l3p5.json").exists()
+        assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
+    _, values = read_grid_csv(tmp_path / "csv" / "risk_cpt_a0p74_b1_g1_l3p5.csv")
+    assert np.isposinf(values).any()
+    assert_no_child_left()
+
+
 def test_cli_field_children_flush_no_parent_output(tmp_path):
     # stdout to a pipe is block-buffered: a child that flushed the
     # parent's buffer on exit would repeat lines printed before its fork

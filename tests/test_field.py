@@ -11,6 +11,7 @@ import pytest
 import riskcbf.field
 from riskcbf._format import _significand, format_rows
 from riskcbf.field import (
+    MAX_WITNESSES,
     CostFieldParams,
     FieldGrid,
     cost_gradients,
@@ -562,9 +563,14 @@ def safe_sets(family, rho):
     }
 
 
+def audit_mu():
+    """The mean cost of each cell of the audit grid."""
+    return moment_grids(PARAMS, SOURCE, BOUNDS, AUDIT_RES)[0].values
+
+
 def test_inclusiveness_self_comparison():
     fam = safe_sets(cvar_family(), 150.0)
-    report = inclusiveness_audit(fam, fam, PARAMS, SOURCE, BOUNDS, AUDIT_RES, 150.0)
+    report = inclusiveness_audit(fam, fam)
     assert report.safe_subset and report.risky_subset
     assert report.safe_witnesses == 0 and report.risky_witnesses == 0
     assert report.verdict == "equivalent"
@@ -574,22 +580,14 @@ def test_inclusiveness_cpt_beats_cvar_and_er():
     rho = PARAMS.sigma_peak
     cpt = safe_sets(cpt_family(rho), rho)
     for other in (safe_sets(cvar_family(), rho), safe_sets([ExpectedRisk()], rho)):
-        report = inclusiveness_audit(cpt, other, PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho)
+        report = inclusiveness_audit(cpt, other)
         assert report.verdict == "strictly more inclusive"
         assert report.safe_violations == 0 and report.risky_violations == 0
 
 
 def test_inclusiveness_cvar_beats_er():
     rho = PARAMS.sigma_peak
-    report = inclusiveness_audit(
-        safe_sets(cvar_family(), rho),
-        safe_sets([ExpectedRisk()], rho),
-        PARAMS,
-        SOURCE,
-        BOUNDS,
-        AUDIT_RES,
-        rho,
-    )
+    report = inclusiveness_audit(safe_sets(cvar_family(), rho), safe_sets([ExpectedRisk()], rho))
     assert report.verdict in ("more inclusive", "strictly more inclusive")
     assert report.safe_violations == 0 and report.risky_violations == 0
 
@@ -597,9 +595,7 @@ def test_inclusiveness_cvar_beats_er():
 def test_versatility_er_single_threshold():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0]
-    report = versatility_audit(
-        safe_sets([ExpectedRisk()], rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels
-    )
+    report = versatility_audit(safe_sets([ExpectedRisk()], rho), audit_mu(), levels)
     assert list(report.achieved) == [lvl <= rho for lvl in levels]
     assert report.interval == (30.0, 90.0)
 
@@ -607,9 +603,7 @@ def test_versatility_er_single_threshold():
 def test_versatility_cpt_extremes_cover_full_range():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0, 199.0]
-    report = versatility_audit(
-        safe_sets(cpt_family(rho), rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels
-    )
+    report = versatility_audit(safe_sets(cpt_family(rho), rho), audit_mu(), levels)
     assert all(report.achieved)
     assert report.interval == (30.0, 199.0)
 
@@ -617,7 +611,7 @@ def test_versatility_cpt_extremes_cover_full_range():
 def test_versatility_interval_widths_ordered():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0, 199.0]
-    args = (PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels)
+    args = (audit_mu(), levels)
     er_report = versatility_audit(safe_sets([ExpectedRisk()], rho), *args)
     cvar_report = versatility_audit(safe_sets(cvar_family(), rho), *args)
     cpt_report = versatility_audit(safe_sets(cpt_family(rho), rho), *args)
@@ -630,20 +624,73 @@ def test_versatility_interval_widths_ordered():
 def test_versatility_cvar_capped_by_er_threshold_levels():
     rho = 100.0
     levels = [30.0, 60.0, 90.0, 120.0, 150.0, 180.0, 199.0]
-    report = versatility_audit(
-        safe_sets(cvar_family(), rho), PARAMS, SOURCE, BOUNDS, AUDIT_RES, rho, levels
-    )
+    report = versatility_audit(safe_sets(cvar_family(), rho), audit_mu(), levels)
     achieved = {l for l, a in zip(report.levels, report.achieved) if a}
     assert achieved <= {l for l in levels if l <= rho}
 
 
 def test_audit_requires_nonempty_families():
     with pytest.raises(ValueError):
-        inclusiveness_audit(
-            {}, safe_sets(cvar_family(), 100.0), PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0
-        )
+        inclusiveness_audit({}, safe_sets(cvar_family(), 100.0))
     with pytest.raises(ValueError):
-        versatility_audit({}, PARAMS, SOURCE, BOUNDS, AUDIT_RES, 100.0, [50.0])
+        versatility_audit({}, audit_mu(), [50.0])
+
+
+def test_inclusiveness_audit_matches_its_definition_on_random_masks():
+    # brute force over seeded cases, cell by cell on Python sets: each
+    # family draws members from a small pool of masks, some all safe or
+    # all unsafe, so that one family often holds the other's members and
+    # every verdict comes up
+    rng = np.random.default_rng(0)
+    verdicts, truncated = set(), 0
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 9, size=2))
+        pool = [rng.random(shape) < rng.random() for _ in range(rng.integers(1, 5))]
+        pool += [np.ones(shape, bool), np.zeros(shape, bool)][: rng.integers(3)]
+        specs = [CVaR(i / 10) for i in range(len(pool))]
+        family1, family2 = (
+            {specs[i]: pool[i] for i in rng.choice(len(pool), size=rng.integers(1, len(pool) + 1), replace=False)}
+            for _ in range(2)
+        )
+        report = inclusiveness_audit(family1, family2)
+
+        cells = set(itertools.product(range(shape[0]), range(shape[1])))
+        safe1, safe2 = ({c for c in cells if any(m[c] for m in f.values())} for f in (family1, family2))
+        risky1, risky2 = ({c for c in cells if not all(m[c] for m in f.values())} for f in (family1, family2))
+        assert report.family1 == tuple(spec_label(s) for s in family1)
+        assert report.family2 == tuple(spec_label(s) for s in family2)
+        assert report.safe_subset == (safe2 <= safe1) and report.risky_subset == (risky2 <= risky1)
+        assert (report.safe_witnesses, report.risky_witnesses) == (len(safe1 - safe2), len(risky1 - risky2))
+        assert (report.safe_violations, report.risky_violations) == (len(safe2 - safe1), len(risky2 - risky1))
+        # the first witnesses in row-major order, which sorted tuples follow
+        assert report.witness_cells_safe == tuple(sorted(safe1 - safe2)[:MAX_WITNESSES])
+        assert report.witness_cells_risky == tuple(sorted(risky1 - risky2)[:MAX_WITNESSES])
+        if safe2 <= safe1 and risky2 <= risky1:
+            strict = (safe2 < safe1) + (risky2 < risky1)
+            verdict = ("equivalent", "more inclusive", "strictly more inclusive")[strict]
+        else:
+            verdict = "incomparable"
+        assert report.verdict == verdict
+        verdicts.add(verdict)
+        truncated += len(safe1 - safe2) > MAX_WITNESSES
+    assert len(verdicts) == 4 and truncated > 0
+
+
+@pytest.mark.parametrize(
+    "masks1, verdict, witnesses_safe, witnesses_risky",
+    [
+        # family2 is the one mask [[1, 0], [0, 0]]: safe cell (0, 0), the others risky
+        ([[[1, 0], [0, 0]]], "equivalent", (), ()),
+        ([[[1, 1], [0, 0]], [[1, 0], [0, 0]]], "more inclusive", ((0, 1),), ()),
+        ([[[1, 1], [0, 0]], [[0, 0], [0, 0]]], "strictly more inclusive", ((0, 1),), ((0, 0),)),
+        ([[[0, 1], [0, 0]]], "incomparable", ((0, 1),), ((0, 0),)),
+    ],
+)
+def test_inclusiveness_audit_verdicts_on_built_masks(masks1, verdict, witnesses_safe, witnesses_risky):
+    family1 = {CVaR(i / 10): np.array(mask, bool) for i, mask in enumerate(masks1)}
+    report = inclusiveness_audit(family1, {ExpectedRisk(): np.array([[1, 0], [0, 0]], bool)})
+    assert report.verdict == verdict
+    assert report.witness_cells_safe == witnesses_safe and report.witness_cells_risky == witnesses_risky
 
 
 def test_versatility_audit_matches_its_definition_on_random_masks():
@@ -670,7 +717,7 @@ def test_versatility_audit_matches_its_definition_on_random_masks():
         levels = [*rng.choice(mu.ravel(), size=rng.integers(0, 6)), *rng.uniform(-2.0, 14.0, size=rng.integers(0, 4))]
         if rng.random() < 0.3:
             levels.append(levels[0] if levels else mu.min())  # a repeated level
-        report = versatility_audit(family, PARAMS, SOURCE, BOUNDS, shape, 100.0, levels, mu=mu)
+        report = versatility_audit(family, mu, levels)
 
         assert report.levels == tuple(sorted(levels))
         covers = [[bool(mask[mu <= level].all()) for mask in masks] for level in report.levels]
