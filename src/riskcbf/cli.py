@@ -58,11 +58,18 @@ def _select_specs(specs, selector: str | None):
     return chosen
 
 
+def _save(write, path: Path) -> None:
+    """write(path); a failure is raised as RuntimeError naming the file."""
+    try:
+        write(path)
+    except Exception as exc:
+        raise RuntimeError(f"writing {path.name}: {exc}") from exc
+
+
 def _write(output: FieldGrid | SimLog, out: Path, stem: str, fmt: str) -> None:
-    if fmt in ("csv", "both"):
-        output.to_csv(out / f"{stem}.csv")
-    if fmt in ("json", "both"):
-        output.to_json(out / f"{stem}.json")
+    for suffix in ("csv", "json"):
+        if fmt in (suffix, "both"):
+            _save(getattr(output, f"to_{suffix}"), out / f"{stem}.{suffix}")
 
 
 def _run_shares(run, shares) -> list[str]:
@@ -125,28 +132,22 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
     def run(share) -> list[str]:
         """Write the grids of the share's tasks; return the stems whose
         grid has the bits, hence the files, of c_mu."""
-        copies, stem = [], None
-        try:
-            for task in share:
-                if isinstance(task, str):  # c_mu or c_sigma
-                    stem = task
-                    _write(c_mu if stem == "c_mu" else c_sigma, out, stem, fmt)
-                    continue
-                grid = rasterize(specs[task], params, source, bounds, resolution)
-                stem = f"risk_{labels[task]}"
-                # compared as bits: -0.0 == 0.0, but the two format differently
-                if np.array_equal(grid.values.view(np.int64), c_mu.values.view(np.int64)):
-                    copies.append(stem)
-                else:
-                    _write(grid, out, stem, fmt)
-                stem = f"safe_{labels[task]}"
-                mask = safe_mask(grid, barrier.rho)
-                _write(dataclasses.replace(grid, values=mask.astype(float)), out, stem, fmt)
-                stem = f"levelset_{labels[task]}"
-                polylines = level_set(specs[task], params, source, bounds, resolution, barrier.rho)
-                polylines_to_json(polylines, out / f"{stem}.json")
-        except Exception as exc:
-            raise RuntimeError(f"writing {stem}: {exc}") from exc
+        copies = []
+        for task in share:
+            if isinstance(task, str):  # c_mu or c_sigma
+                _write(c_mu if task == "c_mu" else c_sigma, out, task, fmt)
+                continue
+            grid = rasterize(specs[task], params, source, bounds, resolution)
+            label = labels[task]
+            # compared as bits: -0.0 == 0.0, but the two format differently
+            if np.array_equal(grid.values.view(np.int64), c_mu.values.view(np.int64)):
+                copies.append(f"risk_{label}")
+            else:
+                _write(grid, out, f"risk_{label}", fmt)
+            mask = safe_mask(grid, barrier.rho)
+            _write(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
+            polylines = level_set(specs[task], params, source, bounds, resolution, barrier.rho)
+            _save(lambda path: polylines_to_json(polylines, path), out / f"levelset_{label}.json")
         return copies
 
     # the tasks dealt round-robin to the usable CPUs: one share, and no

@@ -3,14 +3,17 @@
 A proportional controller drives the agent to its goal, and a safety
 filter minimally modifies the nominal control to meet the active
 (lowest-barrier) obstacle's constraint. simulate runs one scenario under
-S risk specs as lanes, stepped in lockstep: every step makes one risk
-evaluation over all lanes' (S, K) barrier rows and one filter call over
-their active rows, and each lane's log has the bytes of a run of its spec
-alone. The control is held over each step and the agent is stepped
-exactly, one lane at a time. Within simulate a lane's agent is a tuple
-of floats (x, y, heading), stepped by the same float kernels
-(_unicycle_step, _unicycle_point, _integrator_step) that the public
-models' step and controlled_point call, so the kinematics exist once.
+S risk specs as lanes, stepped in lockstep and in rounds: a round rolls
+the lanes forward under the nominal control for a block of steps, then
+makes one risk evaluation over the block's (S, B, K) barrier rows and
+one filter call over their active rows, and keeps the steps up to the
+first one the filter changes. Each lane's log has the bytes of a run of
+its spec alone, filtered one step at a time. The control is held over
+each step and the agent is stepped exactly, one lane at a time. Within
+simulate a lane's agent is a tuple of floats (x, y, heading), stepped by
+the same float kernels (_unicycle_step, _unicycle_point,
+_integrator_step) that the public models' step and controlled_point
+call, so the kinematics exist once.
 Each obstacle moves on a straight line at a fixed speed and then rests,
 so obstacle_motion gives its position and velocity at any t in closed
 form, for all lanes at once. Unicycle agents are controlled through the
@@ -344,44 +347,60 @@ class SimLog:
         write_json(path, {"summary": self.summary_dict(), "records": records})
 
 
+# the most steps one round rolls forward: a round doubles after a clean
+# one, up to this, and drops back to one step after a miss
+_ROUND_CAP = 32
+
+
 def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
     """Zero-order-hold closed loops of the scenario under each spec; one
     log per spec, each row one step.
 
-    The specs run side by side as lanes, stepped in lockstep. At each
-    step all lanes share one obstacle_motion result (computed for a block
-    of steps at once), one barrier_constraint call over their (S, K)
-    rows and one qp_filter call over their active rows. Each lane's agent
-    is then stepped exactly, on its own, as a tuple of floats (x, y,
-    heading) by the float kernels the agent model's own step and
-    controlled_point call, so a row has the bytes those methods give.
-    The lanes' rows go into one lane-major log, (S, steps), written
-    through per-field views of each block of 256 steps. A lane stops,
-    and drops out of the lockstep, on goal arrival or at t_max, so every
-    log has the bytes of a run of its spec alone. Raises ValueError
-    naming every spec whose start state is already perceived unsafe, and
-    ValueError when a stepped agent state is not finite. Infeasible
-    filter states hold the lane's previous control, are logged, and flag
-    its run.
+    The specs run side by side as lanes, stepped in lockstep and in
+    rounds. A round rolls the live lanes forward for up to a block of
+    steps under the nominal control alone, each agent stepped exactly, on
+    its own, as a tuple of floats (x, y, heading) by the float kernels
+    the agent model's own step and controlled_point call. It then makes
+    one barrier_constraint call over the block's (S, B, K) rows, one
+    qp_filter call over their active rows and one arrival check. Its
+    steps are accepted up to and including the first miss: a step where
+    some lane's control, filtered or held where the filter finds the lane
+    infeasible, differs from its nominal one to the bit, a lane arrives,
+    or t_max is reached. Up to the miss every step keeps the nominal
+    control, so the accepted states are exact; the steps after it are discarded, and the next round starts
+    from the miss's filtered control. The block doubles after a round
+    with no miss, up to _ROUND_CAP steps, and is one step after a miss.
+    The batched calls give each row the bytes of a call on its step
+    alone, so the rounds reproduce the per-step loop byte for byte. The
+    obstacles are placed and the lane-major log, (S, steps), is written
+    per block of 256 steps, which no round crosses. A lane stops, and
+    drops out of the lockstep, on goal arrival or at t_max, so every log
+    has the bytes of a run of its spec alone. Raises ValueError naming
+    every spec whose start state is already perceived unsafe, and
+    ValueError when a stepped agent state is not finite or a filtered
+    step's constraint is not; a speculative step past a round's miss
+    raises nothing. Infeasible filter states hold the lane's previous
+    control, are logged, and flag its run.
     """
     specs = tuple(specs)
     if not specs:
         return []
     labels = [spec_label(spec) for spec in specs]
     dt, goal, n_obs = scenario.dt, scenario.goal, len(scenario.obstacles)
+    (gx, gy), (kx, ky) = goal.tolist(), scenario.nominal_gain.tolist()
     state, step, point = _float_agent(scenario.agent, dt)
     states = [state] * len(specs)  # the live lanes' agents
     live, lanes = np.arange(len(specs)), specs  # the lanes still running
-    at, lane_index = slice(None), live  # their rows of the log, and of a step's arrays
+    at = slice(None)  # their rows of the log
     u_prev = np.zeros((len(specs), 2))  # the live lanes' last controls
     last = np.zeros(len(specs), dtype=int)
     reached = np.zeros(len(specs), dtype=bool)
-    h = np.empty(0)
     n_steps = math.ceil(scenario.t_max / dt)
     # grown as a list would be: t_max / dt may be far more steps than run
     records = np.empty((len(specs), min(n_steps + 1, 256)), _log_dtype(n_obs))
+    k, size = 0, 1  # the round's first step and its block length
 
-    for k in range(n_steps + 1):
+    while True:
         j = k % 256
         if j == 0:  # the obstacles depend on t alone: place them for 256 steps at once
             times = np.arange(k, min(k + 256, n_steps + 1)) * dt
@@ -390,27 +409,59 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
                 records = np.concatenate([records, np.empty_like(records)], axis=1)
             block = records[:, k : k + len(times)]
             block["t"], block["obstacles"] = times, path_positions  # for every lane, running or not
-            # the block's fields that each step writes, as views
+            # the block's fields that each round writes, as views
             log_position, log_heading, log_point, log_u_nominal, log_u_filtered, log_h, log_feasible = (
                 block[name] for name in ("position", "heading", "point", "u_nominal", "u_filtered", "h", "feasible"))
-        agents = np.array([(*s, *point(s)) for s in states])  # x, y, heading, px, py
-        points = agents[:, 3:]
+        # roll forward under the nominal control, in floats with the bytes
+        # of nominal_control; a step that fails ends the block, and raises
+        # only if the loop takes it (below)
+        rows = [[(*s, *point(s)) for s in states]]  # per step, the live lanes' x, y, heading, px, py
+        try:
+            for _ in range(min(size, len(times) - j) - 1):
+                stepped = [step(r[:3], (kx * (gx - r[3]), ky * (gy - r[4]))) for r in rows[-1]]
+                rows.append([(*s, *point(s)) for s in stepped])
+        except (ArithmeticError, ValueError):
+            pass
+        agents = np.array(rows).transpose(1, 0, 2)  # (S, B, 5)
+        n = agents.shape[1]
+        points = agents[..., 3:]
         u = u_nom = nominal_control(points, goal, scenario.nominal_gain)
-        feasible = True
-        if n_obs:
-            h, a, b = barrier_constraint(lanes, scenario.field, scenario.barrier, points[:, None], path_positions[j],
-                                         path_velocities[j])
-            active = lane_index, h.argmin(axis=1)  # ties go to the lowest index
-            if k == 0 and not (h[active] > 0).all():
-                unsafe = [f"{label} (h_min = {h_s:g})" for label, h_s in zip(labels, h[active].tolist())
+        if not n_obs:
+            h, feasible = np.empty((len(live), n, 0)), np.ones((len(live), n), dtype=bool)
+        else:
+            h, a, b = barrier_constraint(lanes, scenario.field, scenario.barrier, points[:, :, None],
+                                         path_positions[j : j + n], path_velocities[j : j + n])
+            active = np.arange(len(live))[:, None], np.arange(n), h.argmin(axis=2)  # ties go to the lowest index
+            if k == 0 and not (h[active][:, 0] > 0).all():
+                unsafe = [f"{label} (h_min = {h_s:g})" for label, h_s in zip(labels, h[active][:, 0].tolist())
                           if not h_s > 0]
                 raise ValueError(f"scenario starts perceived unsafe for {', '.join(unsafe)}")
-            u, feasible = qp_filter(u_nom, a[active], b[active])
-            u = np.where(feasible[:, None], u, u_prev)
+            a, b = a[active], b[active]
+            try:
+                u, feasible = qp_filter(u_nom, a, b)
+            except ValueError:
+                # filter only the steps before the first non-finite row, or
+                # that row alone, which raises as it does on its own
+                finite = np.isfinite(a).all(axis=(0, 2)) & np.isfinite(b).all(axis=0)
+                n = max(int(finite.argmin()), 1)
+                u, feasible = qp_filter(u_nom[:, :n], a[:, :n], b[:, :n])
+            if not feasible.all():  # hold the previous step's control
+                u = np.where(feasible[..., None], u, np.concatenate([u_prev[:, None], u_nom[:, : n - 1]], axis=1))
+        arrived = row_norm(points[:, :n] - goal) <= scenario.goal_tol
+        # a miss: some lane arrives, or its control, filtered or held, is not
+        # the nominal one to the bit (a step that keeps it leaves the next exact)
+        miss = (arrived | (u.view(np.int64) != u_nom[:, :n].view(np.int64)).any(axis=2)).any(axis=0)
+        clean = not miss.any()
+        m = n - 1 if clean else int(miss.argmax())  # the round's last step
+        size = min(2 * size, _ROUND_CAP) if clean else 1
 
-        log_position[at, j], log_heading[at, j], log_point[at, j] = agents[:, :2], agents[:, 2], points
-        log_u_nominal[at, j], log_u_filtered[at, j], log_h[at, j], log_feasible[at, j] = u_nom, u, h, feasible
-        arrived = row_norm(points - goal) <= scenario.goal_tol
+        taken = slice(j, j + m + 1)
+        log_position[at, taken], log_heading[at, taken] = agents[:, : m + 1, :2], agents[:, : m + 1, 2]
+        log_point[at, taken], log_u_nominal[at, taken] = points[:, : m + 1], u_nom[:, : m + 1]
+        log_u_filtered[at, taken], log_h[at, taken], log_feasible[at, taken] = (
+            u[:, : m + 1], h[:, : m + 1], feasible[:, : m + 1])
+        k += m
+        states, u, arrived = [r[:3] for r in rows[m]], u[:, m], arrived[:, m]
         if k == n_steps or arrived.any():
             done = arrived | (k == n_steps)
             last[live[done]], reached[live[done]] = k, arrived[done]
@@ -419,9 +470,10 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
                 break
             lanes = tuple(specs[s] for s in live.tolist())
             states = [s for s, stop in zip(states, done.tolist()) if not stop]
-            at, lane_index = live, np.arange(len(live))
+            at = live
         states = [step(s, u_s) for s, u_s in zip(states, u.tolist())]
         u_prev = u
+        k += 1
 
     return [SimLog(label=label, records=_readonly(records[s, : last[s] + 1]), dt=dt, reached_goal=bool(reached[s]))
             for s, label in enumerate(labels)]

@@ -20,7 +20,7 @@ from riskcbf.config import ConfigError, load_config
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import nominal_control, obstacle_motion
 from test_field import read_grid_csv, unit_evaluations
-from test_golden import DIGESTS, host, read_digests
+from test_golden import DIGESTS, cpu_note, golden_or_skip
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -242,7 +242,7 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "both"), "--format", "both"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "risk_cpt_a0p74_b1_g1_l3p5" in err
+        assert err.startswith("error: writing risk_cpt_a0p74_b1_g1_l3p5.json: ")  # the file, not its stem
         assert not (tmp_path / "both" / "risk_cpt_a0p74_b1_g1_l3p5.json").exists()
         assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
     _, values = read_grid_csv(tmp_path / "csv" / "risk_cpt_a0p74_b1_g1_l3p5.csv")
@@ -275,11 +275,10 @@ def assert_golden_field_outputs(out):
     """Assert that out holds the golden files of field_default's field
     run; skip where the digests are for another host."""
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
-    header, digests = read_digests(DIGESTS)
-    if header != host():
-        pytest.skip(f"golden digests are for {header}, this host is {host()}")
+    header, digests = golden_or_skip(DIGESTS)
     prefix = "field_default/field/"
-    assert written == {name[len(prefix):]: digest for name, digest in digests.items() if name.startswith(prefix)}
+    golden = {name[len(prefix):]: digest for name, digest in digests.items() if name.startswith(prefix)}
+    assert written == golden, cpu_note(header)
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 3])

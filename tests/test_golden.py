@@ -11,6 +11,9 @@ A change that moves output bytes on purpose rewrites both digest files with
 and the diff of those files shows which outputs moved. The digests hold
 for the NumPy version and the platform recorded in each file's header;
 on any other NumPy version or platform the tests skip and name both.
+The header also records the CPU features NumPy's loops were built for
+and dispatched to (its ``exp`` and ``power`` loops round by them), and a
+digest mismatch names those of the header and of this host.
 """
 
 import contextlib
@@ -47,6 +50,23 @@ def host() -> dict:
     """What the digests depend on besides the code: NumPy and the platform."""
     libc = "".join(platform.libc_ver())
     return {"numpy": np.__version__, "platform": "-".join(filter(None, (sys.platform, platform.machine(), libc)))}
+
+
+def numpy_cpu() -> str:
+    """NumPy's baseline CPU features and, after a semicolon, the dispatch
+    targets this host supports."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatched = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return f"{' '.join(umath.__cpu_baseline__)}; {' '.join(dispatched)}"
+
+
+def cpu_note(header: dict) -> str:
+    """The NumPy CPU features of a digest header and of this host, for a
+    failure message."""
+    return f"the digests were written on NumPy CPU features {header.get('numpy_cpu')}, this host has {numpy_cpu()}"
 
 
 def output_digests(root: Path) -> dict:
@@ -87,39 +107,48 @@ def read_digests(path: Path) -> tuple[dict, dict]:
 
 def write_digests(path: Path, digests: dict) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {key}: {value}" for key, value in host().items()]
+    lines = [f"# {key}: {value}" for key, value in {**host(), "numpy_cpu": numpy_cpu()}.items()]
     lines += [f"{digest}  {name}" for name, digest in digests.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(digests)
 
 
-def golden_or_skip(path: Path) -> dict:
-    """The digests of path, or skip when they were written on another host."""
+def golden_or_skip(path: Path) -> tuple[dict, dict]:
+    """The header and digests of path, or skip when they were written
+    with another NumPy version or on another platform."""
     header, golden = read_digests(path)
     here = host()
-    if header != here:
+    if {key: header.get(key) for key in here} != here:
         pytest.skip(
             f"digests were written with NumPy {header.get('numpy')} on {header.get('platform')}; "
             f"this host runs NumPy {here['numpy']} on {here['platform']}"
         )
-    return golden
+    return header, golden
 
 
-def assert_same_digests(golden: dict, actual: dict) -> None:
+def assert_same_digests(header: dict, golden: dict, actual: dict) -> None:
     moved = sorted(name for name in golden.keys() & actual.keys() if golden[name] != actual[name])
     missing = sorted(golden.keys() - actual.keys())
     new = sorted(actual.keys() - golden.keys())
-    assert not (moved or missing or new), f"moved: {moved}; missing: {missing}; new: {new}"
+    assert not (moved or missing or new), f"moved: {moved}; missing: {missing}; new: {new}; {cpu_note(header)}"
 
 
 def test_outputs_match_golden_digests(tmp_path):
-    golden = golden_or_skip(DIGESTS)
-    assert_same_digests(golden, output_digests(tmp_path))
+    header, golden = golden_or_skip(DIGESTS)
+    assert_same_digests(header, golden, output_digests(tmp_path))
 
 
 def test_lane_records_match_golden_digests():
-    golden = golden_or_skip(LANE_DIGESTS)
-    assert_same_digests(golden, lane_digests())
+    header, golden = golden_or_skip(LANE_DIGESTS)
+    assert_same_digests(header, golden, lane_digests())
+
+
+def test_a_moved_digest_names_the_cpu_features_of_both_hosts():
+    header = {**host(), "numpy_cpu": "X86_V2; X86_V3"}
+    with pytest.raises(AssertionError) as err:
+        assert_same_digests(header, {"a.csv": "0" * 64}, {"a.csv": "1" * 64})
+    assert "moved: ['a.csv']" in str(err.value)
+    assert f"CPU features X86_V2; X86_V3, this host has {numpy_cpu()}" in str(err.value)
 
 
 if __name__ == "__main__":

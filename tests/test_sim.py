@@ -9,13 +9,14 @@ import pytest
 import riskcbf.barrier
 import riskcbf.field
 import riskcbf.sim
-from riskcbf.barrier import qp_filter
+from riskcbf.barrier import barrier_constraint, qp_filter, row_norm
 from riskcbf.cli import main
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import (
     ObstacleModel,
     SingleIntegrator,
     Unicycle,
+    _integrator_step,
     comparison_to_csv,
     default_obstacle_speed,
     nominal_control,
@@ -24,7 +25,8 @@ from riskcbf.sim import (
     unicycle_transform,
 )
 from riskcbf.config import load_config
-from shipped import CONFIGS, lane_case, run_spec, shipped_scenario
+from shipped import CONFIGS, CROWD_SPECS, crossing_layout, lane_case, run_spec, shipped_scenario
+from stepwise import simulate_stepwise
 
 
 # --- nominal control -----------------------------------------------------------
@@ -497,8 +499,8 @@ def test_identical_obstacles_tie_to_the_lowest_index():
     assert twins.total_deviation == alone.total_deviation > 0.0
 
 
-def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
-    counts = {"evaluate": 0, "qp_filter": 0}
+def test_one_risk_evaluation_and_one_filter_call_per_round(monkeypatch):
+    counts, blocks = {"evaluate": 0, "qp_filter": 0}, []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -510,13 +512,16 @@ def test_one_risk_evaluation_and_one_filter_call_per_step(monkeypatch):
     evaluate = counted("evaluate", riskcbf.field.evaluate)
     monkeypatch.setattr(riskcbf.field, "evaluate", evaluate)
     monkeypatch.setattr(riskcbf.barrier, "evaluate", evaluate)
-    monkeypatch.setattr(riskcbf.sim, "qp_filter", counted("qp_filter", riskcbf.sim.qp_filter))
-    # all 9 specs step in lockstep: one call per step of the longest lane
+    qp = counted("qp_filter", riskcbf.sim.qp_filter)
+    monkeypatch.setattr(riskcbf.sim, "qp_filter", lambda k, a, b: blocks.append(k.shape[1]) or qp(k, a, b))
+    # all 9 specs step in lockstep and in rounds: one call each per round,
+    # over a block of steps of which the round takes at least the first
     logs = simulate(shipped_scenario("multi_obstacle"), load_config(CONFIGS / "multi_obstacle.cfg").specs())
     assert len(logs) == 9 and all(log.records["obstacles"].shape[1:] == (3, 2) for log in logs)
     steps = [log.steps for log in logs]
     assert len(set(steps)) > 1  # the lanes arrive on different steps
-    assert counts == {"evaluate": max(steps), "qp_filter": max(steps)}
+    assert counts["evaluate"] == counts["qp_filter"] == len(blocks) < max(steps) / 2
+    assert sum(blocks) >= max(steps) and max(blocks) == riskcbf.sim._ROUND_CAP
 
 
 def test_run_logs_obstacle_motion_at_each_t():
@@ -584,6 +589,13 @@ def test_crossing_obstacles_keep_every_barrier_nonnegative(tmp_path):
 # --- lanes ------------------------------------------------------------------------
 
 
+def assert_same_logs(logs, reference):
+    assert [log.label for log in logs] == [log.label for log in reference]
+    for log, ref in zip(logs, reference):
+        assert log.records.tobytes() == ref.records.tobytes(), log.label
+        assert log.reached_goal == ref.reached_goal, log.label
+
+
 @pytest.mark.parametrize("name", ["single_obstacle", "multi_obstacle", "single_integrator", "no_obstacles",
                                   "t_max_cutoff"])
 def test_lanes_reproduce_one_lane_runs(name):
@@ -591,6 +603,7 @@ def test_lanes_reproduce_one_lane_runs(name):
     assert simulate(scenario, []) == []
     logs = simulate(scenario, specs)
     assert [log.label for log in logs] == [spec_label(spec) for spec in specs]
+    assert_same_logs(logs, simulate_stepwise(scenario, specs))  # the rounds filter as steps do
     for log, spec in zip(logs, specs):
         alone = run_spec(scenario, spec)
         assert log.records.tobytes() == alone.records.tobytes()
@@ -650,3 +663,109 @@ def test_a_stepped_state_that_is_not_finite_raises(monkeypatch, tmp_path, capsys
     assert main(["simulate", "--config", str(CONFIGS / "single_obstacle.cfg"), "--out", str(out)]) == 3
     assert "is not finite" in capsys.readouterr().err
     assert not out.exists()  # no log, and no empty output directory
+
+
+# --- rounds -----------------------------------------------------------------------
+
+
+def test_rounds_reproduce_the_stepwise_loop_on_seeded_layouts():
+    counts, dips = set(), 0
+    for seed in range(32):
+        scenario = crossing_layout(seed)
+        counts.add(len(scenario.obstacles))
+        logs = simulate(scenario, CROWD_SPECS)
+        assert_same_logs(logs, simulate_stepwise(scenario, CROWD_SPECS))
+        assert all(log.reached_goal for log in logs)
+        dips += sum(log.min_h < 0.0 for log in logs)
+    assert counts == {2, 3, 4, 5}
+    assert dips > 0  # some layouts make the filter bind hard enough to cross a barrier (ROADMAP item 1)
+
+
+def test_an_infeasible_step_inside_a_round_holds_the_previous_nominal_control(monkeypatch):
+    scenario, spec = lane_case("single_integrator")[0], ExpectedRisk()
+    k = 150  # a step of the unfiltered approach to the goal
+    target = run_spec(scenario, spec).records["u_nominal"][k].copy()
+    where = []
+
+    def infeasible_at_k(k_nominal, a, b):
+        u, feasible = qp_filter(k_nominal, a, b)
+        hit = (k_nominal == target).all(axis=-1)
+        if hit.any() and hit.ndim == 2:
+            where.append((hit.shape[1], int(hit[0].argmax())))
+        return u, feasible & ~hit
+
+    monkeypatch.setattr(riskcbf.sim, "qp_filter", infeasible_at_k)
+    (log,) = simulate(scenario, [spec])
+    assert_same_logs([log], simulate_stepwise(scenario, [spec]))
+    (size, at), *_ = where
+    assert 0 < at < size - 1  # mid-block
+    r = log.records
+    assert log.feasibility_violations == 1 and not r["feasible"][k]
+    assert r["u_filtered"][k].tobytes() == r["u_nominal"][k - 1].tobytes() != r["u_nominal"][k].tobytes()
+
+
+def test_rows_past_a_rounds_last_step_raise_nothing(monkeypatch):
+    scenario, spec = lane_case("single_integrator")[0], ExpectedRisk()
+    goal, tol = scenario.goal, scenario.goal_tol
+    reference = run_spec(scenario, spec)
+    arrival = float(row_norm(reference.records["point"][-1] - goal))
+    assert (row_norm(reference.records["point"][:-1] - goal) > arrival).all()
+    seen = {"nan": 0, "raise": 0}
+
+    def nan_past(d):
+        # b is nan on rows whose point is nearer the goal than d
+        def constraint(spec, params, config, x, y, f_y):
+            h, a, b = barrier_constraint(spec, params, config, x, y, f_y)
+            near = row_norm(np.asarray(x) - goal) < d
+            seen["nan"] += int(near.any())
+            return h, a, np.where(near, math.nan, b)
+
+        return constraint
+
+    def fragile_step(x, y, ux, uy, dt):
+        # stepping on from a point already at the goal, which no run does
+        if math.hypot(x - goal[0], y - goal[1]) <= tol:
+            seen["raise"] += 1
+            raise ValueError("stepped past the goal")
+        return _integrator_step(x, y, ux, uy, dt)
+
+    monkeypatch.setattr(riskcbf.sim, "barrier_constraint", nan_past(arrival))
+    assert_same_logs(simulate(scenario, [spec]), [reference])
+    monkeypatch.setattr(riskcbf.sim, "barrier_constraint", barrier_constraint)
+    monkeypatch.setattr(riskcbf.sim, "_integrator_step", fragile_step)
+    assert_same_logs(simulate(scenario, [spec]), [reference])
+    assert seen["nan"] and seen["raise"]  # the last rounds rolled past the arrival
+    # a non-finite row that the loop reaches raises, as it does step by step
+    monkeypatch.setattr(riskcbf.sim, "barrier_constraint", nan_past(1.0))
+    for run in (simulate, simulate_stepwise):
+        with pytest.raises(ValueError, match="constraint entries must be finite"):
+            run(scenario, [spec])
+
+
+def test_a_filter_that_binds_at_step_0(monkeypatch):
+    scenario, specs = lane_case("single_integrator")
+    first = nominal_control(scenario.agent.position, scenario.goal, scenario.nominal_gain)
+
+    def halve_the_first(k_nominal, a, b):
+        u, feasible = qp_filter(k_nominal, a, b)
+        return np.where((k_nominal == first).all(axis=-1)[..., None], 0.5 * u, u), feasible
+
+    monkeypatch.setattr(riskcbf.sim, "qp_filter", halve_the_first)
+    logs = simulate(scenario, specs)
+    assert_same_logs(logs, simulate_stepwise(scenario, specs))
+    for log in logs:
+        assert log.records["u_filtered"][0].tolist() != log.records["u_nominal"][0].tolist() == first.tolist()
+
+
+def test_rounds_stop_at_the_256_step_blocks(monkeypatch):
+    # one far static obstacle and a slow gain: a long run the filter never touches
+    scenario = dataclasses.replace(shipped_scenario("single_obstacle"), nominal_gain=[0.3, 0.3],
+                                   obstacles=(ObstacleModel([90.0, -90.0], [90.0, -90.0], 0.0),))
+    starts = [0]
+    monkeypatch.setattr(riskcbf.sim, "qp_filter",
+                        lambda k, a, b: starts.append(starts[-1] + k.shape[1]) or qp_filter(k, a, b))
+    (log,) = simulate(scenario, [CVaR(0.4)])
+    monkeypatch.undo()
+    assert_same_logs([log], simulate_stepwise(scenario, [CVaR(0.4)]))
+    assert log.reached_goal and log.steps > 512 and log.total_deviation == 0.0
+    assert {256, 512} <= set(starts) and starts[-2] < log.steps <= starts[-1]
