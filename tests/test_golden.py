@@ -2,7 +2,9 @@
 shipped configs, compared with ``tests/golden/outputs.sha256``, and of
 every log's ``records.tobytes()`` in the lane cases no shipped config
 covers (a single integrator, no obstacles, a t_max cutoff), compared
-with ``tests/golden/lane_records.sha256``.
+with ``tests/golden/lane_records.sha256``. That file also pins the
+records and the ``SimLog.to_csv`` text of the seeded crossing layouts
+0-3 under CROWD_SPECS, whose ER, CVaR and CPT logs all differ.
 
 A change that moves output bytes on purpose rewrites both digest files with
 
@@ -29,11 +31,12 @@ import pytest
 
 from riskcbf.cli import main
 from riskcbf.sim import simulate
-from shipped import CONFIGS, lane_case
+from shipped import CONFIGS, CROWD_SPECS, crossing_layout, lane_case
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "outputs.sha256"
 LANE_DIGESTS = DIGESTS.with_name("lane_records.sha256")
 LANE_CASES = ("single_integrator", "no_obstacles", "t_max_cutoff")
+CROSSING_SEEDS = range(4)
 
 # (config stem, command and its flags): every output format of each command
 RUNS = (
@@ -87,9 +90,19 @@ def output_digests(root: Path) -> dict:
 
 def lane_digests() -> dict:
     """Map each log of the LANE_CASES runs, by case and label, to the
-    SHA-256 of its records.tobytes()."""
-    return {f"{name}/{log.label}": hashlib.sha256(log.records.tobytes()).hexdigest()
-            for name in LANE_CASES for log in simulate(*lane_case(name))}
+    SHA-256 of its records.tobytes(); and each log of the crossing
+    layouts of CROSSING_SEEDS, as crossing<seed>/<label>, to that digest
+    and, with ".csv" added, to the SHA-256 of its to_csv text."""
+    digests = {f"{name}/{log.label}": hashlib.sha256(log.records.tobytes()).hexdigest()
+               for name in LANE_CASES for log in simulate(*lane_case(name))}
+    with tempfile.TemporaryDirectory() as root:
+        csv = Path(root) / "log.csv"
+        for seed in CROSSING_SEEDS:
+            for log in simulate(crossing_layout(seed), CROWD_SPECS):
+                log.to_csv(csv)
+                digests[f"crossing{seed}/{log.label}"] = hashlib.sha256(log.records.tobytes()).hexdigest()
+                digests[f"crossing{seed}/{log.label}.csv"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    return digests
 
 
 def read_digests(path: Path) -> tuple[dict, dict]:
