@@ -1,11 +1,16 @@
 """The text of the outputs: ``'%.17g'`` for float arrays, vectorized with
 NumPy, byte for byte, and the one writer of every JSON file.
 
-Each value is written into a row of _WIDTH bytes, in slots: the sign,
-the "0.000" of a fixed-notation value below 1, the 17 digits, the point,
-digits 1-16 once more, the exponent and the separator. A mask per layout
-class and count of significant digits (_keep_masks) keeps the bytes of
-the item, in order.
+Each value is written into a row of _WIDTH = 32 bytes, four little-endian
+words: the sign, the "0.000" of a fixed-notation value below 1 and digit
+0; digits 1-8; digits 9-16; the digit that the point pushes out, the
+exponent and the separator. The point goes in as the bytes of digits 1-16
+from its place on move up one byte, a multiply-add per word with masks of
+the value's group. A keep-mask row (_keep_masks) zeroes each byte that is
+not the item's, and bytes.translate deletes the zeros of a block in one
+pass. A block of about _FORMAT_BLOCK values keeps its temporaries near
+half a megabyte: on 150 x 150 risk grids, blocks of 2048 and of 16384
+values took 12 % and 50 % longer.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from collections.abc import Iterator
 
 import numpy as np
 
-_ZEROS, _DIGITS, _POINT, _FRACTION, _EXP, _SEP, _WIDTH = 1, 6, 23, 24, 40, 45, 48
-_FORMAT_BLOCK = 2048  # values per block: its temporaries and buffers stay near half a megabyte
+_ZEROS, _DIGITS, _EXP, _SEP, _WIDTH = 1, 7, 25, 30, 32
+_FORMAT_BLOCK = 4096  # values per block
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _TIE_BAND = 2.0**-40
@@ -27,13 +32,11 @@ _DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2")
 _DIGITS4 = _DIGITS2.repeat(100) | np.tile(_DIGITS2, 100) << 16
 _ASCII_ZEROS = np.frombuffer(b"0" * 8, dtype="<u8")[0]
 _PREFIX = np.frombuffer(b"-0.000\0\0", dtype="<u8")[0]  # the sign and zeros slots
-_SIGNED_ZEROS = np.frombuffer(b"0".ljust(8, b"\0") + b"-0".ljust(8, b"\0"), dtype="<u8")  # row starts
 
 
-def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
+def format_rows(values: np.ndarray) -> Iterator[bytes]:
     """The bytes of ``",".join("%.17g" % v for v in row) + "\\n"`` for each
-    row of the 2-D float array values, in order, as uint8 arrays of a block
-    of rows each.
+    row of the 2-D float array values, in order, a block of rows at a time.
 
     A value v with 1e-280 <= |v| < 1e280 is scaled to y = |v| * 10**p with
     p = 16 - x and x = floor(log10|v|), so that y lies in [1e16, 1e17)
@@ -48,17 +51,17 @@ def format_rows(values: np.ndarray) -> Iterator[np.ndarray]:
     which no step uses. P is an integer once y >= 2**53, so round(y) is
     P + rint(s) unless s lies within _TIE_BAND = 2**-40 of a half,
     a band wider than that error; s - rint(s) is exact.
-    round(y) must have 17 digits: above 1e16 it does, and it may be 1e16
-    itself only when y >= 1e16 - 0.04 > 1e16 - 0.05, below which the
-    17-digit rounding takes one more digit. 0 and -0 are written from
-    fixed rows, as "0" and "-0". Everything else goes through '%.17g'
+    round(y) must have 17 digits: below 1e17 it does if y >= 1e16 - 0.04,
+    and round(y) may then be 1e16 itself, as y > 1e16 - 0.05, below which
+    the 17-digit rounding takes one more digit. 0 and -0 are written as
+    the digits of 0 at exponent 0. Everything else goes through '%.17g'
     itself: values within the band of a tie (exact ties included), inf,
     nan, subnormals, the range outside the fast one, a y that rounds to
     1e17, and an x that log10 put off by one.
     """
     values = np.asarray(values, dtype=float)
     step = max(1, _FORMAT_BLOCK // max(values.shape[1], 1))
-    formatter = _Formatter(step * values.shape[1])
+    formatter = _Formatter()
     for i in range(0, len(values), step):
         yield formatter.block(values[i: i + step])
 
@@ -98,18 +101,20 @@ def _significand(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndar
     s += a * lo
     r = np.rint(s)
     n = p.astype(np.int64) + r.astype(np.int64)
-    decided = np.abs(np.abs(s - r) - 0.5) > _TIE_BAND
-    decided &= (n > 10**16) & (n < 10**17) | (n == 10**16) & ((p - 1e16) + s >= -0.04)
+    # p - 1e16 is exact where it matters, for p in [5e15, 2e16]
+    decided = np.abs(s - r) < 0.5 - _TIE_BAND
+    decided &= (p - 1e16) + s >= -0.04
+    decided &= n < 10**17
     return n, decided
 
 
 def _keep_masks() -> np.ndarray:
-    """The keep masks: row L < _WIDTH keeps an item of L bytes written from
-    the row's start, for a value that '%.17g' formats itself; row
-    _WIDTH + 17 * c + k - 1 keeps a value of layout class c with k
-    significant digits. Classes 2 * (x + 4) + neg are fixed notation at
-    exponents x = -4..16, classes 42 + 2 * (exponent digits - 2) + neg
-    scientific notation."""
+    """The keep masks, a byte 0xFF to keep and 0 to drop: row L < _WIDTH
+    keeps an item of L bytes written from the row's start, for a value
+    that '%.17g' formats itself; row _WIDTH + 17 * c + k - 1 keeps a value
+    of layout class c with k significant digits. Classes 2 * (x + 4) + neg
+    are fixed notation at exponents x = -4..16, classes
+    42 + 2 * (exponent digits - 2) + neg scientific notation."""
     c = np.arange(46)[:, None, None]
     neg, fixed, x = c & 1, c < 42, (c >> 1) - 4
     lead = np.where(fixed, np.maximum(x + 1, 0), 1)  # digits before the point
@@ -118,89 +123,84 @@ def _keep_masks() -> np.ndarray:
     col = np.arange(_WIDTH)
     # the lead digits, then the point and digits lead..k-1 if k > lead; or,
     # below 1, "0.0..." and the k digits
-    body = (_DIGITS <= col) & (col < _DIGITS + np.where(lead, lead, k)) | (col == _POINT) & (0 < lead) & (lead < k)
-    body |= (0 < lead) & (_FRACTION + lead - 1 <= col) & (col < _FRACTION + k - 1)
-    body |= (lead == 0) & (_ZEROS <= col) & (col < _ZEROS + 1 - x)
-    keep = body | (col == 0) & (neg == 1) | (_EXP <= col) & (col < _EXP + exp) | (col == _SEP)
-    return np.concatenate([(col < col[:, None]) | (col == _SEP), keep.reshape(-1, _WIDTH)])
+    keep = (_DIGITS <= col) & (col < _DIGITS + np.maximum(lead, k + ((0 < lead) & (lead < k))))
+    keep |= (lead == 0) & (_ZEROS <= col) & (col < _ZEROS + 1 - x)
+    keep |= (col == 0) & (neg == 1) | (_EXP <= col) & (col < _EXP + exp) | (col == _SEP)
+    return np.concatenate([(col < col[:, None]) | (col == _SEP), keep.reshape(-1, _WIDTH)]) * np.uint8(0xFF)
 
 
-_KEEP = _keep_masks().view(np.uint64)
+_KEEP = _keep_masks().view("<u8")
 
 
 class _Formatter:
-    """One format_rows call's tables and buffers. What a value's group, its
-    decimal exponent x and sign, fixes is derived for the groups the call
-    meets: group g = 2 * x + neg + _GROUP0 holds 10**(16 - x) as hi + lo,
-    the bytes from its exponent slot on and the first keep-mask row of its
-    layout class (see _keep_masks). A block reuses the row and mask
-    buffers of the one before."""
+    """One format_rows call's tables. What a value's group, its decimal
+    exponent x and sign, fixes is derived for the groups the call meets:
+    group g = 2 * x + neg + _GROUP0 holds 10**(16 - x) as hi + lo; the
+    masks of the bytes of digits 1-16 that the point moves and of the
+    point; the last row word; and the first keep-mask row of its layout
+    class (see _keep_masks), less the 119 that block adds to a count."""
 
-    def __init__(self, block: int):
-        size = 2 * _GROUP0
-        self.filled = np.zeros(size, dtype=bool)
-        self.hi, self.lo = np.zeros(size), np.zeros(size)
-        self.exp = np.zeros(size, dtype=np.uint64)
-        self.mask_base = np.zeros(size, dtype=np.intp)
-        self.out = np.empty((block, _WIDTH // 8), dtype="<u8")
-        self.mask = np.empty((block, _WIDTH // 8), dtype=np.uint64)
+    def __init__(self):
+        self.scale, self.words = np.zeros((2, 2 * _GROUP0)), np.zeros((5, 2 * _GROUP0), dtype=np.uint64)
+        self.mask_base = np.zeros(2 * _GROUP0, dtype=np.intp)
 
     def _fill(self, g: int) -> None:
         x, neg = (g - _GROUP0) >> 1, g & 1
-        self.hi[g], self.lo[g] = _pow10(16 - x)
+        self.scale[:, g] = _pow10(16 - x)
         exp = b"" if -4 <= x < 17 else b"e%+03d" % x
-        self.exp[g] = np.frombuffer(exp.ljust(_SEP - _EXP, b"\0") + b",\0\0", dtype="<u8")[0]
-        self.mask_base[g] = _WIDTH + 17 * (2 * (x + 4) + neg if not exp else 42 + 2 * (len(exp) - 4) + neg)
-        self.filled[g] = True
+        lead = 1 if exp else x + 1 if 0 <= x < 16 else 0  # digits before the point; 0: no point
+        moved = bytes(lead - 1).ljust(16, b"\xff") if lead else bytes(16)
+        point = (bytes(lead - 1) + b".").ljust(16, b"\0") if lead else bytes(16)
+        self.words[:, g] = np.frombuffer(moved + point + b"\0" + exp.ljust(5, b"\0") + b",\0", dtype="<u8")
+        self.mask_base[g] = _WIDTH - 119 + 17 * (2 * (x + 4) + neg if not exp else 42 + 2 * (len(exp) - 4) + neg)
 
-    def block(self, values: np.ndarray) -> np.ndarray:
+    def block(self, values: np.ndarray) -> bytes:
         v = values.ravel()
         a = np.abs(v)
         fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # NaN fails both
         a[~fast] = 1.0  # so that log10 sees no 0, inf or nan and warns of nothing
         neg = np.signbit(v)
         group = 2 * np.floor(np.log10(a)).astype(np.int64) + neg + _GROUP0
-        if not self.filled[group].all():
-            for g in set(group[~self.filled[group]].tolist()):
+        base = self.mask_base.take(group)
+        if np.count_nonzero(base) < len(base):
+            for g in np.flatnonzero(np.bincount(group[base == 0])).tolist():
                 self._fill(g)
-        n, decided = _significand(a, self.hi.take(group), self.lo.take(group))
-        fast &= decided
+            base = self.mask_base.take(group)
+        n, decided = _significand(a, *self.scale.take(group, axis=1))
+        slow = np.flatnonzero(~(fast & decided))
+        zero = v[slow] == 0.0
+        n[slow[zero]] = 0  # 0 and -0: the digits of 0 at exponent 0
+        slow = slow[~zero]
 
-        # digit 0, then digits 1-8 and 9-16 in ASCII, eight to a uint64
-        n[~fast] = 10**16
-        lead, rest = np.divmod(n, 10**16)
-        digits = []
-        for half in np.divmod(rest, 10**8):
-            high, low = np.divmod(half, 10**4)
-            digits.append(_DIGITS4.take(high) | _DIGITS4.take(low).astype(np.uint64) << 32)
-        out = self.out[: len(v)]
-        out[:, 0] = _PREFIX | (lead.astype(np.uint64) + ord("0")) << 48 | digits[0] << 56
-        out[:, 1] = digits[0] >> 8 | digits[1] << 56
-        out[:, 2] = digits[1] >> 8 | np.uint64(ord(".")) << 56
-        out[:, 3], out[:, 4] = digits
-        out[:, 5] = self.exp.take(group)
-        out = out.view(np.uint8)
-        # significant digits of 1-8 and 9-16: the bytes up to the last digit
-        # that is not 0 (digits XOR "0" hold no byte above 9, so no float
-        # rounding reaches the next power of 2)
-        significant = [(np.frexp((d ^ _ASCII_ZEROS).astype(float))[1] + 7) >> 3 for d in digits]
-        row = self.mask_base.take(group) + np.where(significant[1] > 0, 8 + significant[1], significant[0])
+        # digit 0, and digits 1-8 and 9-16 in ASCII: two words of two groups of four
+        n8 = n // 10**8
+        first = n8 // 10**8
+        halves = np.stack([n8 - first * 10**8, n - n8 * 10**8])
+        high = halves // 10**4
+        halves -= high * 10**4
+        digits = _DIGITS4.take(np.stack([high, halves], axis=-1)).view("<u8")[:, :, 0]
+        # 118 + the count of significant digits: the bytes of digits 1-16 up
+        # to the last that is not "0", from the exponent of one double (XOR
+        # "0" leaves no byte above 9, so no rounding reaches a power of 2)
+        low = (digits ^ _ASCII_ZEROS).astype(float)
+        row = base + ((low[0] * 2.0**-63 + low[1] * 2.0 + 2.0**-65).view(np.int64) >> 55)
+        # the point: the bytes of digits 1-16 from its place on move up one
+        words = self.words.take(group, axis=1)
+        moved = digits & words[:2]
+        digits += moved * np.uint64(255) + words[2:4]
+        out = np.empty((len(v), _WIDTH // 8), dtype="<u8")
+        np.bitwise_or(_PREFIX, (first.view(np.uint64) + ord("0")) << 56, out=out[:, 0])
+        out[:, 1] = digits[0]
+        np.add(digits[1], moved[0] >> 56, out=out[:, 2])
+        np.add(words[4], moved[1] >> 56, out=out[:, 3])
 
-        slow = np.flatnonzero(~fast)
+        text = out.view(np.uint8)
         if slow.size:
-            zero = v[slow] == 0.0
-            zeros, slow = slow[zero], slow[~zero]
-            # "0" or "-0", from the row's start
-            self.out[zeros, 0] = _SIGNED_ZEROS.take(neg[zeros])
-            row[zeros] = 1 + neg[zeros]
-        if slow.size:
-            text = ["%.17g" % f for f in v[slow].tolist()]
-            sizes = np.fromiter(map(len, text), dtype=np.intp, count=len(text))
-            chars = np.frombuffer("".join(text).encode("ascii"), dtype=np.uint8)
-            starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-            out[np.repeat(slow, sizes), np.arange(len(chars)) - starts] = chars
+            items = ["%.17g" % f for f in v[slow].tolist()]
+            sizes = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
+            chars = np.frombuffer("".join(items).encode("ascii"), dtype=np.uint8)
+            text[np.repeat(slow, sizes), np.arange(len(chars)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = chars
             row[slow] = sizes
-
-        out[values.shape[1] - 1:: values.shape[1], _SEP] = ord("\n")
-        mask = np.take(_KEEP, row, axis=0, out=self.mask[: len(v)])
-        return out[mask.view(bool)]
+        text[values.shape[1] - 1:: values.shape[1], _SEP] = ord("\n")
+        out &= _KEEP.take(row, axis=0)
+        return out.tobytes().translate(None, b"\0")
