@@ -241,11 +241,15 @@ def rasterize(
     spec's is 1.0 times its own: both have the bytes of a direct
     evaluation, as 1.0 * x == x. The last key's grid is kept, so
     consecutive calls on CPT specs that differ only in lam evaluate it
-    once. The returned values are the caller's own array.
+    once. The returned values are the caller's own array. A grid that
+    holds inf or nan raises ValueError naming the spec.
     """
     source, bounds, resolution = _geometry(source, bounds, resolution)
     lam, key = (spec.lam, replace(spec, lam=1.0)) if isinstance(spec, CPT) else (1.0, spec)
-    return FieldGrid(*bounds, values=lam * _unit_risk(key, params, source, bounds, resolution))
+    values = lam * _unit_risk(key, params, source, bounds, resolution)
+    if not np.isfinite(values.max()):  # risks are >= 0, and max propagates nan
+        raise ValueError(f"the risk grid of {spec_label(spec)} holds a non-finite value")
+    return FieldGrid(*bounds, values=values)
 
 
 def discretized_cost_range(params: CostFieldParams, source, bounds, resolution) -> tuple[float, float]:

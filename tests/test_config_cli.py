@@ -228,9 +228,9 @@ def test_cli_field_reports_a_grid_it_cannot_write(tmp_path, capsys, stem):
 
 
 def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys):
-    # at k1 = 1e308 the CPT grid overflows to inf: the JSON grid, which
-    # has no token for it, is refused and named, while the CSV grid
-    # writes it as inf
+    # at k1 = 1e308 the CPT grids overflow to inf: rasterize refuses such a
+    # grid and names its spec, so field, in every format, and audit exit 3
+    # before writing that spec's files or audit.json
     text = (CONFIGS / "field_default.cfg").read_text()
     edits = [("k1 = 200.0", "k1 = 1e308"), ("nx = 150", "nx = 10"), ("ny = 150", "ny = 10")]
     edits.append((text[text.index("specs = "): text.index("\n", text.index("specs = "))],
@@ -240,13 +240,14 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys):
         text = text.replace(old, new)
     cfg = write_cfg(tmp_path, text)
     with np.errstate(over="ignore"):
-        assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "both"), "--format", "both"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: writing risk_cpt_a0p74_b1_g1_l3p5.json: ")  # the file, not its stem
-        assert not (tmp_path / "both" / "risk_cpt_a0p74_b1_g1_l3p5.json").exists()
-        assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "csv"), "--format", "csv"]) == 0
-    _, values = read_grid_csv(tmp_path / "csv" / "risk_cpt_a0p74_b1_g1_l3p5.csv")
-    assert np.isposinf(values).any()
+        for fmt in ("both", "csv", "json"):
+            out = tmp_path / fmt
+            assert main(["field", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 3
+            assert "error: the risk grid of cpt_a0p74_b1_g1_l3p5 holds a non-finite value" in capsys.readouterr().err
+            assert not list(out.glob("*_cpt_a0p74_b1_g1_l3p5.*"))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 3
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "audit" / "audit.json").exists()
     assert_no_child_left()
 
 
