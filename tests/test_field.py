@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import riskcbf.field
-from riskcbf._format import _significand, format_rows
+from riskcbf._format import _FORMAT_BLOCK, _significand, format_rows
 from riskcbf.field import (
     MAX_WITNESSES,
     CostFieldParams,
@@ -855,7 +855,11 @@ def test_format_rows_is_17g_on_every_class_of_double():
         near = [np.nextafter(singles, direction) for direction in (math.inf, -math.inf)]
     singles = np.concatenate([singles, *near])
     singles = np.concatenate([singles, -singles])
-    for values in (bits, singles[: len(singles) // 8 * 8].reshape(-1, 8), singles[None, :], singles[:, None]):
+    # block edges: a row of one block, one value narrower and one wider,
+    # and rows of 8 that leave a last block of one row
+    edges = [singles[None, :_FORMAT_BLOCK + d] for d in (0, -1, 1)]
+    edges.append(singles[: (_FORMAT_BLOCK // 8 + 1) * 8].reshape(-1, 8))
+    for values in (bits, singles[: len(singles) // 8 * 8].reshape(-1, 8), singles[None, :], singles[:, None], *edges):
         assert b"".join(format_rows(values)) == percent_17g(values)
 
 

@@ -88,20 +88,21 @@ def output_digests(root: Path) -> dict:
     }
 
 
-def lane_digests() -> dict:
+def lane_digests(root: Path) -> dict:
     """Map each log of the LANE_CASES runs, by case and label, to the
     SHA-256 of its records.tobytes(); and each log of the crossing
     layouts of CROSSING_SEEDS, as crossing<seed>/<label>, to that digest
-    and, with ".csv" added, to the SHA-256 of its to_csv text."""
+    and, with ".csv" added, to the SHA-256 of the to_csv file that it
+    writes under root by that name."""
     digests = {f"{name}/{log.label}": hashlib.sha256(log.records.tobytes()).hexdigest()
                for name in LANE_CASES for log in simulate(*lane_case(name))}
-    with tempfile.TemporaryDirectory() as root:
-        csv = Path(root) / "log.csv"
-        for seed in CROSSING_SEEDS:
-            for log in simulate(crossing_layout(seed), CROWD_SPECS):
-                log.to_csv(csv)
-                digests[f"crossing{seed}/{log.label}"] = hashlib.sha256(log.records.tobytes()).hexdigest()
-                digests[f"crossing{seed}/{log.label}.csv"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+    for seed in CROSSING_SEEDS:
+        (root / f"crossing{seed}").mkdir(parents=True, exist_ok=True)
+        for log in simulate(crossing_layout(seed), CROWD_SPECS):
+            name = f"crossing{seed}/{log.label}"
+            log.to_csv(root / f"{name}.csv")
+            digests[name] = hashlib.sha256(log.records.tobytes()).hexdigest()
+            digests[f"{name}.csv"] = hashlib.sha256((root / f"{name}.csv").read_bytes()).hexdigest()
     return digests
 
 
@@ -151,9 +152,9 @@ def test_outputs_match_golden_digests(tmp_path):
     assert_same_digests(header, golden, output_digests(tmp_path))
 
 
-def test_lane_records_match_golden_digests():
+def test_lane_records_match_golden_digests(tmp_path):
     header, golden = golden_or_skip(LANE_DIGESTS)
-    assert_same_digests(header, golden, lane_digests())
+    assert_same_digests(header, golden, lane_digests(tmp_path))
 
 
 def test_a_moved_digest_names_the_cpu_features_of_both_hosts():
@@ -166,5 +167,5 @@ def test_a_moved_digest_names_the_cpu_features_of_both_hosts():
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        print(f"wrote {write_digests(DIGESTS, output_digests(Path(root)))} digests to {DIGESTS}")
-    print(f"wrote {write_digests(LANE_DIGESTS, lane_digests())} digests to {LANE_DIGESTS}")
+        print(f"wrote {write_digests(DIGESTS, output_digests(Path(root) / 'outputs'))} digests to {DIGESTS}")
+        print(f"wrote {write_digests(LANE_DIGESTS, lane_digests(Path(root) / 'lanes'))} digests to {LANE_DIGESTS}")
