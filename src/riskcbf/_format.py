@@ -29,7 +29,7 @@ _GROUP0 = 562  # 2 * 281: log10 puts floor(log10|v|) of the fast range in [-281,
 # the groups of four digits 0000-9999 in ASCII, a uint32 each; the rows
 # are little-endian words, whatever the platform's byte order
 _DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype="<u2").astype(np.uint32)
-_DIGITS4 = _DIGITS2.repeat(100) | np.tile(_DIGITS2, 100) << 16
+_DIGITS4 = (_DIGITS2.repeat(100) | np.tile(_DIGITS2, 100) << 16).astype("<u4")
 _ASCII_ZEROS = np.frombuffer(b"0" * 8, dtype="<u8")[0]
 _PREFIX = np.frombuffer(b"-0.000\0\0", dtype="<u8")[0]  # the sign and zeros slots
 

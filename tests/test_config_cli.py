@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import math
@@ -227,18 +228,21 @@ def test_cli_field_reports_a_grid_it_cannot_write(tmp_path, capsys, stem):
     assert_no_child_left()
 
 
-def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys):
+def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys, monkeypatch):
     # at k1 = 1e308 the CPT grids overflow to inf: rasterize refuses such a
     # grid and names its spec, so field, in every format, and audit exit 3
     # before writing that spec's files or audit.json
     text = (CONFIGS / "field_default.cfg").read_text()
-    edits = [("k1 = 200.0", "k1 = 1e308"), ("nx = 150", "nx = 10"), ("ny = 150", "ny = 10")]
+    edits = [("nx = 150", "nx = 10"), ("ny = 150", "ny = 10")]
     edits.append((text[text.index("specs = "): text.index("\n", text.index("specs = "))],
                   "specs = er, cpt(0.74, 1.0, 1.0, 3.5)"))
     for old, new in edits:
         assert text.count(old) == 1
         text = text.replace(old, new)
-    cfg = write_cfg(tmp_path, text)
+    assert text.count("k1 = 200.0") == 1
+    finite = tmp_path / "finite.cfg"
+    finite.write_text(text)
+    cfg = write_cfg(tmp_path, text.replace("k1 = 200.0", "k1 = 1e308"))
     with np.errstate(over="ignore"):
         for fmt in ("both", "csv", "json"):
             out = tmp_path / fmt
@@ -248,6 +252,28 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys):
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 3
         assert "holds a non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "audit" / "audit.json").exists()
+    assert_no_child_left()
+
+    # an inf that does reach the writers: the CSV grid is written, the
+    # JSON writer refuses it, and the error names the file, not its stem
+    rasterize = riskcbf.cli.rasterize
+
+    def rasterize_with_inf(spec, *args):
+        grid = rasterize(spec, *args)
+        if not isinstance(spec, CPT):
+            return grid
+        values = grid.values.copy()
+        values[0, 0] = math.inf
+        return dataclasses.replace(grid, values=values)
+
+    monkeypatch.setattr(riskcbf.cli, "rasterize", rasterize_with_inf)
+    out = tmp_path / "unchecked"
+    assert main(["field", "--config", str(finite), "--out", str(out), "--format", "both"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: writing risk_cpt_a0p74_b1_g1_l3p5.json: ") and "not JSON compliant" in err
+    assert not (out / "risk_cpt_a0p74_b1_g1_l3p5.json").exists()
+    _, values = read_grid_csv(out / "risk_cpt_a0p74_b1_g1_l3p5.csv")
+    assert np.isposinf(values).sum() == 1 and np.isfinite(values).sum() == values.size - 1
     assert_no_child_left()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import riskcbf.field
-from riskcbf._format import _FORMAT_BLOCK, _significand, format_rows
+from riskcbf._format import _FORMAT_BLOCK, _significand, format_rows, write_json
 from riskcbf.field import (
     MAX_WITNESSES,
     CostFieldParams,
@@ -919,6 +919,15 @@ def test_grid_json_schema(tmp_path):
     assert np.allclose(
         np.array(payload["values"]).reshape(8, 8), grid.values
     )
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    # JSON has no token for them: nothing is written, not even an empty file
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(path, {"v": [1.0, value]})
+    assert not path.exists()
 
 
 def test_polylines_json(tmp_path):
