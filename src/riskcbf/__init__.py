@@ -13,12 +13,6 @@ from .barrier import (
     qp_filter,
 )
 from .config import Config, ConfigError, load_config
-from .distributions import (
-    DiscreteCost,
-    discretize_truncated_gaussian,
-    std_normal_cdf,
-    std_normal_pdf,
-)
 from .field import (
     CostFieldParams,
     FieldGrid,
@@ -43,7 +37,6 @@ from .risk import (
     moment_risk,
     parse_spec,
     prob_weight,
-    risk_value,
     spec_label,
     weighting,
 )

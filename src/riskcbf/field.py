@@ -246,7 +246,8 @@ def rasterize(
     """
     source, bounds, resolution = _geometry(source, bounds, resolution)
     lam, key = (spec.lam, replace(spec, lam=1.0)) if isinstance(spec, CPT) else (1.0, spec)
-    values = lam * _unit_risk(key, params, source, bounds, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite grid is refused below
+        values = lam * _unit_risk(key, params, source, bounds, resolution)
     if not np.isfinite(values.max()):  # risks are >= 0, and max propagates nan
         raise ValueError(f"the risk grid of {spec_label(spec)} holds a non-finite value")
     return FieldGrid(*bounds, values=values)

@@ -20,17 +20,14 @@ The models differ only in w, gamma and lam:
 - CPT: Prelec's w(S) = exp(-beta * (-log S)**alpha) and the spec's own
   gamma and lam.
 
-Two layers share the formula. The lottery layer (``risk_value``)
-evaluates an explicit DiscreteCost. The moment layer (``moment_risk``)
-evaluates the truncated-Gaussian cost straight from its mean and
-deviation on the lattice of :mod:`riskcbf.distributions`, for arrays of
-any shape, and also returns the partials the barrier needs; every
-field, grid and barrier computation goes through it.
-
-The library keeps the lottery layer, which no command calls: it holds
-the paper's definitions over a lottery, and it is the oracle that the
-tests compare ``moment_risk`` against (a gemv over a DiscreteCost
-against the lane path's stacked dots).
+One function evaluates it: ``moment_risk`` takes the truncated-Gaussian
+cost from its mean and deviation, on the lattice of
+:mod:`riskcbf.distributions`, for arrays of any shape, with the partials
+the barrier needs; every field, grid and barrier value comes from it.
+Its public pieces are ``weighting``, ``decision_weights``,
+``lattice_coeffs`` and ``lattice_masses``: on a lottery of ascending
+outcomes c >= 0 with masses p, R is
+``lam * c**gamma @ decision_weights(p, weighting(spec))``.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .distributions import DiscreteCost, lattice_coeffs, lattice_masses
+from .distributions import lattice_coeffs, lattice_masses
 
 
 @dataclass(frozen=True)
@@ -131,14 +128,6 @@ def decision_weights(probabilities, w) -> np.ndarray:
         return p.copy()
     tails = w(np.minimum(np.cumsum(p[::-1])[::-1], 1.0))
     return tails - np.append(tails[1:], 0.0)
-
-
-def risk_value(spec: RiskSpec, cost: DiscreteCost) -> float:
-    """Evaluate any risk spec on a discrete lottery:
-    lam * sum_i pi_i * c_i**gamma (the outcomes are nonnegative)."""
-    gamma, lam = (spec.gamma, spec.lam) if isinstance(spec, CPT) else (1.0, 1.0)
-    weights = decision_weights(cost.probabilities, weighting(spec))
-    return lam * float(cost.outcomes ** gamma @ weights)
 
 
 @lru_cache(maxsize=256)

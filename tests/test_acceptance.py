@@ -8,7 +8,6 @@ import time
 
 import numpy as np
 
-from riskcbf.distributions import DiscreteCost
 from riskcbf.field import (
     CostFieldParams,
     discretized_cost_range,
@@ -23,11 +22,11 @@ from riskcbf.risk import (
     CVaR,
     ExpectedRisk,
     moment_risk,
-    risk_value,
 )
 from riskcbf.barrier import qp_filter
 from riskcbf.sim import simulate
 from shipped import run_spec, shipped_scenario
+from test_risk import lottery_risk, random_lottery
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -47,11 +46,6 @@ def report(number: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def random_lottery(rng, low=0.0, high=200.0):
-    m = int(rng.integers(2, 33))
-    return DiscreteCost(np.sort(rng.uniform(low, high, m)), rng.dirichlet(np.ones(m)))
-
-
 def test_criterion_01_model_coincidence_identities():
     rng = np.random.default_rng(1)
     unit = CPT(1.0, 1.0, 1.0, 1.0)
@@ -59,11 +53,11 @@ def test_criterion_01_model_coincidence_identities():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
-        dc = random_lottery(rng)
-        er = risk_value(ExpectedRisk(), dc)
-        worst = max(worst, abs(risk_value(unit, dc) - er), abs(risk_value(CVaR(0.0), dc) - er))
+        c, p = random_lottery(rng)
+        er = lottery_risk(ExpectedRisk(), c, p)
+        worst = max(worst, abs(lottery_risk(unit, c, p) - er), abs(lottery_risk(CVaR(0.0), c, p) - er))
         for lam in lams:
-            worst = max(worst, abs(risk_value(CPT(1.0, 1.0, 1.0, lam), dc) - lam * er))
+            worst = max(worst, abs(lottery_risk(CPT(1.0, 1.0, 1.0, lam), c, p) - lam * er))
     elapsed = time.perf_counter() - start
     report(
         1,
@@ -78,10 +72,10 @@ def test_criterion_02_cvar_structure():
     monotone = True
     max_exact = True
     for _ in range(300):
-        dc = random_lottery(rng)
-        values = [risk_value(CVaR(float(q)), dc) for q in qs]
+        c, p = random_lottery(rng)
+        values = [lottery_risk(CVaR(float(q)), c, p) for q in qs]
         monotone &= all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-        max_exact &= risk_value(CVaR(1.0), dc) == dc.outcomes[-1]
+        max_exact &= lottery_risk(CVaR(1.0), c, p) == c[-1]
     report(2, monotone and max_exact, "CVaR nondecreasing in q; CVaR(1) = max outcome exactly")
 
 
@@ -90,11 +84,11 @@ def test_criterion_03_range_sandwich():
     qs = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0)
     counterexamples = 0
     for _ in range(200):
-        dc = random_lottery(rng, low=1.0001, high=180.0)
-        cvar_values = [risk_value(CVaR(q), dc) for q in qs]
-        lam = math.ceil(float(dc.outcomes[-1]) / risk_value(ExpectedRisk(), dc)) + 1
+        c, p = random_lottery(rng, low=1.0001, high=180.0)
+        cvar_values = [lottery_risk(CVaR(q), c, p) for q in qs]
+        lam = math.ceil(float(c[-1]) / lottery_risk(ExpectedRisk(), c, p)) + 1
         theta_grid = [CPT(1, 1, 1, lam), CPT(1, 1, 0.5, 1), CPT(0.74, 1, 0.88, 2.25)]
-        values = [risk_value(th, dc) for th in theta_grid]
+        values = [lottery_risk(th, c, p) for th in theta_grid]
         if not (max(values) > max(cvar_values) and min(values) < min(cvar_values)):
             counterexamples += 1
     report(3, counterexamples == 0, f"{counterexamples} range-sandwich counterexamples in 200 lotteries")

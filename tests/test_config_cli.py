@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -231,7 +232,9 @@ def test_cli_field_reports_a_grid_it_cannot_write(tmp_path, capsys, stem):
 def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys, monkeypatch):
     # at k1 = 1e308 the CPT grids overflow to inf: rasterize refuses such a
     # grid and names its spec, so field, in every format, and audit exit 3
-    # before writing that spec's files or audit.json
+    # before writing that spec's files or audit.json. The error is the one
+    # line on stderr: no NumPy overflow warning comes before it (under this
+    # suite's filterwarnings = error, one would replace the message).
     text = (CONFIGS / "field_default.cfg").read_text()
     edits = [("nx = 150", "nx = 10"), ("ny = 150", "ny = 10")]
     edits.append((text[text.index("specs = "): text.index("\n", text.index("specs = "))],
@@ -243,15 +246,14 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys, monkeypatch):
     finite = tmp_path / "finite.cfg"
     finite.write_text(text)
     cfg = write_cfg(tmp_path, text.replace("k1 = 200.0", "k1 = 1e308"))
-    with np.errstate(over="ignore"):
-        for fmt in ("both", "csv", "json"):
-            out = tmp_path / fmt
-            assert main(["field", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 3
-            assert "error: the risk grid of cpt_a0p74_b1_g1_l3p5 holds a non-finite value" in capsys.readouterr().err
-            assert not list(out.glob("*_cpt_a0p74_b1_g1_l3p5.*"))
-        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 3
-        assert "holds a non-finite value" in capsys.readouterr().err
-        assert not (tmp_path / "audit" / "audit.json").exists()
+    for fmt in ("both", "csv", "json"):
+        out = tmp_path / fmt
+        assert main(["field", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 3
+        assert capsys.readouterr().err == "error: the risk grid of cpt_a0p74_b1_g1_l3p5 holds a non-finite value\n"
+        assert not list(out.glob("*_cpt_a0p74_b1_g1_l3p5.*"))
+    assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 3
+    assert capsys.readouterr().err == "error: the risk grid of cpt_a0p74_b1_g1_l2 holds a non-finite value\n"
+    assert not (tmp_path / "audit" / "audit.json").exists()
     assert_no_child_left()
 
     # an inf that does reach the writers: the CSV grid is written, the
@@ -275,6 +277,17 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys, monkeypatch):
     _, values = read_grid_csv(out / "risk_cpt_a0p74_b1_g1_l3p5.csv")
     assert np.isposinf(values).sum() == 1 and np.isfinite(values).sum() == values.size - 1
     assert_no_child_left()
+
+
+def test_console_script_is_the_cli_main():
+    # the README runs the installed `riskcbf` command, while the tests import
+    # the package from src/, so only this check reads [project.scripts]
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(REPO / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"riskcbf": "riskcbf.cli:main"}
+    module, attr = scripts["riskcbf"].split(":")
+    assert getattr(importlib.import_module(module), attr) is riskcbf.cli.main
 
 
 def test_cli_field_children_flush_no_parent_output(tmp_path):
@@ -464,6 +477,26 @@ def test_cli_audit(tmp_path, rasterize_calls):
     )
     assert report["versatility"]["cpt"]["achieved"]
     assert all(report["versatility"]["cpt"]["achieved"])
+
+
+def test_cli_audit_verdicts_do_not_move_with_m(tmp_path):
+    # m moves CVaR's gain by up to 3 % (test_risk's continuous oracle), and
+    # with it the witness counts: cvar_vs_er has 1356 risky witnesses at
+    # m = 10, 1388 at m = 20 and 1404 at m = 40 and 160, cpt_vs_cvar 21063,
+    # 21031, 21015 and 21015. No verdict or versatility interval moves.
+    text = (CONFIGS / "field_default.cfg").read_text()
+    assert text.count("\nm = 10\n") == 1
+    reports = []
+    for m in (10, 40):
+        cfg = write_cfg(tmp_path, text.replace("\nm = 10\n", f"\nm = {m}\n"))
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / f"m{m}")]) == 0
+        reports.append(json.loads((tmp_path / f"m{m}" / "audit.json").read_text()))
+    at_10, at_40 = reports
+    assert at_40["inclusiveness"]["cvar_vs_er"]["risky_witnesses"] == 1404
+    for pair, entry in at_10["inclusiveness"].items():
+        assert entry["verdict"] == at_40["inclusiveness"][pair]["verdict"], pair
+    for family, entry in at_10["versatility"].items():
+        assert entry["interval"] == at_40["versatility"][family]["interval"], family
 
 
 def grid_moment_calls(monkeypatch, shape) -> list:

@@ -5,15 +5,8 @@ import pytest
 from scipy import integrate
 from scipy.stats import truncnorm
 
-from riskcbf.distributions import (
-    DiscreteCost,
-    discretize_truncated_gaussian,
-    lattice_coeffs,
-    lattice_masses,
-    std_normal_cdf,
-    std_normal_pdf,
-)
-from riskcbf.risk import CVaR, ExpectedRisk, risk_value
+from riskcbf.distributions import lattice_coeffs, lattice_masses, std_normal_cdf, std_normal_pdf
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, moment_risk
 
 
 def test_pdf_peak_is_inv_sqrt_2pi():
@@ -57,33 +50,22 @@ def test_cdf_absolute_accuracy_sweep():
     assert worst <= 1e-13
 
 
-def test_discretize_degenerate_sigma_zero():
-    dc = discretize_truncated_gaussian(5.0, 0.0, 4)
-    assert np.all(dc.outcomes == 5.0)
-    assert dc.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-    assert dc.outcomes[0] > 0
-
-
 def test_discretize_grid_m6_clamped_and_symmetric():
-    dc = discretize_truncated_gaussian(0.0, 1.0, 6)
-    # pre-clamp grid is the six bins' conditional means, -g_6..g_6 mirrored;
-    # the three below zero clamp to zero
-    g = lattice_coeffs(6)
-    assert np.array_equal(dc.outcomes, [0.0, 0.0, 0.0, g[3], g[4], g[5]])
+    # the six bins' conditional means, -g_6..g_6 mirrored; at c_mu = 0 the
+    # three below zero clamp to zero, which leaves CPT's gamma = 1 value the
+    # mass-weighted sum of the three above
+    g, p = lattice_coeffs(6), lattice_masses(6)
+    assert np.array_equal(g[::-1], -g)
     assert 0.0 < g[3] < 1.0 < g[4] < 2.0 < g[5] < 3.0
+    assert moment_risk(CPT(1.0, 1.0, 1.0, 1.0), 0.0, 1.0, 6, grad=False)[0] == pytest.approx(p[3:] @ g[3:], abs=1e-15)
     # bin masses are symmetric about the mean, bit for bit
-    assert np.array_equal(dc.probabilities, dc.probabilities[::-1])
-    assert dc.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(p, p[::-1])
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_discretize_probabilities_sum_to_one():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        mu = rng.uniform(0.0, 200.0)
-        sigma = rng.uniform(0.0, 80.0)
-        m = int(rng.integers(2, 64))
-        dc = discretize_truncated_gaussian(mu, sigma, m)
-        assert abs(dc.probabilities.sum() - 1.0) <= 1e-12
+    for m in range(2, 64):
+        assert abs(lattice_masses(m).sum() - 1.0) <= 1e-12
 
 
 def test_discretize_mean_within_grid_asymmetry_bound():
@@ -94,10 +76,9 @@ def test_discretize_mean_within_grid_asymmetry_bound():
         mu = rng.uniform(1.0, 150.0)
         sigma = rng.uniform(0.0, mu / 3.001)  # keep the grid nonnegative
         m = int(rng.integers(2, 48))
-        dc = discretize_truncated_gaussian(mu, sigma, m)
-        assert dc.outcomes[0] > 0
-        mean = float(dc.outcomes @ dc.probabilities)
-        assert abs(mean - mu) <= 1e-12 * mu
+        outcomes = mu + sigma * lattice_coeffs(m)
+        assert outcomes[0] > 0
+        assert abs(outcomes @ lattice_masses(m) - mu) <= 1e-12 * mu
 
 
 def test_discretize_variance_error_decreases_in_m():
@@ -107,20 +88,10 @@ def test_discretize_variance_error_decreases_in_m():
     variance = sigma**2 * truncnorm(-3.0, 3.0).var()
     errors = []
     for m in (6, 12, 24, 48):
-        dc = discretize_truncated_gaussian(mu, sigma, m)
-        assert risk_value(ExpectedRisk(), dc) == pytest.approx(mu, rel=1e-14)
-        errors.append(variance - float((dc.outcomes - mu) ** 2 @ dc.probabilities))
+        assert moment_risk(ExpectedRisk(), mu, sigma, m, grad=False)[0] == mu
+        errors.append(variance - sigma**2 * float(lattice_coeffs(m) ** 2 @ lattice_masses(m)))
     assert errors[-1] > 0.0
     assert all(a > b for a, b in zip(errors, errors[1:]))
-
-
-@pytest.mark.parametrize(
-    "mu,sigma,m",
-    [(-1.0, 1.0, 4), (1.0, -0.5, 4), (1.0, 1.0, 1)],
-)
-def test_discretize_invalid_inputs(mu, sigma, m):
-    with pytest.raises(ValueError):
-        discretize_truncated_gaussian(mu, sigma, m)
 
 
 def test_grid_probs_sum_and_symmetry():
@@ -150,21 +121,10 @@ def test_lattice_is_the_truncated_normal_bin_conditional_means(m):
     assert abs(p @ g) <= 1e-15
 
 
-def test_discrete_cost_validation():
-    with pytest.raises(ValueError):
-        DiscreteCost(np.array([2.0, 1.0]), np.array([0.5, 0.5]))  # unsorted
-    with pytest.raises(ValueError):
-        DiscreteCost(np.array([1.0, 2.0]), np.array([0.5, 0.4]))  # bad sum
-    with pytest.raises(ValueError):
-        DiscreteCost(np.array([1.0]), np.array([1.0]))  # too short
-    with pytest.raises(ValueError):
-        DiscreteCost(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))  # negative
-    with pytest.raises(ValueError):
-        DiscreteCost(np.array([1.0, 2.0]), np.array([1.1, -0.1]))  # out of range
-
-
 def test_degenerate_lottery_collapses_all_risk_models():
-    dc = discretize_truncated_gaussian(5.0, 0.0, 8)
-    assert risk_value(ExpectedRisk(), dc) == pytest.approx(5.0, abs=1e-12)
+    # at c_sigma = 0 every outcome is c_mu
+    assert moment_risk(ExpectedRisk(), 5.0, 0.0, 8, grad=False)[0] == 5.0
     for q in (0.0, 0.1, 0.5, 0.9, 1.0):
-        assert risk_value(CVaR(q), dc) == pytest.approx(5.0, abs=1e-12)
+        assert moment_risk(CVaR(q), 5.0, 0.0, 8, grad=False)[0] == 5.0
+    for lam in (1.0, 2.5):
+        assert moment_risk(CPT(0.74, 1.0, 1.0, lam), 5.0, 0.0, 8, grad=False)[0] == pytest.approx(5.0 * lam, abs=1e-12)

@@ -29,8 +29,8 @@ from riskcbf.field import (
 )
 from riskcbf.barrier import BarrierConfig, barrier_constraint
 from riskcbf.config import load_config
-from riskcbf.distributions import discretize_truncated_gaussian, lattice_coeffs
-from riskcbf.risk import CPT, CVaR, ExpectedRisk, moment_risk, risk_value, spec_label
+from riskcbf.distributions import lattice_coeffs, lattice_masses
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, moment_risk, spec_label
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 SOURCE = np.array([10.0, 10.0])
@@ -1006,6 +1006,6 @@ def test_linear_models_keep_the_unclamped_form_past_k2_one_half():
         gain = moment_risk(CVaR(q), 0.0, 1.0, params.m)[2]
         assert np.array_equal(field_values(CVaR(q), params), mu + gain * sigma)
     # the clamped lottery's expectation lies above c_mu there
-    lottery = [risk_value(ExpectedRisk(), discretize_truncated_gaussian(a, b, params.m))
-               for a, b in zip(mu[clamped], sigma[clamped])]
+    g = lattice_coeffs(params.m)
+    lottery = np.maximum(mu[clamped, None] + sigma[clamped, None] * g, 0.0) @ lattice_masses(params.m)
     assert np.all(lottery > mu[clamped])

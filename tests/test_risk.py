@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import truncnorm
+from scipy import integrate, special
+from scipy.stats import norm, truncnorm
 
-from riskcbf.distributions import DiscreteCost, discretize_truncated_gaussian, lattice_coeffs, lattice_masses
+from riskcbf.config import load_config
+from riskcbf.distributions import lattice_coeffs, lattice_masses
 from riskcbf.risk import (
     CPT,
     CVaR,
@@ -14,17 +16,23 @@ from riskcbf.risk import (
     moment_risk,
     parse_spec,
     prob_weight,
-    risk_value,
     spec_label,
     weighting,
 )
+from shipped import CONFIGS
 
 
 def random_lottery(rng, m=None, low=0.0, high=200.0):
+    """Ascending outcomes and their Dirichlet masses."""
     m = m if m is not None else int(rng.integers(2, 33))
-    outcomes = np.sort(rng.uniform(low, high, m))
-    probs = rng.dirichlet(np.ones(m))
-    return DiscreteCost(outcomes, probs)
+    return np.sort(rng.uniform(low, high, m)), rng.dirichlet(np.ones(m))
+
+
+def lottery_risk(spec, c, p):
+    """The module's formula over ascending outcomes c >= 0 with masses p,
+    written out once over its public pieces."""
+    gamma, lam = (spec.gamma, spec.lam) if isinstance(spec, CPT) else (1.0, 1.0)
+    return lam * c**gamma @ decision_weights(p, weighting(spec))
 
 
 # --- weighting ---------------------------------------------------------------
@@ -77,26 +85,24 @@ def test_decision_weights_nonnegative():
 
 
 def test_er_examples():
-    dc = DiscreteCost(np.array([2.0, 4.0]), np.array([0.5, 0.5]))
-    assert risk_value(ExpectedRisk(), dc) == 3.0
-    single = DiscreteCost(np.array([5.0, 5.0]), np.array([0.5, 0.5]))
-    assert risk_value(ExpectedRisk(), single) == 5.0
+    assert lottery_risk(ExpectedRisk(), np.array([2.0, 4.0]), np.array([0.5, 0.5])) == 3.0
+    assert lottery_risk(ExpectedRisk(), np.array([5.0, 5.0]), np.array([0.5, 0.5])) == 5.0
 
 
 def test_er_matches_bruteforce_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        dc = random_lottery(rng)
-        brute = sum(c * p for c, p in zip(dc.outcomes, dc.probabilities))
-        assert risk_value(ExpectedRisk(), dc) == pytest.approx(brute, rel=1e-12)
+        c, p = random_lottery(rng)
+        brute = sum(c_i * p_i for c_i, p_i in zip(c, p))
+        assert lottery_risk(ExpectedRisk(), c, p) == pytest.approx(brute, rel=1e-12)
 
 
 def test_cvar_uniform_example():
-    dc = DiscreteCost(np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 0.25))
+    c, p = np.array([1.0, 2.0, 3.0, 4.0]), np.full(4, 0.25)
     # the worst half of the mass is {3, 4}
-    assert risk_value(CVaR(0.5), dc) == pytest.approx(3.5, abs=1e-12)
+    assert lottery_risk(CVaR(0.5), c, p) == pytest.approx(3.5, abs=1e-12)
     # the worst 0.6 takes 0.1 of the atom at 2: (0.1 * 2 + 0.25 * 7) / 0.6
-    assert risk_value(CVaR(0.4), dc) == pytest.approx(1.95 / 0.6, abs=1e-12)
+    assert lottery_risk(CVaR(0.4), c, p) == pytest.approx(1.95 / 0.6, abs=1e-12)
 
 
 def rockafellar_uryasev(outcomes, probabilities, q):
@@ -111,35 +117,35 @@ def test_cvar_matches_rockafellar_uryasev_oracle():
     rng = np.random.default_rng(2)
     qs = np.linspace(0.0, 1.0, 26)[:-1]
     for _ in range(300):
-        dc = random_lottery(rng)
+        c, p = random_lottery(rng)
         for q in qs:
-            assert abs(risk_value(CVaR(float(q)), dc) - rockafellar_uryasev(dc.outcomes, dc.probabilities, q)) <= 1e-9
+            assert abs(lottery_risk(CVaR(float(q)), c, p) - rockafellar_uryasev(c, p, q)) <= 1e-9
 
 
 def test_cvar_limits():
     rng = np.random.default_rng(3)
     for _ in range(30):
-        dc = random_lottery(rng)
-        assert risk_value(CVaR(0.0), dc) == pytest.approx(risk_value(ExpectedRisk(), dc), abs=1e-9)
-        assert risk_value(CVaR(1.0), dc) == dc.outcomes[-1]
+        c, p = random_lottery(rng)
+        assert lottery_risk(CVaR(0.0), c, p) == pytest.approx(lottery_risk(ExpectedRisk(), c, p), abs=1e-9)
+        assert lottery_risk(CVaR(1.0), c, p) == c[-1]
 
 
 def test_cvar_monotone_in_q():
     rng = np.random.default_rng(4)
     qs = np.linspace(0.0, 1.0, 21)
     for _ in range(50):
-        dc = random_lottery(rng)
-        values = [risk_value(CVaR(float(q)), dc) for q in qs]
+        c, p = random_lottery(rng)
+        values = [lottery_risk(CVaR(float(q)), c, p) for q in qs]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_cvar_between_mean_and_max():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        dc = random_lottery(rng)
+        c, p = random_lottery(rng)
         for q in (0.1, 0.5, 0.9):
-            v = risk_value(CVaR(q), dc)
-            assert risk_value(ExpectedRisk(), dc) - 1e-9 <= v <= dc.outcomes[-1] + 1e-12
+            v = lottery_risk(CVaR(q), c, p)
+            assert lottery_risk(ExpectedRisk(), c, p) - 1e-9 <= v <= c[-1] + 1e-12
 
 
 def test_cvar_closed_form_examples():
@@ -170,8 +176,8 @@ def test_cpt_reduces_to_er_at_unit_parameters():
     rng = np.random.default_rng(6)
     theta = CPT(1.0, 1.0, 1.0, 1.0)
     for _ in range(200):
-        dc = random_lottery(rng)
-        assert abs(risk_value(theta, dc) - risk_value(ExpectedRisk(), dc)) <= 1e-9
+        c, p = random_lottery(rng)
+        assert abs(lottery_risk(theta, c, p) - lottery_risk(ExpectedRisk(), c, p)) <= 1e-9
 
 
 def test_cpt_lambda_scales_er():
@@ -179,16 +185,16 @@ def test_cpt_lambda_scales_er():
     for lam in (1.0, 2.5, 10.0):
         theta = CPT(1.0, 1.0, 1.0, lam)
         for _ in range(50):
-            dc = random_lottery(rng)
-            assert abs(risk_value(theta, dc) - lam * risk_value(ExpectedRisk(), dc)) <= 1e-9
+            c, p = random_lottery(rng)
+            assert abs(lottery_risk(theta, c, p) - lam * lottery_risk(ExpectedRisk(), c, p)) <= 1e-9
 
 
 def test_cpt_concave_utility_below_er_for_costs_above_one():
     rng = np.random.default_rng(8)
     theta = CPT(1.0, 1.0, 0.7, 1.0)
     for _ in range(50):
-        dc = random_lottery(rng, low=1.001, high=150.0)
-        assert risk_value(theta, dc) < risk_value(ExpectedRisk(), dc)
+        c, p = random_lottery(rng, low=1.001, high=150.0)
+        assert lottery_risk(theta, c, p) < lottery_risk(ExpectedRisk(), c, p)
 
 
 def test_cpt_closed_form_degenerate():
@@ -197,7 +203,8 @@ def test_cpt_closed_form_degenerate():
 
 
 def test_cpt_closed_form_matches_discretize_pipeline():
-    # dual route: closed form vs discretize + lottery evaluation, for every model
+    # dual route: the lane path against the formula written out over the
+    # lattice's outcomes, clamped at 0, and masses, for every model
     rng = np.random.default_rng(9)
     for i in range(300):
         mu = rng.uniform(0.5, 200.0)
@@ -215,8 +222,101 @@ def test_cpt_closed_form_matches_discretize_pipeline():
             # value where no outcome clamps: sigma < mu / |g_1|
             spec = ExpectedRisk() if i % 3 == 1 else CVaR(float(rng.choice([0.0, 1.0, rng.uniform()])))
             sigma = rng.uniform(0.0, mu / abs(lattice_coeffs(m)[0]))
-        via_pipeline = risk_value(spec, discretize_truncated_gaussian(mu, sigma, m))
+        via_pipeline = lottery_risk(spec, np.maximum(mu + sigma * lattice_coeffs(m), 0.0), lattice_masses(m))
         assert abs(moment_risk(spec, mu, sigma, m, grad=False)[0] - via_pipeline) <= 1e-9, spec
+
+
+# --- the continuous truncated Gaussian --------------------------------------
+#
+# The lattice stands for the cost truncated at 3 sigma. These oracles
+# evaluate each model on that continuous cost, so they check the model and
+# not only moment_risk's arithmetic: CVaR in closed form (Rockafellar &
+# Uryasev, J. Risk 2000), CPT over the continuous prospect by quadrature
+# (Tversky & Kahneman 1992).
+#
+# Relative error of moment_risk against them at c_mu / c_sigma = 6.3 (ER and
+# CVaR are linear in (c_mu, c_sigma) and CPT is homogeneous of degree gamma,
+# so the error depends on the ratio alone; NumPy 2.4.6, SciPy 1.17.1):
+#
+#   spec                      m = 10    m = 40    m = 160   m = 640   m = 2560
+#   CVaR(0.1)                -5.26e-4  -8.52e-5  -2.36e-7  -5.73e-8  -1.23e-8
+#   CVaR(0.8)                -7.55e-3  -4.99e-4  -2.98e-5  -2.00e-6  -6.10e-8
+#   CVaR(0.999)              -3.08e-2  -1.21e-3  -1.34e-4  -8.57e-6  -4.69e-7
+#   CPT(0.74, 1, 0.88, 2.25)  6.82e-6  -2.84e-5  -6.19e-6  -1.06e-6  -1.68e-7
+#   CPT(0.3, 1, 0.8, 3)       4.88e-5  -5.13e-4  -1.78e-4  -5.00e-5  -1.31e-5
+#
+# CVaR reads low at every m. The CPT error is not monotone below m = 40
+# (CPT(0.3, 1, 0.8, 3) reads -6.07e-4 at m = 20); from m = 40 on, every row
+# lies under 0.1/m.
+
+TRUNCATED = truncnorm(-3.0, 3.0)
+TRUNCATED_MASS = norm.cdf(3.0) - norm.cdf(-3.0)
+LATTICE_ERROR_M10 = {
+    CVaR(0.1): -5.26e-4,
+    CVaR(0.8): -7.55e-3,
+    CVaR(0.999): -3.08e-2,
+    CPT(0.74, 1.0, 0.88, 2.25): 6.82e-6,
+    CPT(0.3, 1.0, 0.8, 3.0): 4.88e-5,
+}
+
+
+def continuous_cvar(q, mu, sigma):
+    """mu + sigma * E[Z | Z >= z_q], for Z the standard normal truncated at
+    3 and z_q its q-quantile."""
+    z_q = TRUNCATED.ppf(q)
+    return mu + sigma * (norm.pdf(z_q) - norm.pdf(3.0)) / ((1.0 - q) * TRUNCATED_MASS)
+
+
+def continuous_cpt(spec, mu, sigma):
+    """lam * (lo**gamma + the integral over [lo, hi] of w(S(c)) * gamma *
+    c**(gamma - 1)), with S the truncated cost's survival function and
+    Prelec's w: the Choquet integral of c**gamma, for lo = mu - 3 sigma >= 0."""
+    lo, hi = mu - 3.0 * sigma, mu + 3.0 * sigma
+    assert lo >= 0.0
+
+    def integrand(c):
+        # TRUNCATED.sf, through the normal's upper tail: about 300 times faster
+        s = (special.ndtr((mu - c) / sigma) - special.ndtr(-3.0)) / TRUNCATED_MASS
+        w = math.exp(-spec.beta * (-math.log(s)) ** spec.alpha) if s > 0.0 else 0.0
+        return w * spec.gamma * c ** (spec.gamma - 1.0)
+
+    tail, err = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert err <= 1e-10 * tail
+    return spec.lam * (lo**spec.gamma + tail)
+
+
+def test_continuous_oracles_at_known_values():
+    assert continuous_cvar(0.0, 6.3, 1.0) == pytest.approx(6.3, rel=1e-15)
+    assert continuous_cvar(0.5, 6.3, 1.0) == pytest.approx(6.3 + TRUNCATED.expect(lb=0.0) / 0.5, rel=1e-12)
+    # unit parameters make CPT the mean
+    assert continuous_cpt(CPT(1.0, 1.0, 1.0, 1.0), 6.3, 1.0) == pytest.approx(6.3, rel=1e-12)
+
+
+def test_er_is_the_continuous_mean_at_every_m():
+    for m in (2, 3, 10, 40, 160, 640, 2560):
+        for mu, sigma in ((6.3, 1.0), (200.0, 31.7), (1.0, 0.2)):
+            assert moment_risk(ExpectedRisk(), mu, sigma, m, grad=False)[0] == mu
+
+
+@pytest.mark.parametrize("spec", list(LATTICE_ERROR_M10), ids=spec_label)
+def test_lattice_converges_to_the_continuous_cost(spec):
+    mu, sigma = 6.3, 1.0
+    exact = continuous_cvar(spec.q, mu, sigma) if isinstance(spec, CVaR) else continuous_cpt(spec, mu, sigma)
+
+    def error(m):
+        return moment_risk(spec, mu, sigma, m, grad=False)[0] / exact - 1.0
+
+    assert error(10) == pytest.approx(LATTICE_ERROR_M10[spec], rel=0.05)
+    for m in (40, 160, 640, 2560):
+        assert abs(error(m)) <= 0.1 / m
+
+
+def test_shipped_cpt_specs_lie_near_the_continuous_cost():
+    # the figure the distributions docstring and the README state for m = 10
+    specs = {spec for path in CONFIGS.glob("*.cfg") for spec in load_config(path).specs() if isinstance(spec, CPT)}
+    assert len(specs) == 16
+    for spec in specs:
+        assert abs(moment_risk(spec, 6.3, 1.0, grad=False)[0] / continuous_cpt(spec, 6.3, 1.0) - 1.0) <= 2.3e-4, spec
 
 
 # --- partials ----------------------------------------------------------------
@@ -300,27 +400,27 @@ def test_range_sandwich_on_lotteries():
     rng = np.random.default_rng(11)
     qs = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
     for _ in range(50):
-        dc = random_lottery(rng, low=1.01, high=150.0)
-        cvar_values = [risk_value(CVaR(q), dc) for q in qs]
-        lam_hi = math.ceil(dc.outcomes[-1] / risk_value(ExpectedRisk(), dc)) + 1
-        above = risk_value(CPT(1, 1, 1, lam_hi), dc)
-        below = risk_value(CPT(1, 1, 0.5, 1), dc)
+        c, p = random_lottery(rng, low=1.01, high=150.0)
+        cvar_values = [lottery_risk(CVaR(q), c, p) for q in qs]
+        lam_hi = math.ceil(c[-1] / lottery_risk(ExpectedRisk(), c, p)) + 1
+        above = lottery_risk(CPT(1, 1, 1, lam_hi), c, p)
+        below = lottery_risk(CPT(1, 1, 0.5, 1), c, p)
         assert above > max(cvar_values)
         assert below < min(cvar_values)
 
 
 def test_risk_value_dispatch():
     rng = np.random.default_rng(12)
-    dc = random_lottery(rng)
+    c, p = random_lottery(rng)
     # each model against its definition, written out here
-    assert risk_value(ExpectedRisk(), dc) == dc.outcomes @ dc.probabilities
-    assert abs(risk_value(CVaR(0.4), dc) - rockafellar_uryasev(dc.outcomes, dc.probabilities, 0.4)) <= 1e-9
+    assert lottery_risk(ExpectedRisk(), c, p) == c @ p
+    assert abs(lottery_risk(CVaR(0.4), c, p) - rockafellar_uryasev(c, p, 0.4)) <= 1e-9
     theta = CPT(0.74, 1.0, 0.88, 2.0)
-    tails = np.append(np.cumsum(dc.probabilities[::-1])[::-1], 0.0)
+    tails = np.append(np.cumsum(p[::-1])[::-1], 0.0)
     with np.errstate(divide="ignore"):
         w = np.exp(-theta.beta * (-np.log(np.minimum(tails, 1.0))) ** theta.alpha)
-    expected = theta.lam * sum(c**theta.gamma * (w[i] - w[i + 1]) for i, c in enumerate(dc.outcomes))
-    assert risk_value(theta, dc) == pytest.approx(expected, rel=1e-12)
+    expected = theta.lam * sum(c_i**theta.gamma * (w[i] - w[i + 1]) for i, c_i in enumerate(c))
+    assert lottery_risk(theta, c, p) == pytest.approx(expected, rel=1e-12)
 
 
 # --- spec parsing -------------------------------------------------------------
