@@ -10,8 +10,7 @@ usable CPUs (``os.sched_getaffinity``; one where the platform lacks
 it). It runs the first share itself and forks one child per other
 share with the POSIX ``os.fork``. Every child is joined before the
 command returns, also on an error, and the bytes are those of a write
-in one process. A risk grid with the bits of the mean-cost grid is
-written as a copy of that grid's files.
+in one process.
 """
 
 from __future__ import annotations
@@ -72,14 +71,13 @@ def _write(output: FieldGrid | SimLog, out: Path, stem: str, fmt: str) -> None:
             _save(getattr(output, f"to_{suffix}"), out / f"{stem}.{suffix}")
 
 
-def _run_shares(run, shares) -> list[str]:
-    """The lines that run(share) returns for every share: the first share
-    runs in this process, each other one in a child made with os.fork.
-    Every child is joined before this returns, also on an error; then a
-    child that failed raises RuntimeError with its message. A child ends
-    with os._exit, so it flushes none of the parent's buffers and runs
-    none of its exit handlers."""
-    children = []  # (pid, read end of the pipe for its lines or its error)
+def _run_shares(run, shares) -> None:
+    """Call run(share) on every share: the first in this process, each
+    other in a child made with os.fork. Every child is joined before this
+    returns, also on an error; then a child that failed raises
+    RuntimeError with its message. A child ends with os._exit, so it
+    flushes none of the parent's buffers and runs none of its exit handlers."""
+    children = []  # (pid, read end of the pipe for its error)
     try:
         for share in shares[1:]:
             fd, child_fd = os.pipe()
@@ -95,7 +93,7 @@ def _run_shares(run, shares) -> list[str]:
                     os.close(fd)
                     with open(child_fd, "wb") as pipe:
                         try:
-                            pipe.write("\n".join(run(share)).encode())
+                            run(share)
                             code = 0
                         except Exception as exc:  # noqa: BLE001 - reported through the pipe
                             pipe.write(str(exc).encode(errors="replace"))
@@ -104,7 +102,7 @@ def _run_shares(run, shares) -> list[str]:
                     os._exit(code)
             os.close(child_fd)
             children.append((pid, fd))
-        lines = run(shares[0])
+        run(shares[0])
     finally:
         reports = []
         for pid, fd in children:
@@ -116,7 +114,6 @@ def _run_shares(run, shares) -> list[str]:
                 for status, message in reports if status]
     if failures:
         raise RuntimeError("; ".join(failures))
-    return lines + [line for _, message in reports for line in message.splitlines()]
 
 
 def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
@@ -129,36 +126,25 @@ def cmd_field(cfg: Config, out: Path, selector, fmt: str) -> int:
     # computed before any fork, so every share inherits them
     c_mu, c_sigma = moment_grids(params, source, bounds, resolution)
 
-    def run(share) -> list[str]:
-        """Write the grids of the share's tasks; return the stems whose
-        grid has the bits, hence the files, of c_mu."""
-        copies = []
+    def run(share) -> None:
         for task in share:
             if isinstance(task, str):  # c_mu or c_sigma
                 _write(c_mu if task == "c_mu" else c_sigma, out, task, fmt)
                 continue
             grid = rasterize(specs[task], params, source, bounds, resolution)
             label = labels[task]
-            # compared as bits: -0.0 == 0.0, but the two format differently
-            if np.array_equal(grid.values.view(np.int64), c_mu.values.view(np.int64)):
-                copies.append(f"risk_{label}")
-            else:
-                _write(grid, out, f"risk_{label}", fmt)
+            _write(grid, out, f"risk_{label}", fmt)
             mask = safe_mask(grid, barrier.rho)
             _write(dataclasses.replace(grid, values=mask.astype(float)), out, f"safe_{label}", fmt)
             polylines = level_set(specs[task], params, source, bounds, resolution, barrier.rho)
             _save(lambda path: polylines_to_json(polylines, path), out / f"levelset_{label}.json")
-        return copies
 
     # the tasks dealt round-robin to the usable CPUs: one share, and no
     # fork, without sched_getaffinity (macOS, Windows). A share keeps its
     # specs in order, so a lam group stays consecutive in each share.
     tasks = ["c_mu", "c_sigma", *range(len(specs))]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    for stem in _run_shares(run, [tasks[i::cpus] for i in range(min(cpus, len(tasks)))]):
-        for suffix in ("csv", "json"):
-            if fmt in (suffix, "both"):
-                shutil.copyfile(out / f"c_mu.{suffix}", out / f"{stem}.{suffix}")
+    _run_shares(run, [tasks[i::cpus] for i in range(min(cpus, len(tasks)))])
     for label in labels:
         print(f"field: wrote grids for {label}")
     return 0
@@ -346,7 +332,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(config)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[command][0](cfg, out, **options)
+        code = _COMMANDS[command][0](cfg, out, **options)
+        created = False  # a command that succeeds keeps its --out
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -354,9 +342,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:
-        # a command that fails before writing leaves no empty --out behind
-        if created and out.is_dir() and not any(out.iterdir()):
-            out.rmdir()
+        # a failure removes the --out it created; field has joined its children
+        if created and out.is_dir():
+            shutil.rmtree(out)
 
 
 if __name__ == "__main__":

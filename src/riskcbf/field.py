@@ -277,7 +277,10 @@ _CHORD_FRACTION = 0.01
 
 def _root_radii(spec, params, rho: float, r_max: float, step: float) -> np.ndarray:
     """Ascending radii in [0, r_max] at which ``R > rho`` changes on the
-    radial profile sampled at most step apart, each within step / 64**4."""
+    radial profile sampled at most step apart, each within step / 64**4.
+    ER and CVaR keep R = c_mu + k * c_sigma with k >= 0 at every k2
+    (``moment_risk``), and both moments strictly decrease in r, so each
+    of their profiles has at most one root at rho; CPT's may have more."""
 
     def above(r):
         return evaluate(spec, params, r[..., None] * (1.0, 0.0), grad=False)[0] > rho

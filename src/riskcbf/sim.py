@@ -10,10 +10,9 @@ one filter call over their active rows, and keeps the steps up to the
 first one the filter changes. Each lane's log has the bytes of a run of
 its spec alone, filtered one step at a time. The control is held over
 each step and the agent is stepped exactly, one lane at a time. Within
-simulate a lane's agent is a tuple of floats (x, y, heading), stepped by
-the same float kernels (_unicycle_step, _unicycle_point,
-_integrator_step) that the public models' step and controlled_point
-call, so the kinematics exist once.
+simulate a lane's agent is a row of floats (x, y, heading, px, py),
+stepped by the same float kernels (_unicycle_step, _integrator_step)
+that the public models' step calls, so the kinematics exist once.
 Each obstacle moves on a straight line at a fixed speed and then rests,
 so obstacle_motion gives its position and velocity at any t in closed
 form, for all lanes at once. Unicycle agents are controlled through the
@@ -58,7 +57,7 @@ class SingleIntegrator:
         return self.position
 
     def step(self, u: np.ndarray, dt: float) -> "SingleIntegrator":
-        return SingleIntegrator(np.array(_integrator_step(*self.position.tolist(), *u.tolist(), dt)))
+        return SingleIntegrator(np.array(_integrator_step(*self.position.tolist(), *u.tolist(), dt)[:2]))
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class Unicycle:
         return np.array(_unicycle_point(*self.position.tolist(), self.heading, self.offset_l))
 
     def step(self, u: np.ndarray, dt: float) -> "Unicycle":
-        x, y, phi = _unicycle_step(*self.position.tolist(), self.heading, *u.tolist(), dt, self.offset_l)
+        x, y, phi, _, _ = _unicycle_step(*self.position.tolist(), self.heading, *u.tolist(), dt, self.offset_l)
         return Unicycle(np.array([x, y]), phi, self.offset_l)
 
 
@@ -96,12 +95,13 @@ def _finite(x: float, y: float) -> None:
         raise ValueError(f"stepped agent position ({x!r}, {y!r}) is not finite")
 
 
-def _integrator_step(x: float, y: float, ux: float, uy: float, dt: float) -> tuple[float, float]:
-    """The single integrator's position after u is held over dt: the bytes
-    of position + dt * u on arrays. Raises ValueError if it is not finite."""
+def _integrator_step(x: float, y: float, ux: float, uy: float, dt: float) -> tuple[float, ...]:
+    """The single integrator's row (x, y, nan, x, y) after u is held over
+    dt: its position has the bytes of position + dt * u on arrays, and is
+    its controlled point. Raises ValueError if it is not finite."""
     x, y = x + dt * ux, y + dt * uy
     _finite(x, y)
-    return x, y
+    return x, y, math.nan, x, y
 
 
 def _unicycle_point(x: float, y: float, phi: float, l: float) -> tuple[float, float]:
@@ -110,10 +110,10 @@ def _unicycle_point(x: float, y: float, phi: float, l: float) -> tuple[float, fl
 
 
 def _unicycle_step(x: float, y: float, phi: float, ux: float, uy: float, dt: float,
-                   l: float) -> tuple[float, float, float]:
-    """The unicycle state (x, y, phi) after the controlled point's velocity
-    u is held over dt, in closed form. Raises ValueError if it is not
-    finite."""
+                   l: float) -> tuple[float, ...]:
+    """The unicycle's row (x, y, phi, px, py) after the controlled point's
+    velocity u is held over dt, in closed form; (px, py) has the bytes of
+    _unicycle_point. Raises ValueError if it is not finite."""
     # With u held over dt the point moves by exactly dt*u. The heading
     # error e to atan2(u) obeys edot = -(|u|/l) sin e, so tan(e/2) shrinks
     # by k = exp(-|u| dt / l); with turn = 1 - k the heading turns by
@@ -122,22 +122,22 @@ def _unicycle_step(x: float, y: float, phi: float, ux: float, uy: float, dt: flo
     turn = -math.expm1(-math.hypot(ux, uy) * dt / l)
     turned = phi + 2.0 * math.atan2(turn * math.sin(e0), 2.0 - turn * (1.0 - math.cos(e0)))
     # the bytes of position + dt * u + l * (d(phi) - d(turned)) on arrays
-    x = x + dt * ux + l * (math.cos(phi) - math.cos(turned))
-    y = y + dt * uy + l * (math.sin(phi) - math.sin(turned))
+    c, s = math.cos(turned), math.sin(turned)
+    x = x + dt * ux + l * (math.cos(phi) - c)
+    y = y + dt * uy + l * (math.sin(phi) - s)
     _finite(x, y)  # a heading that is not finite leaves x and y not finite too
-    return x, y, turned
+    return x, y, turned, x + l * c, y + l * s
 
 
 def _float_agent(agent: AgentModel, dt: float):
-    """The agent as simulate steps it: its state (x, y, heading) as floats,
-    the heading nan for a single integrator; step(state, (ux, uy)), the
-    state after that control is held over dt; and point(state), its
-    controlled point (px, py)."""
+    """The agent as simulate steps it: its row (x, y, heading, px, py) of
+    floats, the heading nan for a single integrator, and step(row,
+    (ux, uy)), the row after that control is held over dt."""
     x, y = agent.position.tolist()
     if isinstance(agent, Unicycle):
-        l = agent.offset_l
-        return (x, y, agent.heading), lambda s, u: _unicycle_step(*s, *u, dt, l), lambda s: _unicycle_point(*s, l)
-    return (x, y, math.nan), lambda s, u: (*_integrator_step(s[0], s[1], *u, dt), math.nan), lambda s: s[:2]
+        phi, l = agent.heading, agent.offset_l
+        return (x, y, phi, *_unicycle_point(x, y, phi, l)), lambda r, u: _unicycle_step(*r[:3], *u, dt, l)
+    return (x, y, math.nan, x, y), lambda r, u: _integrator_step(r[0], r[1], *u, dt)
 
 
 @dataclass(frozen=True)
@@ -359,8 +359,8 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
     The specs run side by side as lanes, stepped in lockstep and in
     rounds. A round rolls the live lanes forward for up to a block of
     steps under the nominal control alone, each agent stepped exactly, on
-    its own, as a tuple of floats (x, y, heading) by the float kernels
-    the agent model's own step and controlled_point call. It then makes
+    its own, as a row of floats (x, y, heading, px, py) by the float
+    kernels the agent model's own step calls. It then makes
     one barrier_constraint call over the block's (S, B, K) rows, one
     qp_filter call over their active rows and one arrival check. Its
     steps are accepted up to and including the first miss: a step where
@@ -388,8 +388,8 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
     labels = [spec_label(spec) for spec in specs]
     dt, goal, n_obs = scenario.dt, scenario.goal, len(scenario.obstacles)
     (gx, gy), (kx, ky) = goal.tolist(), scenario.nominal_gain.tolist()
-    state, step, point = _float_agent(scenario.agent, dt)
-    states = [state] * len(specs)  # the live lanes' agents
+    row, step = _float_agent(scenario.agent, dt)
+    current = [row] * len(specs)  # the live lanes' agents, as rows
     live, lanes = np.arange(len(specs)), specs  # the lanes still running
     at = slice(None)  # their rows of the log
     u_prev = np.zeros((len(specs), 2))  # the live lanes' last controls
@@ -415,11 +415,10 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
         # roll forward under the nominal control, in floats with the bytes
         # of nominal_control; a step that fails ends the block, and raises
         # only if the loop takes it (below)
-        rows = [[(*s, *point(s)) for s in states]]  # per step, the live lanes' x, y, heading, px, py
+        rows = [current]  # per step, the live lanes' rows
         try:
             for _ in range(min(size, len(times) - j) - 1):
-                stepped = [step(r[:3], (kx * (gx - r[3]), ky * (gy - r[4]))) for r in rows[-1]]
-                rows.append([(*s, *point(s)) for s in stepped])
+                rows.append([step(r, (kx * (gx - r[3]), ky * (gy - r[4]))) for r in rows[-1]])
         except (ArithmeticError, ValueError):
             pass
         agents = np.array(rows).transpose(1, 0, 2)  # (S, B, 5)
@@ -461,7 +460,7 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
         log_u_filtered[at, taken], log_h[at, taken], log_feasible[at, taken] = (
             u[:, : m + 1], h[:, : m + 1], feasible[:, : m + 1])
         k += m
-        states, u, arrived = [r[:3] for r in rows[m]], u[:, m], arrived[:, m]
+        current, u, arrived = rows[m], u[:, m], arrived[:, m]
         if k == n_steps or arrived.any():
             done = arrived | (k == n_steps)
             last[live[done]], reached[live[done]] = k, arrived[done]
@@ -469,9 +468,9 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
             if not len(live):
                 break
             lanes = tuple(specs[s] for s in live.tolist())
-            states = [s for s, stop in zip(states, done.tolist()) if not stop]
+            current = [r for r, stop in zip(current, done.tolist()) if not stop]
             at = live
-        states = [step(s, u_s) for s, u_s in zip(states, u.tolist())]
+        current = [step(r, u_s) for r, u_s in zip(current, u.tolist())]
         u_prev = u
         k += 1
 

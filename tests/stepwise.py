@@ -23,8 +23,8 @@ def simulate_stepwise(scenario, specs):
         return []
     labels = [spec_label(spec) for spec in specs]
     dt, goal, n_obs = scenario.dt, scenario.goal, len(scenario.obstacles)
-    state, step, point = _float_agent(scenario.agent, dt)
-    states = [state] * len(specs)  # the live lanes' agents
+    row, step = _float_agent(scenario.agent, dt)
+    current = [row] * len(specs)  # the live lanes' agents, as rows (x, y, heading, px, py)
     live, lanes = np.arange(len(specs)), specs  # the lanes still running
     at, lane_index = slice(None), live  # their rows of the log, and of a step's arrays
     u_prev = np.zeros((len(specs), 2))  # the live lanes' last controls
@@ -47,7 +47,7 @@ def simulate_stepwise(scenario, specs):
             # the block's fields that each step writes, as views
             log_position, log_heading, log_point, log_u_nominal, log_u_filtered, log_h, log_feasible = (
                 block[name] for name in ("position", "heading", "point", "u_nominal", "u_filtered", "h", "feasible"))
-        agents = np.array([(*s, *point(s)) for s in states])  # x, y, heading, px, py
+        agents = np.array(current)
         points = agents[:, 3:]
         u = u_nom = nominal_control(points, goal, scenario.nominal_gain)
         feasible = True
@@ -72,9 +72,9 @@ def simulate_stepwise(scenario, specs):
             if not len(live):
                 break
             lanes = tuple(specs[s] for s in live.tolist())
-            states = [s for s, stop in zip(states, done.tolist()) if not stop]
+            current = [r for r, stop in zip(current, done.tolist()) if not stop]
             at, lane_index = live, np.arange(len(live))
-        states = [step(s, u_s) for s, u_s in zip(states, u.tolist())]
+        current = [step(r, u_s) for r, u_s in zip(current, u.tolist())]
         u_prev = u
 
     return [SimLog(label=label, records=_readonly(records[s, : last[s] + 1]), dt=dt, reached_goal=bool(reached[s]))

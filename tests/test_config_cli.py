@@ -195,6 +195,60 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def count_forks(monkeypatch):
+    """The pids that call os.fork from now on, in a list."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_cli_field_writes_the_er_grid_as_the_mean_cost_grid(tmp_path, monkeypatch, cpus):
+    # ER's values have c_mu's bits, so its files have c_mu's bytes, also
+    # when a forked child writes them: at 3 CPUs the tasks c_mu, c_sigma
+    # and ER go to three shares, and ER's share runs in the second child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = count_forks(monkeypatch)
+    out = tmp_path / "field"
+    argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--spec", "er", "--out", str(out),
+            "--format", "both"]
+    assert main(argv) == 0
+    assert len(forks) == cpus - 1
+    assert_no_child_left()
+    for suffix in ("csv", "json"):
+        assert (out / f"risk_er.{suffix}").read_bytes() == (out / f"c_mu.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_cli_field_that_fails_removes_only_an_out_it_created(tmp_path, monkeypatch, capsys, existed):
+    # every share fails at its first level set, after it wrote some grids
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def failing_level_set(*a):
+        raise RuntimeError("level set failed")
+
+    monkeypatch.setattr(riskcbf.cli, "level_set", failing_level_set)
+    out = tmp_path / "field"
+    if existed:
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+    assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out)]) == 3
+    assert "level set failed" in capsys.readouterr().err
+    assert_no_child_left()
+    if existed:
+        # left as it is: what was there and what the run wrote before it failed
+        assert (out / "kept.txt").read_text() == "kept\n"
+        assert (out / "c_mu.csv").is_file() and (out / "risk_er.csv").is_file()
+    else:
+        assert not out.exists()
+
+
 def test_cli_field_joins_its_writers(tmp_path, monkeypatch, capsys):
     args = ["field", "--config", str(CONFIGS / "field_default.cfg")]
     assert main([*args, "--out", str(tmp_path / "ok")]) == 0
@@ -219,8 +273,8 @@ def test_cli_field_joins_its_writers(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("stem", ["risk_er", "c_sigma", "risk_cvar_q0p1"])
 def test_cli_field_reports_a_grid_it_cannot_write(tmp_path, capsys, stem):
-    # risk_er is copied from c_mu's files in the parent; the others are
-    # written by forked children
+    # every share writes its own grids, risk_er's included; with two or
+    # more usable CPUs, c_sigma and some specs are written by forked children
     out = tmp_path / "o"
     (out / f"{stem}.csv").mkdir(parents=True)
     assert main(["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out)]) == 3
@@ -270,6 +324,7 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(riskcbf.cli, "rasterize", rasterize_with_inf)
     out = tmp_path / "unchecked"
+    out.mkdir()  # kept after the failure, so the CSV written before it can be read
     assert main(["field", "--config", str(finite), "--out", str(out), "--format", "both"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: writing risk_cpt_a0p74_b1_g1_l3p5.json: ") and "not JSON compliant" in err
@@ -327,14 +382,7 @@ def test_cli_field_forks_one_writer_per_extra_cpu(tmp_path, monkeypatch, cpus):
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     usable = len(os.sched_getaffinity(0))
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = count_forks(monkeypatch)
     out = tmp_path / "field"
     argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out), "--format", "both"]
     assert main(argv) == 0
