@@ -273,13 +273,8 @@ def cmd_feasibility(cfg: Config, out: Path, selector, seed: int) -> int:
         for i, (t, point, y) in enumerate(zip(sampled["t"].tolist(), points.tolist(), ys.tolist()))
     ]
 
-    report = {
-        "seed": seed,
-        "n_samples": settings["n_samples"],
-        "u_max": settings["u_max"],
-        "states": states,
-        "summary": summary,
-    }
+    report = {"seed": seed, "n_samples": settings["n_samples"], "u_max": settings["u_max"],
+              "states": states, "summary": summary}
     path = out / "feasibility.json"
     write_json(path, report)
     for label, row in summary.items():
@@ -328,10 +323,15 @@ def main(argv=None) -> int:
         # the subcommand's usage lists the options it does take
         parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     command, config, out = options.pop("command"), options.pop("config"), Path(options.pop("out"))
-    created = not out.exists()
+    created = False
     try:
         cfg = load_config(config)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True)
+            created = True  # only an --out this run made is removed on a failure
+        except FileExistsError:
+            if not out.is_dir():
+                raise
         code = _COMMANDS[command][0](cfg, out, **options)
         created = False  # a command that succeeds keeps its --out
         return code
@@ -342,8 +342,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:
-        # a failure removes the --out it created; field has joined its children
-        if created and out.is_dir():
+        if created:  # field has joined its children
             shutil.rmtree(out)
 
 

@@ -195,36 +195,6 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def count_forks(monkeypatch):
-    """The pids that call os.fork from now on, in a list."""
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-def test_cli_field_writes_the_er_grid_as_the_mean_cost_grid(tmp_path, monkeypatch, cpus):
-    # ER's values have c_mu's bits, so its files have c_mu's bytes, also
-    # when a forked child writes them: at 3 CPUs the tasks c_mu, c_sigma
-    # and ER go to three shares, and ER's share runs in the second child
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks = count_forks(monkeypatch)
-    out = tmp_path / "field"
-    argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--spec", "er", "--out", str(out),
-            "--format", "both"]
-    assert main(argv) == 0
-    assert len(forks) == cpus - 1
-    assert_no_child_left()
-    for suffix in ("csv", "json"):
-        assert (out / f"risk_er.{suffix}").read_bytes() == (out / f"c_mu.{suffix}").read_bytes()
-
-
 @pytest.mark.parametrize("existed", [False, True])
 def test_cli_field_that_fails_removes_only_an_out_it_created(tmp_path, monkeypatch, capsys, existed):
     # every share fails at its first level set, after it wrote some grids
@@ -302,9 +272,11 @@ def test_cli_field_writes_no_infinity_into_json(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, text.replace("k1 = 200.0", "k1 = 1e308"))
     for fmt in ("both", "csv", "json"):
         out = tmp_path / fmt
+        out.mkdir()  # kept after the failure, so a file written before it would show
         assert main(["field", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 3
         assert capsys.readouterr().err == "error: the risk grid of cpt_a0p74_b1_g1_l3p5 holds a non-finite value\n"
         assert not list(out.glob("*_cpt_a0p74_b1_g1_l3p5.*"))
+    (tmp_path / "audit").mkdir()
     assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "audit")]) == 3
     assert capsys.readouterr().err == "error: the risk grid of cpt_a0p74_b1_g1_l2 holds a non-finite value\n"
     assert not (tmp_path / "audit" / "audit.json").exists()
@@ -382,13 +354,24 @@ def test_cli_field_forks_one_writer_per_extra_cpu(tmp_path, monkeypatch, cpus):
     if cpus is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     usable = len(os.sched_getaffinity(0))
-    forks = count_forks(monkeypatch)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     out = tmp_path / "field"
     argv = ["field", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out), "--format", "both"]
     assert main(argv) == 0
     assert_no_child_left()
     # 16 tasks: c_mu, c_sigma and the 14 specs
     assert len(forks) == min(usable, 16) - 1
+    # ER's values have c_mu's bits, so its files have c_mu's bytes, also
+    # when a child writes them: at 3 CPUs, ER (task 2) is the second child's
+    for suffix in ("csv", "json"):
+        assert (out / f"risk_er.{suffix}").read_bytes() == (out / f"c_mu.{suffix}").read_bytes()
     assert_golden_field_outputs(out)
 
 

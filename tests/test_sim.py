@@ -660,9 +660,10 @@ def test_a_stepped_state_that_is_not_finite_raises(monkeypatch, tmp_path, capsys
         with pytest.raises(ValueError, match=r"stepped agent position \(inf, inf\) is not finite"):
             simulate(dataclasses.replace(scenario, agent=agent), [ExpectedRisk(), CVaR(0.4)])
     out = tmp_path / "out"
+    out.mkdir()  # kept after the failure, so a log written before it would show
     assert main(["simulate", "--config", str(CONFIGS / "single_obstacle.cfg"), "--out", str(out)]) == 3
     assert "is not finite" in capsys.readouterr().err
-    assert not out.exists()  # no log, and no empty output directory
+    assert list(out.iterdir()) == []  # no log
 
 
 # --- rounds -----------------------------------------------------------------------
