@@ -234,7 +234,10 @@ class Config:
     # -- typed builders -----------------------------------------------------
 
     def field_params(self) -> CostFieldParams:
-        return CostFieldParams(*(self._get("field", key) for key in ("k1", "k2", "r_bar", "m")))
+        try:
+            return CostFieldParams(*(self._get("field", key) for key in ("k1", "k2", "r_bar", "m")))
+        except ValueError as exc:  # load_config checked every other bound
+            raise self._fail("field", "k2", str(exc)) from exc
 
     def barrier_config(self, params: CostFieldParams) -> BarrierConfig:
         rho = self._get("barrier", "rho")

@@ -33,7 +33,11 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class CostFieldParams:
     """Constants of the spatial cost: peak k1, decay k2, localization
-    radius r_bar, and the lottery size m used to discretize the cost."""
+    radius r_bar, and the lottery size m used to discretize the cost.
+    k2 lies in (0, 1/2], so that at every radius r c_mu / c_sigma =
+    2 pi exp(k2 r_bar^2) exp((1/2 - k2) r^2) >= 2 pi > 3 > |g_1|: no
+    lattice outcome is negative, and each spec is its lottery on every
+    field (``moment_risk``)."""
 
     k1: float
     k2: float
@@ -42,8 +46,10 @@ class CostFieldParams:
 
     def __post_init__(self):
         # each check is a range that NaN fails
-        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
-            raise ValueError("k1 and k2 must be positive and finite")
+        if not 0 < self.k1 < math.inf:
+            raise ValueError("k1 must be positive and finite")
+        if not 0 < self.k2 <= 0.5:
+            raise ValueError(f"k2 must be in (0, 0.5], got {self.k2!r}")
         if not 0 <= self.r_bar < math.inf:
             raise ValueError("r_bar must be nonnegative and finite")
         if self.m < 2:
@@ -257,9 +263,7 @@ def discretized_cost_range(params: CostFieldParams, source, bounds, resolution) 
     """(min, max) over the grid of the discretized cost outcomes."""
     mu, sigma = (grid.values for grid in moment_grids(params, source, bounds, resolution))
     g = lattice_coeffs(params.m)
-    low = np.maximum(mu + g[0] * sigma, 0.0)
-    high = mu + g[-1] * sigma
-    return float(low.min()), float(high.max())
+    return float((mu + g[0] * sigma).min()), float((mu + g[-1] * sigma).max())
 
 
 def safe_mask(grid: FieldGrid, rho: float) -> np.ndarray:
@@ -278,9 +282,9 @@ _CHORD_FRACTION = 0.01
 def _root_radii(spec, params, rho: float, r_max: float, step: float) -> np.ndarray:
     """Ascending radii in [0, r_max] at which ``R > rho`` changes on the
     radial profile sampled at most step apart, each within step / 64**4.
-    ER and CVaR keep R = c_mu + k * c_sigma with k >= 0 at every k2
-    (``moment_risk``), and both moments strictly decrease in r, so each
-    of their profiles has at most one root at rho; CPT's may have more."""
+    ER and CVaR are R = c_mu + k * c_sigma with k >= 0 (``moment_risk``),
+    and both moments strictly decrease in r, so each of their profiles
+    has at most one root at rho; CPT's may have more."""
 
     def above(r):
         return evaluate(spec, params, r[..., None] * (1.0, 0.0), grad=False)[0] > rho

@@ -167,18 +167,10 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
     no outcome clamps the sum is c_mu + k * c_sigma with one gain
     k = Pi . g per spec, and partials (1, k). They take that form. ER's
     weights are the symmetric masses and g is antisymmetric, so its k is
-    exactly 0 and its value has the bytes of c_mu. No outcome clamps
-    where c_mu + g_1 * c_sigma >= 0, and on the cost fields of
-    :mod:`riskcbf.field`
-
-        c_mu / c_sigma = k1 exp(-k2 r^2) / (k1 exp(-k2 r_bar^2) exp(-r^2 / 2) / (2 pi))
-                       = 2 pi exp(k2 r_bar^2) exp((1/2 - k2) r^2) >= 2 pi > 3 > |g_1|
-
-    whenever k2 <= 1/2, so there c_mu + k * c_sigma is the lottery's
-    value. The shipped configs have k2 = 0.01. For k2 > 1/2 outcomes
-    clamp far from the source, and ER and CVaR keep the unclamped linear
-    form there too, so that ER stays c_mu; it then lies below the
-    clamped lottery's value.
+    exactly 0 and its value has the bytes of c_mu. No outcome clamps on
+    any field of :mod:`riskcbf.field` (``CostFieldParams``), so the
+    linear form is the lottery's value there; only a direct input with
+    c_mu + g_1 * c_sigma < 0 clamps, and ER and CVaR keep the form on it.
 
     spec is one RiskSpec, or a tuple of S specs evaluated side by side
     as lanes along the leading axis of c_mu and c_sigma; each lane's

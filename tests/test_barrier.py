@@ -27,11 +27,14 @@ def test_barrier_zero_on_boundary():
     assert h == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_barrier_approaches_rho_far_away():
-    # the CPT partials are singular where every lattice outcome clamps
-    # at zero, so only the value h = rho - R is defined this far out
-    risk, _ = evaluate(CPT(0.74, 1, 0.88, 2.0), PARAMS, [500.0, 0.0], grad=False)
-    assert CONFIG.rho - risk == pytest.approx(CONFIG.rho, rel=1e-6)
+    # both moments underflow to 0 this far out, so every lattice outcome
+    # is 0: the risk and its gradient vanish, and the constraint is vacuous
+    h, a, b = barrier_constraint(CPT(0.74, 1, 0.88, 2.0), PARAMS, CONFIG, F0, np.array([500.0, 0.0]), F0)
+    assert h == CONFIG.rho
+    assert np.array_equal(a, [0.0, 0.0]) and np.signbit(a).all()  # a = (-0.0, -0.0)
+    assert b == -CONFIG.eta1_gain * CONFIG.rho
 
 
 def test_barrier_sign_tracks_safety():

@@ -756,6 +756,24 @@ def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, n
     assert f":{line_of(text, new)}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["field", "audit", "simulate", "feasibility"])
+def test_cli_k2_is_at_most_one_half(tmp_path, capsys, command):
+    # k2 = 0.5 is the largest decay at which no lattice outcome is negative;
+    # the next double is a config error on the k2 line, before any output
+    name = "field_default.cfg" if command in ("field", "audit") else "multi_obstacle.cfg"
+    text = (CONFIGS / name).read_text()
+    assert text.count("k2 = 0.01") == 1
+    for k2, code in ((0.5, 0), (math.nextafter(0.5, 1.0), 2)):
+        cfg = write_cfg(tmp_path, text.replace("k2 = 0.01", f"k2 = {k2!r}"))
+        out = tmp_path / f"o{code}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == [f"config error: {cfg}:{line_of(text, 'k2 = ')}: field.k2: "
+                                        f"k2 must be in (0, 0.5], got {k2!r}"]
+            assert not out.exists()
+
+
 EXTREMES_OFF = ("include_extremes = true", "include_extremes = false")
 
 
@@ -875,24 +893,6 @@ def test_cli_runtime_error_exit_code(tmp_path):
     bad = write_cfg(tmp_path, text)
     code = main(["simulate", "--config", str(bad), "--spec", "er", "--out", str(tmp_path / "o")])
     assert code == 3
-
-
-@pytest.mark.parametrize("command", ["simulate", "feasibility"])
-def test_cli_runs_where_cpt_outcomes_clamp(tmp_path, command):
-    # with k2 = 1.0 the mean cost decays faster than its deviation, so
-    # obstacles sit where the lowest CPT lattice outcomes clamp at zero
-    text = (CONFIGS / "single_obstacle.cfg").read_text()
-    assert text.count("k2 = 0.01") == 1
-    cfg = write_cfg(tmp_path, text.replace("k2 = 0.01", "k2 = 1.0"))
-    out = tmp_path / "o"
-    fmt = ["--format", "json"] if command == "simulate" else []  # feasibility writes one JSON report
-    assert main([command, "--config", str(cfg), "--out", str(out), *fmt]) == 0
-    if command == "simulate":
-        logs = sorted(out.glob("sim_*.json"))
-        assert len(logs) == len(load_config(cfg).specs())
-        for path in logs:
-            summary = json.loads(path.read_text())["summary"]
-            assert summary["reached_goal"] is True and summary["min_h"] > 0.0
 
 
 def test_cli_spec_index_selector(tmp_path):

@@ -27,9 +27,8 @@ from riskcbf.field import (
     safe_mask,
     versatility_audit,
 )
-from riskcbf.barrier import BarrierConfig, barrier_constraint
 from riskcbf.config import load_config
-from riskcbf.distributions import lattice_coeffs, lattice_masses
+from riskcbf.distributions import lattice_coeffs
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, moment_risk, spec_label
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
@@ -58,11 +57,29 @@ def polygon_area(poly):
         (math.inf, 0.01, 0.5),
         (200.0, math.inf, 0.5),
         (200.0, 0.01, math.inf),
+        (200.0, math.nextafter(0.5, 1.0), 0.5),
     ],
 )
 def test_cost_field_params_reject_out_of_range(k1, k2, r_bar):
     with pytest.raises(ValueError):
         CostFieldParams(k1, k2, r_bar)
+
+
+def test_no_lattice_outcome_is_negative_on_the_domain():
+    # for k2 <= 1/2, c_mu >= 2 pi c_sigma > |g_1| c_sigma, so every outcome
+    # sigma * g + mu (moment_risk's order) is >= +0.0, out to radii where
+    # both moments underflow to 0; discretized_cost_range relies on this
+    rng = np.random.default_rng(20)
+    k2s = np.append(0.5 - rng.uniform(0.0, 0.5, 199), 0.5)  # in (0, 0.5]
+    for k2 in k2s:
+        params = CostFieldParams(10.0 ** rng.uniform(-3.0, 3.0), k2, rng.uniform(0.0, 5.0), rng.choice([2, 10, 40]))
+        # k1 <= 1e3 and k2 <= 1/2 put both moments below 2**-1075 at this radius
+        r = np.linspace(0.0, math.sqrt(760.0 / k2), 3001)
+        for xi in (r[:, None] * (1.0, 0.0), r[:, None] * (0.6, 0.8)):
+            mu, sigma = cost_mean(params, xi), cost_sigma(params, xi)
+            assert mu[-1] == 0.0 and sigma[-1] == 0.0
+            c = sigma[:, None] * lattice_coeffs(params.m) + mu[:, None]
+            assert (c >= 0.0).all() and not np.signbit(c).any(), params
 
 
 def test_cost_mean_peak_at_source():
@@ -172,24 +189,6 @@ def test_risk_gradient_matches_finite_differences():
             assert np.linalg.norm(g - fd) / max(1e-12, np.linalg.norm(fd)) < 1e-4
 
 
-def test_risk_gradient_matches_finite_differences_on_clamped_cells():
-    # fast mean decay leaves sigma dominant, so the lowest lattice
-    # outcomes clamp at zero; each adds a constant, whatever gamma is
-    params = CostFieldParams(1.0, 2.0, 0.0)
-    rng = np.random.default_rng(2)
-    h = 1e-6
-    steps = h * np.eye(2)
-    for gamma in (0.0, 0.5, 0.88, 1.0):
-        spec = CPT(0.74, 1.0, gamma, 2.25)
-        for _ in range(225):
-            xi = rng.uniform(0.75, 3.0) * _unit(rng)
-            assert cost_mean(params, xi) < 3.0 * cost_sigma(params, xi)  # clamped cell
-            g = evaluate(spec, params, xi)[1]
-            up, down = (evaluate(spec, params, xi + sign * steps, grad=False)[0] for sign in (1, -1))
-            fd = (up - down) / (2 * h)
-            assert np.linalg.norm(g - fd) <= 1e-6 * np.linalg.norm(fd)
-
-
 def test_evaluate_batch_and_grid_match_pointwise():
     # byte for byte: a point's risk and gradient do not depend on how many
     # points share its call (a gemv over the CPT lattice rounded rows by N)
@@ -214,21 +213,6 @@ def test_evaluate_batch_and_grid_match_pointwise():
         v, g = evaluate(spec, PARAMS, xi[s])
         assert value[s].tobytes() == v.tobytes() and grad[s].tobytes() == g.tobytes()
     assert np.array_equal(evaluate(lanes, PARAMS, xi, grad=False)[0], value)
-
-
-def test_cpt_clamped_cells_constrain_and_rasterize():
-    params = CostFieldParams(1.0, 2.0, 0.0)
-    spec = CPT(0.74, 1.0, 0.88, 2.25)
-    zero, y = np.zeros(2), np.array([1.0, 0.0])
-    assert cost_mean(params, y) < 3.0 * cost_sigma(params, y)  # clamped cell
-    h, a, b = barrier_constraint(spec, params, BarrierConfig(rho=0.5), zero, y, zero)
-    value, grad = evaluate(spec, params, y)
-    assert h == 0.5 - value and np.array_equal(a, grad) and np.isfinite(b)
-    grid = rasterize(spec, params, (0.0, 0.0), (-2.0, 2.0, -2.0, 2.0), (21, 21))
-    assert np.isfinite(grid.values).all()
-    corner = -np.array([grid.x_centers()[0], grid.y_centers()[0]])
-    assert cost_mean(params, corner) < 3.0 * cost_sigma(params, corner)
-    assert grid.values[0, 0] == pytest.approx(float(evaluate(spec, params, corner)[0]), rel=1e-14)
 
 
 # --- rasterization -------------------------------------------------------------
@@ -958,11 +942,21 @@ def test_cpt_safe_sets_nested_decreasing_in_lambda():
 # --- one meaning per risk model ---------------------------------------------
 #
 # Field-level properties the lottery layer has: CPT(1, 1, 1, 1) is ER,
-# and CVaR(q) is the mean of the worst 1 - q of the lattice's mass.
+# and CVaR(q) is the mean of the worst 1 - q of the lattice's mass. No
+# outcome clamps for any k2 <= 1/2, so they hold on every field; these
+# span the domain's edges k2 = 1/2 and r_bar = 0.
 
-# relative positions along one ray, |xi| = 0, 0.1, ..., 4 (0.3 included)
+# relative positions along one ray, |xi| = 0, 0.1, ..., 4 (0.3 included),
+# on which every field's moments stay normal
 RAY = np.linspace(0.0, 4.0, 41)[:, None] * np.array([0.6, 0.8])
 CVAR_QS = (0.0, 0.001, 0.1, 0.4, 0.8, 0.95, 0.999, 1.0)
+LOTTERY_FIELDS = (
+    PARAMS,
+    CostFieldParams(200.0, 0.5, 0.5),
+    CostFieldParams(200.0, 0.5, 0.0),
+    CostFieldParams(1.0, 0.2, 0.0, 40),
+    CostFieldParams(1e3, 0.05, 5.0, 2),
+)
 
 
 def field_values(spec, params=PARAMS, xi=RAY):
@@ -971,41 +965,27 @@ def field_values(spec, params=PARAMS, xi=RAY):
 
 def test_unit_cpt_field_equals_er_field():
     # CPT(1, 1, 1, 1) is the risk-neutral expectation
-    np.testing.assert_allclose(field_values(CPT(1.0, 1.0, 1.0, 1.0)), field_values(ExpectedRisk()), rtol=1e-9)
+    for params in LOTTERY_FIELDS:
+        np.testing.assert_allclose(field_values(CPT(1.0, 1.0, 1.0, 1.0), params), field_values(ExpectedRisk(), params),
+                                   rtol=1e-9, err_msg=str(params))
 
 
 def test_cvar_field_within_truncation_bound():
     # the cost lottery is truncated at 3 sigma
-    bound = cost_mean(PARAMS, RAY) + 3.0 * cost_sigma(PARAMS, RAY)
-    for q in CVAR_QS:
-        assert np.all(field_values(CVaR(q)) <= bound * (1.0 + 1e-12)), q
+    for params in LOTTERY_FIELDS:
+        bound = cost_mean(params, RAY) + 3.0 * cost_sigma(params, RAY)
+        for q in CVAR_QS:
+            assert np.all(field_values(CVaR(q), params) <= bound * (1.0 + 1e-12)), (params, q)
 
 
 def test_cvar_field_nondecreasing_in_q():
     # CVaR(q) averages the worst 1 - q, so it grows with q
-    values = np.array([field_values(CVaR(q)) for q in CVAR_QS])
-    assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:])
+    for params in LOTTERY_FIELDS:
+        values = np.array([field_values(CVaR(q), params) for q in CVAR_QS])
+        assert np.all(np.diff(values, axis=0) >= -1e-12 * values[1:]), params
 
 
 def test_cvar_field_continuous_at_zero():
     # CVaR(0) is the expectation; a small q stays within 0.1% of it
     er = field_values(CVaR(0.0))
     np.testing.assert_allclose(field_values(CVaR(1e-6)), er, rtol=1e-3)
-
-
-def test_linear_models_keep_the_unclamped_form_past_k2_one_half():
-    # for k2 > 1/2, c_mu / c_sigma falls below |g_1| far from the source and
-    # lattice outcomes clamp (here beyond |xi| = 2.06); ER and CVaR keep
-    # c_mu + k * c_sigma there, so ER stays c_mu
-    params = CostFieldParams(200.0, 0.75, 0.5)
-    mu, sigma = cost_mean(params, RAY), cost_sigma(params, RAY)
-    clamped = mu + lattice_coeffs(params.m)[0] * sigma < 0.0
-    assert clamped.any() and not clamped.all()
-    assert np.array_equal(field_values(ExpectedRisk(), params), mu)
-    for q in (0.4, 1.0):
-        gain = moment_risk(CVaR(q), 0.0, 1.0, params.m)[2]
-        assert np.array_equal(field_values(CVaR(q), params), mu + gain * sigma)
-    # the clamped lottery's expectation lies above c_mu there
-    g = lattice_coeffs(params.m)
-    lottery = np.maximum(mu[clamped, None] + sigma[clamped, None] * g, 0.0) @ lattice_masses(params.m)
-    assert np.all(lottery > mu[clamped])
