@@ -18,7 +18,6 @@ from .field import (
     FieldGrid,
     InclusivenessReport,
     VersatilityReport,
-    cost_gradients,
     cost_mean,
     cost_sigma,
     evaluate,

@@ -160,17 +160,6 @@ def cost_sigma(params: CostFieldParams, xi) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def cost_gradients(params: CostFieldParams, xi) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the mean and deviation fields with respect to xi."""
-    xi = np.asarray(xi, dtype=float)
-    return _moment_gradients(params, xi, *_moments(params, _r2(xi)))
-
-
-def _moment_gradients(params, xi, mu, sigma):
-    # d c_mu/dxi = -2 k2 xi c_mu and d c_sigma/dxi = -xi c_sigma
-    return -2.0 * params.k2 * xi * mu[..., None], -xi * sigma[..., None]
-
-
 def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
     """Perceived risk R and its gradient dR/dxi at relative positions xi.
 
@@ -185,7 +174,8 @@ def evaluate(spec: RiskSpec, params: CostFieldParams, xi, grad: bool = True):
     value, d_mu, d_sigma = moment_risk(spec, mu, sigma, params.m, grad=grad)
     if not grad:
         return value, None
-    grad_mu, grad_sigma = _moment_gradients(params, xi, mu, sigma)
+    # d c_mu/dxi = -2 k2 xi c_mu and d c_sigma/dxi = -xi c_sigma
+    grad_mu, grad_sigma = -2.0 * params.k2 * xi * mu[..., None], -xi * sigma[..., None]
     return value, d_mu[..., None] * grad_mu + d_sigma[..., None] * grad_sigma
 
 

@@ -161,7 +161,8 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
     lattice outcomes c_i = c_mu + c_sigma * g_i at the spec's decision
     weights Pi on the lattice masses (``lattice_weights``). CPT evaluates
     it as written; its partials differentiate that sum at fixed weights,
-    where an outcome clamped at zero adds a constant.
+    where an outcome clamped at zero adds a constant, and are exactly 0 at
+    gamma = 0 (R = lam * sum_i Pi_i), even where c_mu is subnormal.
 
     ER and CVaR have gamma = lam = 1, and the weights sum to 1, so where
     no outcome clamps the sum is c_mu + k * c_sigma with one gain
@@ -190,9 +191,9 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
 
 class _LaneParams(NamedTuple):
     """moment_risk's parameters of S lanes, one row each: ER/CVaR lanes
-    read the gain k, CPT lanes (cpt) gamma, gamma - 1, lam * gamma, lam,
-    the weights Pi and g * Pi, shaped for a (S, N, m) lattice. any_linear
-    and any_cpt say which models run."""
+    read the gain k, CPT lanes (cpt) gamma, the exponent gamma - 1 (0 at
+    gamma = 0), lam * gamma, lam, the weights Pi and g * Pi, shaped for a
+    (S, N, m) lattice. any_linear and any_cpt say which models run."""
 
     any_linear: bool
     any_cpt: bool
@@ -218,8 +219,10 @@ def _lane_params(specs: tuple, m: int) -> _LaneParams:
     gamma = np.array([s.gamma if isinstance(s, CPT) else 1.0 for s in specs])
     lam = np.array([s.lam if isinstance(s, CPT) else 1.0 for s in specs])
     sqrt_rows = (cpt & (gamma == 0.5))[:, None, None]
+    # a gamma = 0 lane's partials are 0 (scale 0), and its exponent 0, not
+    # -1, keeps them so where c is subnormal: 1 / c overflows, 0 * inf is nan
     return _LaneParams(any_linear=not cpt.all(), any_cpt=bool(cpt.any()), gain=gain, cpt=cpt,
-                       gamma=gamma[:, None, None], gamma_less_1=gamma[:, None, None] - 1.0,
+                       gamma=gamma[:, None, None], gamma_less_1=np.where(gamma == 0.0, 0.0, gamma - 1.0)[:, None, None],
                        scale=(lam * gamma)[:, None], lam=lam[:, None], pi=pi[:, None, :],
                        g_pi=g * pi[:, None, :], sqrt_rows=sqrt_rows if sqrt_rows.any() else None)
 
@@ -243,7 +246,8 @@ def _lane_risk(p: _LaneParams, mu, sigma, m: int, grad: bool):
     if grad:
         # d/dc max(c, 0)**gamma is gamma * c**(gamma - 1) for c > 0 and 0
         # for c < 0, so this is the exact derivative of the value below
-        # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular)
+        # wherever no outcome is exactly 0 (where c**(gamma - 1) is singular;
+        # a gamma = 0 lane raises to 0 instead, _lane_params says why)
         t = np.power(c, p.gamma_less_1, out=np.zeros(c.shape), where=c > 0.0)
         d_mu = (p.scale * row_dot(t, p.pi)).reshape(mu.shape)
         d_sigma = (p.scale * row_dot(t, p.g_pi)).reshape(mu.shape)

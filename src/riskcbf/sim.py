@@ -9,10 +9,10 @@ makes one risk evaluation over the block's (S, B, K) barrier rows and
 one filter call over their active rows, and keeps the steps up to the
 first one the filter changes. Each lane's log has the bytes of a run of
 its spec alone, filtered one step at a time. The control is held over
-each step and the agent is stepped exactly, one lane at a time. Within
-simulate a lane's agent is a row of floats (x, y, heading, px, py),
-stepped by the same float kernels (_unicycle_step, _integrator_step)
-that the public models' step calls, so the kinematics exist once.
+each step and the agent is stepped exactly, one lane at a time. The agent
+models are validated start states; within simulate a lane's agent is a
+row of floats (x, y, heading, px, py), stepped by the float kernels
+_unicycle_step and _integrator_step, the one kinematics path.
 Each obstacle moves on a straight line at a fixed speed and then rests,
 so obstacle_motion gives its position and velocity at any t in closed
 form, for all lanes at once. Unicycle agents are controlled through the
@@ -53,19 +53,13 @@ class SingleIntegrator:
     def __post_init__(self):
         object.__setattr__(self, "position", _vec2(self.position))
 
-    def controlled_point(self) -> np.ndarray:
-        return self.position
-
-    def step(self, u: np.ndarray, dt: float) -> "SingleIntegrator":
-        return SingleIntegrator(np.array(_integrator_step(*self.position.tolist(), *u.tolist(), dt)[:2]))
-
 
 @dataclass(frozen=True)
 class Unicycle:
     """Unicycle agent controlled via the projected point p = x + l*d(phi).
 
     The filtered control u maps to (v, omega) by unicycle_transform, under
-    which pdot = u exactly; step moves the body under that law in closed form.
+    which pdot = u exactly; _unicycle_step moves the body in closed form.
     """
 
     position: np.ndarray
@@ -78,13 +72,6 @@ class Unicycle:
             raise ValueError("offset_l must be positive and finite")
         if not math.isfinite(self.heading):
             raise ValueError("heading must be finite")
-
-    def controlled_point(self) -> np.ndarray:
-        return np.array(_unicycle_point(*self.position.tolist(), self.heading, self.offset_l))
-
-    def step(self, u: np.ndarray, dt: float) -> "Unicycle":
-        x, y, phi, _, _ = _unicycle_step(*self.position.tolist(), self.heading, *u.tolist(), dt, self.offset_l)
-        return Unicycle(np.array([x, y]), phi, self.offset_l)
 
 
 AgentModel = Union[SingleIntegrator, Unicycle]
@@ -360,7 +347,7 @@ def simulate(scenario: Scenario, specs: Iterable[RiskSpec]) -> list[SimLog]:
     rounds. A round rolls the live lanes forward for up to a block of
     steps under the nominal control alone, each agent stepped exactly, on
     its own, as a row of floats (x, y, heading, px, py) by the float
-    kernels the agent model's own step calls. It then makes
+    kernels of _float_agent. It then makes
     one barrier_constraint call over the block's (S, B, K) rows, one
     qp_filter call over their active rows and one arrival check. Its
     steps are accepted up to and including the first miss: a step where

@@ -9,8 +9,8 @@ from riskcbf.barrier import (
     feasibility_margin,
     qp_filter,
 )
-from riskcbf.field import CostFieldParams, cost_gradients, discretized_cost_range, evaluate
-from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
+from riskcbf.field import CostFieldParams, cost_mean, discretized_cost_range, evaluate
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, lattice_weights, spec_label
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 CONFIG = BarrierConfig(rho=PARAMS.sigma_peak, eta1_gain=1.0)
@@ -35,6 +35,28 @@ def test_barrier_approaches_rho_far_away():
     assert h == CONFIG.rho
     assert np.array_equal(a, [0.0, 0.0]) and np.signbit(a).all()  # a = (-0.0, -0.0)
     assert b == -CONFIG.eta1_gain * CONFIG.rho
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [1.0, 2.25, 100.0])
+def test_gamma_zero_row_is_exact_where_the_mean_cost_is_subnormal(lam):
+    # a gamma = 0 spec is the constant field R = lam * sum(Pi), so its row
+    # is (rho - R, 0, -eta * h) at every radius, also where c_mu is
+    # subnormal (r in about (267, 274) here) and c**(gamma - 1) = 1 / c
+    # overflows; alone, and as a lane beside a gamma > 0 spec
+    spec = CPT(0.74, 1.0, 0.0, lam)
+    ys = np.linspace(0.0, 400.0, 4001)[:, None] * [1.0, 0.0]
+    assert 0.0 < cost_mean(PARAMS, [270.0, 0.0]) < np.finfo(float).tiny
+    h, a, b = barrier_constraint(spec, PARAMS, CONFIG, F0, ys, np.zeros_like(ys))
+    assert (h == h[0]).all()
+    assert h[0] == pytest.approx(CONFIG.rho - lam * lattice_weights(spec, PARAMS.m).sum(), rel=1e-14)
+    assert (a == 0.0).all() and np.array_equal(b, -CONFIG.eta1_gain * h)
+    specs = (spec, CPT(0.74, 1.0, 0.88, 2.25))
+    lanes = barrier_constraint(specs, PARAMS, CONFIG, np.zeros((2, 1, 2)), ys, np.zeros_like(ys))
+    assert all(np.isfinite(r).all() for r in lanes)
+    for s, spec_s in enumerate(specs):
+        alone = barrier_constraint(spec_s, PARAMS, CONFIG, F0, ys, np.zeros_like(ys))
+        assert all(r[s].tobytes() == r_s.tobytes() for r, r_s in zip(lanes, alone))
 
 
 def test_barrier_sign_tracks_safety():
@@ -182,7 +204,7 @@ def test_margin_er_reduces_to_mean_gradient_ratio():
     x, y = np.array([3.0, 3.0]), np.array([9.0, 7.0])
     h, a, _ = barrier_constraint(ExpectedRisk(), PARAMS, CONFIG, x, y, F0)
     _, eta, _, _ = feasibility_margin(h, a, F0 - [1.0, 0.0], CONFIG.eta1_gain)
-    gm, _ = cost_gradients(PARAMS, y - x)
+    gm = -2.0 * PARAMS.k2 * (y - x) * cost_mean(PARAMS, y - x)
     assert eta == pytest.approx(CONFIG.eta1_gain * h / np.linalg.norm(gm), rel=1e-12)
 
 

@@ -425,6 +425,23 @@ def test_cli_simulate_unsafe_start_names_the_specs_and_writes_nothing(tmp_path, 
     assert list(out.iterdir()) == []
 
 
+def test_cli_simulate_gamma_zero_lane_beside_a_far_obstacle(tmp_path, capsys):
+    # the obstacle rests about r = 270 from the agent, where c_mu is
+    # subnormal: the gamma = 0 lane's constraint row is (h, 0, -eta * h),
+    # not nan, and the run neither warns nor fails
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    specs = next(line for line in text.splitlines() if line.startswith("specs = "))
+    for old, new in (("start = 13.0, 13.0\ngoal = 2.0, 3.0", "start = 275.0, 2.0\ngoal = 275.0, 2.0"),
+                     (specs, "specs = cpt(0.74, 1.0, 0.0, 2.0), er")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in summary[1:]] == [["cpt_a0p74_b1_g0_l2", "1"], ["er", "1"]]
+
+
 def _summary_row(summary):
     """A sim JSON summary as its summary.csv row would print it."""
     return [

@@ -14,7 +14,6 @@ from riskcbf.field import (
     MAX_WITNESSES,
     CostFieldParams,
     FieldGrid,
-    cost_gradients,
     cost_mean,
     cost_sigma,
     discretized_cost_range,
@@ -106,24 +105,37 @@ def test_cost_sigma_peak_and_decay():
     assert expected == pytest.approx(19.2582646, abs=1e-6)
 
 
-def test_cost_gradients_vanish_at_source():
-    gm, gs = cost_gradients(PARAMS, [0.0, 0.0])
+def gradients_of_moments(monkeypatch, xi):
+    """evaluate's gradients of c_mu and c_sigma at xi: ER's gradient (its
+    partials are (1, 0)), which is the analytic -2 k2 xi c_mu, and the
+    gradient under the partials (0, 1)."""
+    grad_mu = evaluate(ExpectedRisk(), PARAMS, xi)[1]
+    np.testing.assert_array_equal(grad_mu, -2.0 * PARAMS.k2 * np.asarray(xi) * cost_mean(PARAMS, xi))
+    with monkeypatch.context() as patch:
+        patch.setattr(riskcbf.field, "moment_risk",
+                      lambda spec, mu, sigma, m, grad: (mu, np.zeros_like(mu), np.ones_like(mu)))
+        grad_sigma = evaluate(ExpectedRisk(), PARAMS, xi)[1]
+    return grad_mu, grad_sigma
+
+
+def test_cost_gradients_vanish_at_source(monkeypatch):
+    gm, gs = gradients_of_moments(monkeypatch, [0.0, 0.0])
     assert np.allclose(gm, 0.0) and np.allclose(gs, 0.0)
 
 
-def test_cost_gradients_point_inward():
+def test_cost_gradients_point_inward(monkeypatch):
     xi = np.array([3.0, -2.0])
-    gm, gs = cost_gradients(PARAMS, xi)
+    gm, gs = gradients_of_moments(monkeypatch, xi)
     assert np.dot(gm, -xi) > 0.0
     assert np.dot(gs, -xi) > 0.0
 
 
-def test_cost_gradients_match_finite_differences():
+def test_cost_gradients_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(0)
     h = 1e-6
     for _ in range(100):
         xi = rng.uniform(0.1, 7.0) * _unit(rng)
-        gm, gs = cost_gradients(PARAMS, xi)
+        gm, gs = gradients_of_moments(monkeypatch, xi)
         fd_m, fd_s = np.zeros(2), np.zeros(2)
         for k in range(2):
             e = np.zeros(2)
@@ -165,7 +177,7 @@ def test_perceived_risk_lambda_scaling():
 
 def test_risk_gradient_er_equals_mean_gradient():
     xi = np.array([2.0, -1.0])
-    gm, _ = cost_gradients(PARAMS, xi)
+    gm = -2.0 * PARAMS.k2 * xi * cost_mean(PARAMS, xi)
     assert np.allclose(evaluate(ExpectedRisk(), PARAMS, xi)[1], gm)
 
 

@@ -16,7 +16,10 @@ from riskcbf.sim import (
     ObstacleModel,
     SingleIntegrator,
     Unicycle,
+    _float_agent,
     _integrator_step,
+    _unicycle_point,
+    _unicycle_step,
     comparison_to_csv,
     default_obstacle_speed,
     nominal_control,
@@ -96,29 +99,49 @@ def test_unicycle_step_is_exact():
     u = rng.uniform(0.0, 14.0, n)[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
     ref_position, ref_heading = midpoint_reference(position, heading, u, l, dt)
     for k in range(n):
-        agent = Unicycle(position[k], heading[k], l)
-        stepped = agent.step(u[k], dt)
-        np.testing.assert_allclose(stepped.controlled_point(), agent.controlled_point() + dt * u[k], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stepped.position, ref_position[k], rtol=0, atol=1e-8)
-        assert stepped.heading == pytest.approx(ref_heading[k], rel=0, abs=1e-8)
+        x, y, phi, px, py = _unicycle_step(*position[k].tolist(), float(heading[k]), *u[k].tolist(), dt, l)
+        point = np.array(_unicycle_point(*position[k].tolist(), float(heading[k]), l))
+        np.testing.assert_allclose([px, py], point + dt * u[k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose([x, y], ref_position[k], rtol=0, atol=1e-8)
+        assert phi == pytest.approx(ref_heading[k], rel=0, abs=1e-8)
 
 
 def test_unicycle_step_without_control_keeps_the_state():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        agent = Unicycle(rng.uniform(-10.0, 10.0, 2), rng.uniform(-10.0, 10.0), rng.uniform(0.05, 1.0))
-        stepped = agent.step(np.zeros(2), 0.02)
-        assert stepped.position.tobytes() == agent.position.tobytes()
-        assert stepped.heading == agent.heading
+        x, y, phi, l = *rng.uniform(-10.0, 10.0, 2), rng.uniform(-10.0, 10.0), rng.uniform(0.05, 1.0)
+        stepped = _unicycle_step(x, y, phi, 0.0, 0.0, 0.02, l)
+        assert np.array(stepped[:2]).tobytes() == np.array([x, y]).tobytes()
+        assert stepped[2] == phi
 
 
 @pytest.mark.parametrize("flip", [math.pi, -math.pi])
 def test_unicycle_step_anti_aligned_keeps_heading(flip):
     u = np.array([3.0, -4.0])
-    agent = Unicycle([1.0, 2.0], math.atan2(u[1], u[0]) + flip, 0.2)
-    stepped = agent.step(u, 0.02)
-    assert stepped.heading == pytest.approx(agent.heading, rel=0, abs=1e-12)
-    np.testing.assert_allclose(stepped.controlled_point(), agent.controlled_point() + 0.02 * u, rtol=0, atol=1e-12)
+    heading = math.atan2(u[1], u[0]) + flip
+    _, _, phi, px, py = _unicycle_step(1.0, 2.0, heading, *u.tolist(), 0.02, 0.2)
+    assert phi == pytest.approx(heading, rel=0, abs=1e-12)
+    np.testing.assert_allclose([px, py], np.array(_unicycle_point(1.0, 2.0, heading, 0.2)) + 0.02 * u,
+                               rtol=0, atol=1e-12)
+
+
+def test_kernels_have_the_bytes_they_claim():
+    # _unicycle_step's point is _unicycle_point at its new state, and its
+    # position position + dt * u + l * (d(phi) - d(phi')) on arrays;
+    # _integrator_step's position is position + dt * u on arrays
+    rng = np.random.default_rng(32)
+    for _ in range(20_000):
+        position, u = rng.uniform(-20.0, 20.0, 2), rng.uniform(-15.0, 15.0, 2)
+        phi, l, dt = rng.uniform(-7.0, 7.0), rng.uniform(0.05, 1.0), float(rng.choice([0.02, 0.1, 0.013]))
+        x, y, turned, px, py = _unicycle_step(*position.tolist(), phi, *u.tolist(), dt, l)
+        assert np.array([px, py]).tobytes() == np.array(_unicycle_point(x, y, turned, l)).tobytes()
+        d = np.array([math.cos(phi), math.sin(phi)]), np.array([math.cos(turned), math.sin(turned)])
+        assert np.array([x, y]).tobytes() == (position + dt * u + l * (d[0] - d[1])).tobytes()
+        d = np.array([np.cos(phi), np.sin(phi)]), np.array([np.cos(turned), np.sin(turned)])
+        assert np.array([x, y]).tobytes() == (position + dt * u + l * (d[0] - d[1])).tobytes()
+        x, y, heading, px, py = _integrator_step(*position.tolist(), *u.tolist(), dt)
+        assert np.array([x, y]).tobytes() == (position + dt * u).tobytes()
+        assert math.isnan(heading) and np.array([px, py]).tobytes() == np.array([x, y]).tobytes()
 
 
 def test_logged_heading_has_no_wraps():
@@ -633,20 +656,17 @@ def test_lanes_name_every_spec_that_starts_unsafe():
 
 @pytest.mark.parametrize("name", ["multi_obstacle", "single_integrator"])
 def test_lanes_step_as_the_agent_models_do(name):
-    # simulate steps float states; the public models must give each row's bytes
+    # each logged row (x, y, heading, px, py) is the agent's start row, or
+    # the previous row stepped under its logged filtered control
     scenario, specs = lane_case(name)
+    start, step = _float_agent(scenario.agent, scenario.dt)
     for log in simulate(scenario, specs):
         r = log.records
-        for k in range(log.steps):
-            agent = dataclasses.replace(scenario.agent, position=r["position"][k])
-            if isinstance(agent, Unicycle):
-                agent = dataclasses.replace(agent, heading=float(r["heading"][k]))
-            assert agent.controlled_point().tobytes() == r["point"][k].tobytes()
-            if k + 1 < log.steps:
-                stepped = agent.step(r["u_filtered"][k], scenario.dt)
-                assert stepped.position.tobytes() == r["position"][k + 1].tobytes()
-                heading = getattr(stepped, "heading", math.nan)
-                assert np.float64(heading).tobytes() == r["heading"][k + 1].tobytes()
+        rows = np.column_stack([r["position"], r["heading"], r["point"]])
+        assert rows[0].tobytes() == np.array(start).tobytes()
+        for k in range(1, log.steps):
+            stepped = step(tuple(rows[k - 1].tolist()), tuple(r["u_filtered"][k - 1].tolist()))
+            assert rows[k].tobytes() == np.array(stepped).tobytes()
 
 
 def test_a_stepped_state_that_is_not_finite_raises(monkeypatch, tmp_path, capsys):
