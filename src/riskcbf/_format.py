@@ -61,9 +61,8 @@ def format_rows(values: np.ndarray) -> Iterator[bytes]:
     """
     values = np.asarray(values, dtype=float)
     step = max(1, _FORMAT_BLOCK // max(values.shape[1], 1))
-    formatter = _Formatter()
     for i in range(0, len(values), step):
-        yield formatter.block(values[i: i + step])
+        yield _block(values[i: i + step])
 
 
 def write_json(path, obj) -> None:
@@ -132,75 +131,76 @@ def _keep_masks() -> np.ndarray:
 _KEEP = _keep_masks().view("<u8")
 
 
-class _Formatter:
-    """One format_rows call's tables. What a value's group, its decimal
-    exponent x and sign, fixes is derived for the groups the call meets:
-    group g = 2 * x + neg + _GROUP0 holds 10**(16 - x) as hi + lo; the
-    masks of the bytes of digits 1-16 that the point moves and of the
-    point; the last row word; and the first keep-mask row of its layout
-    class (see _keep_masks), less the 119 that block adds to a count."""
+# The tables of the value groups, filled once per process: _fill fills a
+# group the first time a value needs it, and every later format_rows call
+# (and every process that field forks) reuses it. What a value's group, its
+# decimal exponent x and sign, fixes: group g = 2 * x + neg + _GROUP0 holds
+# 10**(16 - x) as hi + lo (_SCALE); the masks of the bytes of digits 1-16
+# that the point moves and of the point, and the last row word (_WORDS);
+# and the first keep-mask row of its layout class (see _keep_masks), less
+# the 119 that _block adds to a count (_MASK_BASE, 0 until filled).
+_SCALE, _WORDS = np.zeros((2, 2 * _GROUP0)), np.zeros((5, 2 * _GROUP0), dtype=np.uint64)
+_MASK_BASE = np.zeros(2 * _GROUP0, dtype=np.intp)
 
-    def __init__(self):
-        self.scale, self.words = np.zeros((2, 2 * _GROUP0)), np.zeros((5, 2 * _GROUP0), dtype=np.uint64)
-        self.mask_base = np.zeros(2 * _GROUP0, dtype=np.intp)
 
-    def _fill(self, g: int) -> None:
-        x, neg = (g - _GROUP0) >> 1, g & 1
-        self.scale[:, g] = _pow10(16 - x)
-        exp = b"" if -4 <= x < 17 else b"e%+03d" % x
-        lead = 1 if exp else x + 1 if 0 <= x < 16 else 0  # digits before the point; 0: no point
-        moved = bytes(lead - 1).ljust(16, b"\xff") if lead else bytes(16)
-        point = (bytes(lead - 1) + b".").ljust(16, b"\0") if lead else bytes(16)
-        self.words[:, g] = np.frombuffer(moved + point + b"\0" + exp.ljust(5, b"\0") + b",\0", dtype="<u8")
-        self.mask_base[g] = _WIDTH - 119 + 17 * (2 * (x + 4) + neg if not exp else 42 + 2 * (len(exp) - 4) + neg)
+def _fill(g: int) -> None:
+    x, neg = (g - _GROUP0) >> 1, g & 1
+    _SCALE[:, g] = _pow10(16 - x)
+    exp = b"" if -4 <= x < 17 else b"e%+03d" % x
+    lead = 1 if exp else x + 1 if 0 <= x < 16 else 0  # digits before the point; 0: no point
+    moved = bytes(lead - 1).ljust(16, b"\xff") if lead else bytes(16)
+    point = (bytes(lead - 1) + b".").ljust(16, b"\0") if lead else bytes(16)
+    _WORDS[:, g] = np.frombuffer(moved + point + b"\0" + exp.ljust(5, b"\0") + b",\0", dtype="<u8")
+    _MASK_BASE[g] = _WIDTH - 119 + 17 * (2 * (x + 4) + neg if not exp else 42 + 2 * (len(exp) - 4) + neg)
 
-    def block(self, values: np.ndarray) -> bytes:
-        v = values.ravel()
-        a = np.abs(v)
-        fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # NaN fails both
-        a[~fast] = 1.0  # so that log10 sees no 0, inf or nan and warns of nothing
-        neg = np.signbit(v)
-        group = 2 * np.floor(np.log10(a)).astype(np.int64) + neg + _GROUP0
-        base = self.mask_base.take(group)
-        if np.count_nonzero(base) < len(base):
-            for g in np.flatnonzero(np.bincount(group[base == 0])).tolist():
-                self._fill(g)
-            base = self.mask_base.take(group)
-        n, decided = _significand(a, *self.scale.take(group, axis=1))
-        slow = np.flatnonzero(~(fast & decided))
-        zero = v[slow] == 0.0
-        n[slow[zero]] = 0  # 0 and -0: the digits of 0 at exponent 0
-        slow = slow[~zero]
-        # digit 0, and digits 1-8 and 9-16 in ASCII: two words of two groups of four
-        n8 = n // 10**8
-        first = n8 // 10**8
-        halves = np.stack([n8 - first * 10**8, n - n8 * 10**8])
-        high = halves // 10**4
-        halves -= high * 10**4
-        digits = _DIGITS4.take(np.stack([high, halves], axis=-1)).view("<u8")[:, :, 0]
-        # 118 + the count of significant digits: the bytes of digits 1-16 up
-        # to the last that is not "0", from the exponent of one double (XOR
-        # "0" leaves no byte above 9, so no rounding reaches a power of 2)
-        low = (digits ^ _ASCII_ZEROS).astype(float)
-        row = base + ((low[0] * 2.0**-63 + low[1] * 2.0 + 2.0**-65).view(np.int64) >> 55)
-        del a, base, n, n8, halves, high, low  # dead: a block's peak memory stays low
-        # the point: the bytes of digits 1-16 from its place on move up one
-        words = self.words.take(group, axis=1)
-        moved = digits & words[:2]
-        digits += moved * np.uint64(255) + words[2:4]
-        out = np.empty((len(v), _WIDTH // 8), dtype="<u8")
-        np.bitwise_or(_PREFIX, (first.view(np.uint64) + ord("0")) << 56, out=out[:, 0])
-        out[:, 1] = digits[0]
-        np.add(digits[1], moved[0] >> 56, out=out[:, 2])
-        np.add(words[4], moved[1] >> 56, out=out[:, 3])
-        del words, moved, digits, first
-        text = out.view(np.uint8)
-        if slow.size:
-            items = ["%.17g" % f for f in v[slow].tolist()]
-            sizes = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
-            chars = np.frombuffer("".join(items).encode("ascii"), dtype=np.uint8)
-            text[np.repeat(slow, sizes), np.arange(len(chars)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = chars
-            row[slow] = sizes
-        text[values.shape[1] - 1:: values.shape[1], _SEP] = ord("\n")
-        out &= _KEEP.take(row, axis=0)
-        return out.tobytes().translate(None, b"\0")
+
+def _block(values: np.ndarray) -> bytes:
+    v = values.ravel()
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # NaN fails both
+    a[~fast] = 1.0  # so that log10 sees no 0, inf or nan and warns of nothing
+    neg = np.signbit(v)
+    group = 2 * np.floor(np.log10(a)).astype(np.int64) + neg + _GROUP0
+    base = _MASK_BASE.take(group)
+    if np.count_nonzero(base) < len(base):
+        for g in np.flatnonzero(np.bincount(group[base == 0])).tolist():
+            _fill(g)
+        base = _MASK_BASE.take(group)
+    n, decided = _significand(a, *_SCALE.take(group, axis=1))
+    slow = np.flatnonzero(~(fast & decided))
+    zero = v[slow] == 0.0
+    n[slow[zero]] = 0  # 0 and -0: the digits of 0 at exponent 0
+    slow = slow[~zero]
+    # digit 0, and digits 1-8 and 9-16 in ASCII: two words of two groups of four
+    n8 = n // 10**8
+    first = n8 // 10**8
+    halves = np.stack([n8 - first * 10**8, n - n8 * 10**8])
+    high = halves // 10**4
+    halves -= high * 10**4
+    digits = _DIGITS4.take(np.stack([high, halves], axis=-1)).view("<u8")[:, :, 0]
+    # 118 + the count of significant digits: the bytes of digits 1-16 up
+    # to the last that is not "0", from the exponent of one double (XOR
+    # "0" leaves no byte above 9, so no rounding reaches a power of 2)
+    low = (digits ^ _ASCII_ZEROS).astype(float)
+    row = base + ((low[0] * 2.0**-63 + low[1] * 2.0 + 2.0**-65).view(np.int64) >> 55)
+    del a, base, n, n8, halves, high, low  # dead: a block's peak memory stays low
+    # the point: the bytes of digits 1-16 from its place on move up one
+    words = _WORDS.take(group, axis=1)
+    moved = digits & words[:2]
+    digits += moved * np.uint64(255) + words[2:4]
+    out = np.empty((len(v), _WIDTH // 8), dtype="<u8")
+    np.bitwise_or(_PREFIX, (first.view(np.uint64) + ord("0")) << 56, out=out[:, 0])
+    out[:, 1] = digits[0]
+    np.add(digits[1], moved[0] >> 56, out=out[:, 2])
+    np.add(words[4], moved[1] >> 56, out=out[:, 3])
+    del words, moved, digits, first
+    text = out.view(np.uint8)
+    if slow.size:
+        items = ["%.17g" % f for f in v[slow].tolist()]
+        sizes = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
+        chars = np.frombuffer("".join(items).encode("ascii"), dtype=np.uint8)
+        text[np.repeat(slow, sizes), np.arange(len(chars)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = chars
+        row[slow] = sizes
+    text[values.shape[1] - 1:: values.shape[1], _SEP] = ord("\n")
+    out &= _KEEP.take(row, axis=0)
+    return out.tobytes().translate(None, b"\0")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import shutil
@@ -299,7 +300,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on the first
+    call, so that each later main call only parses."""
     parser = argparse.ArgumentParser(
         prog="riskcbf",
         description="Perceived-risk fields, safety audits and safe-control simulation.",

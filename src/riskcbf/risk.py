@@ -130,19 +130,6 @@ def decision_weights(probabilities, w) -> np.ndarray:
     return tails - np.append(tails[1:], 0.0)
 
 
-@lru_cache(maxsize=256)
-def lattice_weights(spec: RiskSpec, m: int) -> np.ndarray:
-    """Decision weights of spec on the m-bin lattice's masses.
-
-    The masses depend only on m, so the weights are constant across
-    every (c_mu, c_sigma) cell and are shared by field evaluation. The
-    array is cached and read-only.
-    """
-    pi = decision_weights(lattice_masses(m), weighting(spec))
-    pi.setflags(write=False)
-    return pi
-
-
 def row_dot(u, v):
     """Dot products over the last axis of u and v, broadcast over the
     leading axes. The stacked matmul takes the BLAS dot of a one-row
@@ -159,10 +146,10 @@ def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 1
     (value, d/dc_mu, d/dc_sigma), each of that shape. The value is the
     module's one formula, lam * sum_i Pi_i * max(c_i, 0)**gamma, over the
     lattice outcomes c_i = c_mu + c_sigma * g_i at the spec's decision
-    weights Pi on the lattice masses (``lattice_weights``). CPT evaluates
-    it as written; its partials differentiate that sum at fixed weights,
-    where an outcome clamped at zero adds a constant, and are exactly 0 at
-    gamma = 0 (R = lam * sum_i Pi_i), even where c_mu is subnormal.
+    weights Pi on the lattice masses. CPT evaluates it as written; its
+    partials differentiate that sum at fixed weights, where an outcome
+    clamped at zero adds a constant, and are exactly 0 at gamma = 0
+    (R = lam * sum_i Pi_i), even where c_mu is subnormal.
 
     ER and CVaR have gamma = lam = 1, and the weights sum to 1, so where
     no outcome clamps the sum is c_mu + k * c_sigma with one gain
@@ -208,10 +195,10 @@ class _LaneParams(NamedTuple):
     sqrt_rows: Optional[np.ndarray]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _lane_params(specs: tuple, m: int) -> _LaneParams:
     cpt = np.array([isinstance(s, CPT) for s in specs])
-    pi = np.array([lattice_weights(s, m) for s in specs])
+    pi = np.array([decision_weights(lattice_masses(m), weighting(s)) for s in specs])
     g = lattice_coeffs(m)
     # g[::-1] == -g, so Pi . g = (Pi - Pi reversed) . g / 2, which is
     # exactly 0 for the symmetric weights of ER and CVaR(0)

@@ -9,8 +9,9 @@ from riskcbf.barrier import (
     feasibility_margin,
     qp_filter,
 )
+from riskcbf.distributions import lattice_masses
 from riskcbf.field import CostFieldParams, cost_mean, discretized_cost_range, evaluate
-from riskcbf.risk import CPT, CVaR, ExpectedRisk, lattice_weights, spec_label
+from riskcbf.risk import CPT, CVaR, ExpectedRisk, decision_weights, spec_label, weighting
 
 PARAMS = CostFieldParams(200.0, 0.01, 0.5)
 CONFIG = BarrierConfig(rho=PARAMS.sigma_peak, eta1_gain=1.0)
@@ -49,7 +50,8 @@ def test_gamma_zero_row_is_exact_where_the_mean_cost_is_subnormal(lam):
     assert 0.0 < cost_mean(PARAMS, [270.0, 0.0]) < np.finfo(float).tiny
     h, a, b = barrier_constraint(spec, PARAMS, CONFIG, F0, ys, np.zeros_like(ys))
     assert (h == h[0]).all()
-    assert h[0] == pytest.approx(CONFIG.rho - lam * lattice_weights(spec, PARAMS.m).sum(), rel=1e-14)
+    pi = decision_weights(lattice_masses(PARAMS.m), weighting(spec))
+    assert h[0] == pytest.approx(CONFIG.rho - lam * pi.sum(), rel=1e-14)
     assert (a == 0.0).all() and np.array_equal(b, -CONFIG.eta1_gain * h)
     specs = (spec, CPT(0.74, 1.0, 0.88, 2.25))
     lanes = barrier_constraint(specs, PARAMS, CONFIG, np.zeros((2, 1, 2)), ys, np.zeros_like(ys))
@@ -57,6 +59,23 @@ def test_gamma_zero_row_is_exact_where_the_mean_cost_is_subnormal(lam):
     for s, spec_s in enumerate(specs):
         alone = barrier_constraint(spec_s, PARAMS, CONFIG, F0, ys, np.zeros_like(ys))
         assert all(r[s].tobytes() == r_s.tobytes() for r, r_s in zip(lanes, alone))
+
+
+ITEM_5A = pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, RuntimeWarning),
+    reason="ROADMAP item 5 FOUND (a): at 0 < gamma < 0.0465, c**(gamma - 1) overflows where c_mu is subnormal",
+)
+
+
+@ITEM_5A
+def test_small_gamma_row_is_finite_where_the_mean_cost_is_subnormal():
+    # c_mu(272) is subnormal here, so c**(gamma - 1) overflows at gamma =
+    # 0.02 and the row comes out h = 199.50062364611986, a = (nan, nan),
+    # b = nan; simulate exits 3 beside such an obstacle
+    assert 0.0 < cost_mean(PARAMS, [272.0, 0.0]) < np.finfo(float).tiny
+    h, a, b = barrier_constraint(CPT(0.74, 1.0, 0.02, 2.0), PARAMS, CONFIG, F0, np.array([272.0, 0.0]), F0)
+    assert np.isfinite(h) and np.isfinite(a).all() and np.isfinite(b)
 
 
 def test_barrier_sign_tracks_safety():

@@ -740,6 +740,19 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+FIELD_SPECS = next(line for line in (CONFIGS / "field_default.cfg").read_text().splitlines() if line.startswith("specs"))
+INVALID_REASONS = {
+    "k1 = abc": "field.k1: must be a number, got 'abc'",
+    "nx = 1.5": "grid.nx: must be an integer, got '1.5'",
+    "source = 10.0, 10.0, 1.0": "grid.source: must be two comma-separated numbers, got '10.0, 10.0, 1.0'",
+    "include_extremes = maybe": "audit.include_extremes: must be true or false, got 'maybe'",
+    "ymax = -1.0": "grid.ymax: must exceed grid.ymin = 0.0, got -1.0",
+    "specs = ,": "risk.specs: must list at least one spec",
+    "k1 =": "empty value for field.k1",
+    "k1 200.0": "expected key = value, got 'k1 200.0'",
+}
+
+
 @pytest.mark.parametrize(
     "name, command, old, new",
     [
@@ -760,6 +773,15 @@ def test_cli_config_error_exit_code(tmp_path):
         ("single_obstacle.cfg", "simulate", "goal = 10.0, 10.0", "goal = 5.0, 2.0"),
         ("single_obstacle.cfg", "simulate", "gain = 0.6, 0.6", "gain = -0.6, -0.6"),
         ("field_default.cfg", "field", "r_bar = 0.5", "r_bar = 1e5"),
+        # the reader's own checks, each with its message in INVALID_REASONS
+        ("field_default.cfg", "field", "k1 = 200.0", "k1 = abc"),
+        ("field_default.cfg", "field", "nx = 150", "nx = 1.5"),
+        ("field_default.cfg", "field", "source = 10.0, 10.0", "source = 10.0, 10.0, 1.0"),
+        ("field_default.cfg", "audit", "include_extremes = true", "include_extremes = maybe"),
+        ("field_default.cfg", "field", "ymax = 15.0", "ymax = -1.0"),
+        ("field_default.cfg", "field", FIELD_SPECS, "specs = ,"),
+        ("field_default.cfg", "field", "k1 = 200.0", "k1 ="),
+        ("field_default.cfg", "field", "k1 = 200.0", "k1 200.0"),
     ],
 )
 def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, new):
@@ -770,7 +792,25 @@ def test_cli_invalid_number_reports_line(tmp_path, capsys, name, command, old, n
     selector = [] if command == "audit" else ["--spec", "er"]  # audit runs no configured spec
     code = main([command, "--config", str(cfg), *selector, "--out", str(tmp_path / "o")])
     assert code == 2
-    assert f":{line_of(text, new)}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f":{line_of(text, new)}:" in err
+    assert INVALID_REASONS.get(new, "") in err
+
+
+def test_cli_duplicate_section_reports_its_line(tmp_path, capsys):
+    text = (CONFIGS / "field_default.cfg").read_text() + "\n[field]\nk1 = 100.0\n"
+    cfg = write_cfg(tmp_path, text)
+    assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    line = text[: text.rindex("[field]")].count("\n") + 1
+    assert capsys.readouterr().err == f"config error: {cfg}:{line}: duplicate section [field]\n"
+
+
+def test_cli_missing_key_names_no_line(tmp_path, capsys):
+    text = (CONFIGS / "field_default.cfg").read_text()
+    assert text.count("k2 = 0.01\n") == 1
+    cfg = write_cfg(tmp_path, text.replace("k2 = 0.01\n", ""))
+    assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: missing key 'k2' in section [field]\n"
 
 
 @pytest.mark.parametrize("command", ["field", "audit", "simulate", "feasibility"])
@@ -927,6 +967,36 @@ def test_cli_spec_index_selector(tmp_path):
     )
     assert code == 0
     assert (out / "risk_er.csv").exists()
+
+
+@pytest.mark.parametrize("index", ["0", "16"])
+def test_cli_spec_index_out_of_range(tmp_path, capsys, index):
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(CONFIGS / "single_obstacle.cfg"), "--spec", index, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: <cli>: --spec index {index} out of range 1..15\n"
+    assert not out.exists()
+
+
+def test_cli_simulate_single_integrator(tmp_path):
+    # a single integrator has no heading, and its controlled point is itself
+    text = (CONFIGS / "single_obstacle.cfg").read_text()
+    assert text.count("model = unicycle") == 1
+    cfg = write_cfg(tmp_path, text.replace("model = unicycle", "model = single_integrator"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    logs = sorted(out.glob("sim_*.csv"))
+    assert len(logs) == 15
+    for log in logs:
+        rows = [line.split(",") for line in log.read_text().splitlines()]
+        assert rows[0][:6] == ["t", "x", "y", "heading", "px", "py"]
+        assert len(rows) > 2
+        for row in rows[1:]:
+            assert row[3] == "nan" and row[4:6] == row[1:3]
+
+
+def test_cli_builds_its_parser_once():
+    assert riskcbf.cli.build_parser() is riskcbf.cli.build_parser()
 
 
 def run_python(*args):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import riskcbf._format
 import riskcbf.field
 from riskcbf._format import _FORMAT_BLOCK, _significand, format_rows, write_json
 from riskcbf.field import (
@@ -62,6 +63,11 @@ def polygon_area(poly):
 def test_cost_field_params_reject_out_of_range(k1, k2, r_bar):
     with pytest.raises(ValueError):
         CostFieldParams(k1, k2, r_bar)
+
+
+def test_cost_field_params_need_two_lattice_bins():
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        CostFieldParams(200.0, 0.01, 0.5, m=1)
 
 
 def test_no_lattice_outcome_is_negative_on_the_domain():
@@ -872,6 +878,18 @@ def test_format_rows_is_17g_on_signed_zeros(width):
     for rows in (zeros, values, np.concatenate([values, zeros])):
         assert b"".join(format_rows(rows)) == percent_17g(rows)
     assert b"".join(format_rows(np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]))) == b"0,-0,0\n-0,-0,0\n"
+
+
+def test_format_rows_fills_each_value_group_once(monkeypatch):
+    # the group tables are the module's: a second call on the same values
+    # finds every group filled and derives no power of ten
+    pow10, calls = riskcbf._format._pow10, []
+    monkeypatch.setattr(riskcbf._format, "_pow10", lambda p: calls.append(p) or pow10(p))
+    values = np.outer([-1.5, 1.5], 10.0 ** np.arange(-280.0, 280.0, 7.0))
+    first = b"".join(format_rows(values))
+    calls.clear()
+    assert b"".join(format_rows(values)) == first == percent_17g(values)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from riskcbf.risk import (
     CVaR,
     ExpectedRisk,
     decision_weights,
-    lattice_weights,
     moment_risk,
     parse_spec,
     prob_weight,
@@ -46,6 +45,11 @@ def test_prob_weight_identity_at_unit_parameters():
 def test_prob_weight_boundary_values():
     assert prob_weight(0.0, 0.74, 1.0) == 0.0
     assert prob_weight(1.0, 0.74, 1.0) == 1.0
+
+
+def test_prob_weight_rejects_a_probability_outside_the_unit_interval():
+    with pytest.raises(ValueError, match=r"probability must lie in \[0, 1\]"):
+        prob_weight(1.5, 0.74, 1.0)
 
 
 def test_prob_weight_half_with_curved_alpha():
@@ -342,7 +346,7 @@ def test_partials_cpt_linear_utility_closed_form():
     # at gamma = 1 the partials collapse to lambda-weighted moment sums
     lam, m = 2.5, 12
     theta = CPT(1.0, 1.0, 1.0, lam)
-    pi = lattice_weights(theta, m)
+    pi = decision_weights(lattice_masses(m), weighting(theta))
     g = lattice_coeffs(m)
     _, d_mu, d_sigma = moment_risk(theta, 30.0, 4.0, m)
     assert d_mu == pytest.approx(lam * pi.sum(), rel=1e-12)
@@ -456,6 +460,12 @@ def test_spec_validation():
         for args in ((bad, 1.0, 0.5, 1.0), (1.0, bad, 0.5, 1.0), (1.0, 1.0, bad, 1.0), (1.0, 1.0, 0.5, bad)):
             with pytest.raises(ValueError):
                 CPT(*args)
+
+
+@pytest.mark.parametrize("function", [weighting, spec_label])
+def test_weighting_and_label_reject_a_non_spec(function):
+    with pytest.raises(TypeError, match="unknown risk spec 0.5"):
+        function(0.5)
 
 
 def test_spec_labels_are_filename_safe():

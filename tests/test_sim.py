@@ -221,6 +221,11 @@ def test_default_obstacle_speed_formula():
     assert speed == pytest.approx(expected, rel=1e-12)
 
 
+def test_default_obstacle_speed_needs_an_agent_segment():
+    with pytest.raises(ValueError, match="agent start and goal coincide"):
+        default_obstacle_speed([13, 13], [2, 3], [5, 2], [5, 2], [0.6, 0.6])
+
+
 # --- closed loop ---------------------------------------------------------------------
 
 
