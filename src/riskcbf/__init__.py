@@ -25,6 +25,7 @@ from .field import (
     level_set,
     rasterize,
     safe_mask,
+    safe_masks,
     versatility_audit,
 )
 from .risk import (

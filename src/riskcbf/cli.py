@@ -38,6 +38,7 @@ from .field import (
     polylines_to_json,
     rasterize,
     safe_mask,
+    safe_masks,
     versatility_audit,
 )
 from .risk import ExpectedRisk, spec_label
@@ -161,7 +162,7 @@ def cmd_audit(cfg: Config, out: Path) -> int:
     # one mask per distinct spec, shared by every family that holds it
     families = [ExpectedRisk()], cvar_family, cpt_family
     specs = list(dict.fromkeys(spec for family in families for spec in family))
-    masks = {spec: safe_mask(rasterize(spec, params, source, bounds, resolution), barrier.rho) for spec in specs}
+    masks = dict(zip(specs, safe_masks(specs, params, source, bounds, resolution, barrier.rho)))
     er, cvar, cpt = ({spec: masks[spec] for spec in family} for family in families)
 
     mu = moment_grids(params, source, bounds, resolution)[0].values

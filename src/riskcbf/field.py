@@ -12,7 +12,10 @@ Every model reads the same moments, so a grid's (c_mu, c_sigma) pair is
 computed once per field and geometry by :func:`moment_grids` and shared
 read-only: :func:`rasterize`, the cost range and the audit levels read it.
 :func:`rasterize` shares one evaluation among consecutive CPT specs that
-differ only in lam.
+differ only in lam. A safe mask needs only the sign of R - rho, so
+:func:`safe_masks`, the audit's masks, decides a CPT cell from bounds at
+the lattice's lowest and highest outcomes and runs the lattice only on
+the cells they leave undecided, with the same result cell for cell.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._format import format_rows, write_json
-from .distributions import lattice_coeffs
-from .risk import CPT, RiskSpec, moment_risk, spec_label
+from .distributions import lattice_coeffs, lattice_masses
+from .risk import CPT, RiskSpec, decision_weights, moment_risk, spec_label, weighting
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,6 +263,81 @@ def safe_mask(grid: FieldGrid, rho: float) -> np.ndarray:
     """Boolean grid of the perceived-safe set {risk <= rho}; the risky
     set is its complement."""
     return grid.values <= rho
+
+
+def _cpt_bounds(key: CPT, mu, sigma, m: int):
+    """(lo, hi) grids with lo <= S <= hi at every cell, S being the
+    computed lam = 1 value of key, sum_j Pi_j * max(c_j, 0)**gamma; None
+    when a decision weight is negative, where no such bound holds. Every
+    outcome lies between the lowest c_1 and the highest c_m, and the
+    weights are >= 0, so W * c_1**gamma <= S <= W * c_m**gamma with
+    W = sum Pi, widened by a slack for rounding. A c_m that overflows
+    makes hi inf."""
+    pi = decision_weights(lattice_masses(m), weighting(key))
+    if not (pi >= 0.0).all():
+        return None
+    # The slack makes the bounds hold for the computed S, not only for the
+    # exact one. With u = 2**-53, each IEEE operation errs by at most u
+    # relative (an ulp is at most 2u), or by u * 2**-1022 absolute on a
+    # subnormal result. The bounds take the lattice's own computed c_1 and
+    # c_m, and rounding is monotone, so the computed c_1 <= c_j <= c_m for
+    # every j. The gap between S and a bound then sums: each c_j**gamma and
+    # the bound's c**gamma, P ulps each (sqrt is correctly rounded, pow
+    # within a few ulps), 4Pu; the lattice's m-term dot of nonnegative
+    # products Pi_j * t_j, mu; the weight sum W of m terms, mu; the
+    # bound's own products and sum, 4u. That is (2m + 4P + 4) u, which at
+    # P = 8 is (m + 18) * 2**-52. The slack is 256 times that, so that no
+    # decision rests on one pow library's accuracy; for subnormal values
+    # the bounds also widen by slack * 2**-1022.
+    g, weight, slack = lattice_coeffs(m), pi.sum(), (m + 18) * 2.0 ** -44
+    ends = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g_j, widen in ((g[0], -slack), (g[-1], slack)):
+            c = sigma * g_j
+            c += mu  # the bits of the lattice's outcome c_j
+            np.maximum(c, 0.0, out=c)
+            c **= key.gamma
+            c *= weight * (1.0 + widen)
+            c += widen * np.finfo(float).tiny
+            ends.append(c)
+    return tuple(ends)
+
+
+def safe_masks(specs, params: CostFieldParams, source, bounds, resolution, rho: float) -> list[np.ndarray]:
+    """The safe mask of each spec on one grid, cell for cell the mask
+    ``safe_mask(rasterize(spec, params, source, bounds, resolution), rho)``.
+
+    ER and CVaR specs take exactly that, a cheap linear form. A CPT spec's
+    value lam * S lies between lam * lo and lam * hi of its lam = 1 key's
+    bounds (:func:`_cpt_bounds`), which decide every cell where
+    lam * hi <= rho (safe) or lam * lo > rho (risky). Only the cells left
+    run the lattice, each with the bytes of its grid cell: every lattice
+    operation is cell-wise and ``row_dot`` does not depend on the batch.
+    Consecutive CPT specs that differ only in lam share one key's bounds.
+    A spec whose lam * hi is not finite somewhere, or whose weights are
+    not all >= 0, takes its grid, which refuses a non-finite value as
+    :func:`rasterize` does.
+    """
+    geometry = _geometry(source, bounds, resolution)
+    mu, sigma = _grid_moments(params, *geometry)
+    masks, key, ends = [], None, None
+    for spec in specs:
+        mask = None
+        if isinstance(spec, CPT):
+            if replace(spec, lam=1.0) != key:
+                key = replace(spec, lam=1.0)
+                ends = _cpt_bounds(key, mu, sigma, params.m)
+            if ends is not None:
+                lo, hi = ends
+                with np.errstate(over="ignore"):
+                    upper = spec.lam * hi
+                if np.isfinite(upper.max()):  # hi >= 0: a finite max is a finite grid
+                    mask = upper <= rho
+                    undecided = np.flatnonzero(~mask & (spec.lam * lo <= rho))
+                    values = moment_risk(key, mu.flat[undecided], sigma.flat[undecided], params.m, grad=False)[0]
+                    mask.flat[undecided] = spec.lam * values <= rho
+        masks.append(safe_mask(rasterize(spec, params, *geometry), rho) if mask is None else mask)
+    return masks
 
 
 # Level sets sample the radial profile every eighth of the smaller cell

@@ -132,11 +132,11 @@ def decision_weights(probabilities, w) -> np.ndarray:
 
 def row_dot(u, v):
     """Dot products over the last axis of u and v, broadcast over the
-    leading axes. The stacked matmul takes the BLAS dot of a one-row
-    call, so each row has the bytes it would have alone; u @ v (a gemv)
-    and np.sum(u * v, -1) round a row differently depending on the
-    batch."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    leading axes. ``np.vecdot`` takes the one dot loop per row that a
+    stacked matmul of (1, n) by (n, 1) rows takes, so each row has the
+    bytes it would have alone; u @ v (a gemv) and np.sum(u * v, -1)
+    round a row differently depending on the batch."""
+    return np.vecdot(u, v)
 
 
 def moment_risk(spec: RiskSpec | tuple[RiskSpec, ...], c_mu, c_sigma, m: int = 10, grad: bool = True):

@@ -21,7 +21,7 @@ from riskcbf.cli import main
 from riskcbf.config import ConfigError, load_config
 from riskcbf.risk import CPT, CVaR, ExpectedRisk, spec_label
 from riskcbf.sim import nominal_control, obstacle_motion
-from test_field import read_grid_csv, unit_evaluations
+from test_field import exact_masks, read_grid_csv, unit_evaluations
 from test_golden import DIGESTS, cpu_note, golden_or_skip
 
 REPO = Path(__file__).resolve().parent.parent
@@ -504,18 +504,30 @@ def test_cli_field_rasterizes_specs_that_differ_only_in_lambda_once(tmp_path, mo
     assert len(list(tmp_path.glob("risk_*.csv"))) == 14
 
 
-def test_cli_audit(tmp_path, rasterize_calls):
+def test_cli_audit(tmp_path, monkeypatch, rasterize_calls):
+    lattice_cells = []  # (spec, cells) of each risk evaluation in field
+    moment_risk = riskcbf.field.moment_risk
+
+    def counting_moment_risk(spec, c_mu, *args, **kwargs):
+        lattice_cells.append((spec, np.size(c_mu)))
+        return moment_risk(spec, c_mu, *args, **kwargs)
+
+    monkeypatch.setattr(riskcbf.field, "moment_risk", counting_moment_risk)
     out = tmp_path / "audit"
     code = main(
         ["audit", "--config", str(CONFIGS / "field_default.cfg"), "--out", str(out)]
     )
     assert code == 0
-    # one grid per distinct ER/CVaR spec (ER and 7 CVaR) and per distinct
-    # CPT (alpha, beta, gamma): the 6 gammas of the gamma-major 6 x 5
-    # family and the 2 extremes
-    assert len(rasterize_calls) == 16
-    assert len(set(rasterize_calls)) == 16
-    assert sum(isinstance(spec, CPT) for spec in rasterize_calls) == 8
+    # one grid per distinct ER/CVaR spec (ER and 7 CVaR), and no whole CPT
+    # grid: the two-outcome bounds decide most cells of each of the 32
+    # CPT specs (the gamma-major 6 x 5 family and the 2 extremes), and the
+    # lattice runs on the 10,421 cells they leave, 1.4 % of 32 grids
+    assert len(rasterize_calls) == 8
+    assert len(set(rasterize_calls)) == 8
+    assert not any(isinstance(spec, CPT) for spec in rasterize_calls)
+    cpt_cells = [cells for spec, cells in lattice_cells if isinstance(spec, CPT)]
+    assert len(cpt_cells) == 32 and max(cpt_cells) < 150 * 150
+    assert sum(cpt_cells) == 10421
     report = json.loads((out / "audit.json").read_text())
     assert report["inclusiveness"]["cpt_vs_cvar"]["verdict"] == "strictly more inclusive"
     assert report["inclusiveness"]["cpt_vs_er"]["verdict"] == "strictly more inclusive"
@@ -547,6 +559,45 @@ def test_cli_audit_verdicts_do_not_move_with_m(tmp_path):
         assert entry["interval"] == at_40["versatility"][family]["interval"], family
 
 
+def audit_variant(rng, text: str) -> str:
+    """field_default.cfg with a seeded off-grid source, field and audit
+    families: the grid cells hold no round values."""
+    x, y = rng.uniform(3.0, 12.0, 2).tolist()
+    gammas = np.sort(rng.uniform(0.0, 1.0, 6))
+    lams = np.sort(np.exp(rng.uniform(0.0, math.log(5.0), 5)))
+    edits = {
+        "source = 10.0, 10.0": f"source = {x!r}, {y!r}",
+        "k2 = 0.01": f"k2 = {float(rng.uniform(0.002, 0.1))!r}",
+        "r_bar = 0.5": f"r_bar = {float(rng.uniform(0.0, 2.5))!r}",
+        "cpt_gammas = 0.785, 0.79, 0.8, 0.85, 0.9, 1.0": "cpt_gammas = " + ", ".join(map(repr, gammas.tolist())),
+        "cpt_lambdas = 1.5, 2.0, 2.5, 3.0, 3.5": "cpt_lambdas = " + ", ".join(map(repr, lams.tolist())),
+        "cpt_alpha = 0.74": f"cpt_alpha = {float(rng.uniform(0.3, 1.2))!r}",
+    }
+    for old, new in edits.items():
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+def test_cli_audit_bytes_do_not_move_with_the_bounded_masks(tmp_path, monkeypatch):
+    # audit.json from safe_masks has the bytes of a run on the masks of
+    # whole grids, on the shipped config and on four seeded variants
+    rng = np.random.default_rng(34)
+    text = (CONFIGS / "field_default.cfg").read_text()
+    configs = [CONFIGS / "field_default.cfg"]
+    for k in range(4):
+        configs.append(tmp_path / f"variant{k}.cfg")
+        configs[-1].write_text(audit_variant(rng, text))
+    for k, cfg in enumerate(configs):
+        reports = []
+        for masks in (riskcbf.cli.safe_masks, exact_masks):
+            monkeypatch.setattr(riskcbf.cli, "safe_masks", masks)
+            out = tmp_path / f"{k}_{masks.__name__}"
+            assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append((out / "audit.json").read_bytes())
+        assert reports[0] == reports[1], cfg
+
+
 def grid_moment_calls(monkeypatch, shape) -> list:
     """A list that gets one entry per field._moments call on a grid of
     shape from now on, with the cached grid moments cleared."""
@@ -565,7 +616,7 @@ def grid_moment_calls(monkeypatch, shape) -> list:
 
 @pytest.mark.parametrize("levels", ["30, 60, 90", ""])
 def test_cli_audit_samples_the_mean_cost_grid_once(tmp_path, monkeypatch, levels):
-    # the cost range, all 40 rasterize calls (16 evaluate a grid) and the
+    # the cost range, the 8 ER/CVaR grids, the 32 CPT masks and the
     # levels read one sample
     text = (CONFIGS / "field_default.cfg").read_text()
     old = "levels = 30, 60, 90, 120, 150, 180, 199"

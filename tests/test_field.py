@@ -383,6 +383,97 @@ def test_safe_mask_partitions_grid():
         assert np.array_equal(~safe, grid.values > rho)
 
 
+def exact_masks(specs, params, source, bounds, resolution, rho):
+    """The reference of safe_masks: each spec's mask from its whole grid."""
+    return [safe_mask(rasterize(spec, params, source, bounds, resolution), rho) for spec in specs]
+
+
+def bound_cases(rng):
+    """Seeded (params, source, specs) draws for safe_masks: k1 over
+    decades (subnormal moments at 1e-300), k2 in (0, 1/2], every m of
+    ``SAFE_MASK_MS``, off-grid sources, and CPT keys at gamma 0, 0.5, 1 and
+    a random gamma, each key a run of lams, among ER and CVaR specs, then
+    six of the CPT specs again in random order, out of their runs."""
+    for k1 in (1e-300, 1e-6, 1e-2, 1.0, 200.0, 1e5, 1e150, 1e300):
+        for m in SAFE_MASK_MS:
+            params = CostFieldParams(k1, rng.choice([0.5, rng.uniform(1e-3, 0.5)]), rng.uniform(0.0, 2.5), m)
+            source = rng.uniform(-2.0, 17.0, 2)
+            specs = [ExpectedRisk(), CVaR(float(rng.uniform())), CVaR(1.0)]
+            for gamma in (0.0, 0.5, 1.0, float(rng.uniform())):
+                alpha, beta = rng.uniform(0.2, 1.5, 2)
+                lams = np.sort(np.concatenate([[1.0], np.exp(rng.uniform(0.0, math.log(100.0), 3))]))
+                specs += [CPT(float(alpha), float(beta), gamma, float(lam)) for lam in lams]
+            specs += [specs[i] for i in rng.permutation(np.arange(3, len(specs)))[:6]]
+            yield params, source, specs
+
+
+SAFE_MASK_MS = (2, 3, 10, 11, 40)
+
+
+def test_safe_masks_match_the_masks_of_whole_grids():
+    # every ER, CVaR and CPT mask, cell for cell, at a random rho, at rho
+    # equal to a value of some grid, and at that value's two neighbours:
+    # there, the cell decides by its last bit, so the bounds must leave it
+    # to the lattice
+    rng = np.random.default_rng(34)
+    res, compared, ties = (23, 19), 0, 0
+    for params, source, specs in bound_cases(rng):
+        grids = [rasterize(spec, params, source, BOUNDS, res).values for spec in specs]
+        value = float(rng.choice(rng.choice(grids).ravel()))
+        rhos = [float(np.exp(rng.uniform(-1.0, 1.0)) * np.median(rng.choice(grids))),
+                value, math.nextafter(value, -math.inf), math.nextafter(value, math.inf)]
+        for rho in rhos:
+            fast = riskcbf.field.safe_masks(specs, params, source, BOUNDS, res, rho)
+            exact = exact_masks(specs, params, source, BOUNDS, res, rho)
+            for spec, a, b in zip(specs, fast, exact):
+                assert a.dtype == bool and np.array_equal(a, b), (params, source, spec, rho)
+            compared += len(specs)
+            ties += sum(np.sum(g == rho) for g in grids)
+    assert compared == 8 * len(SAFE_MASK_MS) * 4 * 25
+    assert ties >= 8 * len(SAFE_MASK_MS)  # each exact-value rho hits its cell
+
+
+def test_safe_masks_keep_the_one_bit_corner_of_the_extreme_member():
+    # field_default.cfg's extreme CPT(1, 1, 1, rho / c_min) is safe at the
+    # one corner cell (0, 0), where R lies one ulp below rho: one bit keeps it
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "field_default.cfg")
+    params, rho = cfg.field_params(), cfg.barrier_config(cfg.field_params()).rho
+    bounds, resolution, source = cfg.grid_geometry()
+    c_min, c_max = discretized_cost_range(params, source, bounds, resolution)
+    extreme = cfg.audit_families(c_min, c_max, rho)[1][-2]
+    assert extreme == CPT(1.0, 1.0, 1.0, rho / c_min)
+    corner = rasterize(extreme, params, source, bounds, resolution).values[0, 0]
+    assert corner == math.nextafter(rho, -math.inf)
+    for at, cells in ((rho, [[0, 0]]), (corner, [[0, 0]]), (math.nextafter(corner, -math.inf), [])):
+        (fast,) = riskcbf.field.safe_masks([extreme], params, source, bounds, resolution, at)
+        assert np.array_equal(fast, exact_masks([extreme], params, source, bounds, resolution, at)[0])
+        assert np.argwhere(fast).tolist() == cells
+
+
+def test_safe_masks_take_the_whole_grid_where_no_bound_holds(monkeypatch):
+    # a negative decision weight (Prelec's w is increasing, so only a
+    # rounding could make one) or an upper bound that overflows leaves
+    # the spec to rasterize, which refuses a non-finite grid
+    specs = [CPT(0.74, 1.0, 0.9, 1.0), CPT(0.74, 1.0, 0.9, 2.0), ExpectedRisk()]
+    res, rho = (30, 20), 150.0
+    evaluated = unit_evaluations(monkeypatch)
+    weights = riskcbf.field.decision_weights
+    monkeypatch.setattr(riskcbf.field, "decision_weights", lambda *args: weights(*args) - 1.0)
+    masks = riskcbf.field.safe_masks(specs, PARAMS, SOURCE, BOUNDS, res, rho)
+    assert evaluated == [specs[0], ExpectedRisk()]
+    for a, b in zip(masks, exact_masks(specs, PARAMS, SOURCE, BOUNDS, res, rho)):
+        assert np.array_equal(a, b)
+    monkeypatch.undo()
+    # at k1 = 1e308 the highest outcome is finite, but 1.5 times it is not:
+    # the lam = 1.5 grid passes, and the lam = 2 grid is refused by name
+    huge = CostFieldParams(1e308, 0.01, 0.5)
+    lam_15, lam_2 = CPT(0.74, 1.0, 1.0, 1.5), CPT(0.74, 1.0, 1.0, 2.0)
+    (mask,) = riskcbf.field.safe_masks([lam_15], huge, SOURCE, BOUNDS, res, 1e308)
+    assert np.array_equal(mask, exact_masks([lam_15], huge, SOURCE, BOUNDS, res, 1e308)[0])
+    with pytest.raises(ValueError, match=r"^the risk grid of cpt_a0p74_b1_g1_l2 holds a non-finite value$"):
+        riskcbf.field.safe_masks([lam_15, lam_2], huge, SOURCE, BOUNDS, res, 1e308)
+
+
 # --- level sets -----------------------------------------------------------------
 
 
